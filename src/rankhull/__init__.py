@@ -20,7 +20,6 @@ from .bitrank import (
     RankTable,
     ShuffleResult,
     build_rank_table,
-    count_trailing_zeros,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
@@ -30,8 +29,6 @@ from .geometry import (
     BoundingBox,
     Point,
     bounding_box,
-    denormalize,
-    normalize,
     orientation,
 )
 from .hull import (
@@ -53,7 +50,7 @@ from .pipeline import (
 )
 from .pnm import ImageMask, image_to_points, load_image_mask, parse_pnm
 from .pointio import generate_dense_set, load_points, save_points
-from .ranking import RankFunction, RankVariant, chain_order
+from .ranking import RankFunction, RankVariant
 
 __version__ = "0.1.0"
 
@@ -76,13 +73,10 @@ __all__ = [
     "ShuffleResult",
     "bounding_box",
     "build_rank_table",
-    "chain_order",
     "compare_operation_counts",
     "contains_all",
     "convex_hull_ranked",
-    "count_trailing_zeros",
     "crossover_ratio",
-    "denormalize",
     "density",
     "density_threshold_refined",
     "density_threshold_simple",
@@ -96,7 +90,6 @@ __all__ = [
     "load_image_mask",
     "load_points",
     "melkman",
-    "normalize",
     "orientation",
     "parse_pnm",
     "run_benchmark",

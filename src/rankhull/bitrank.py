@@ -1,36 +1,40 @@
 """Blocked occupancy bit table and the shuffles that compact it.
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits, and keeps a rank-indexed side table mapping occupied
-ranks back to input indices. Compacting the side table into the first n
-slots in ascending-rank order ("shuffling") can then either scan all m
-ranks, or walk the words: a zero word is skipped in a single compare and
-a nonzero word yields its bit positions in popcount(word) steps via the
+words of p bits: m/8 bytes for a box of m cells, whatever n is. It is the
+only per-box structure. Because rank is a bijection, the table needs no
+record of which input point set a bit; a rank turns back into its point
+with one divmod (:meth:`RankFunction.unrank_all`). Compacting the table
+into ascending-rank order ("shuffling") can either scan all m ranks, or
+walk the words: a zero word is skipped in a single compare and a nonzero
+word yields its bit positions in popcount(word) steps via the
 lowest-set-bit clearing trick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Sequence
 
-from .errors import BoxTooLargeError
+from .errors import BoxTooLargeError, OutOfGridError
 from .geometry import Point
-from .ranking import RankFunction
+from .ranking import RankFunction, RankVariant
 
 DEFAULT_MAX_M = 1 << 30
+
+_transpose = itemgetter(1, 0)
 
 
 @dataclass
 class RankTable:
-    """Occupancy bits plus the rank -> input index side table.
+    """Occupancy bits of the distinct ranked points.
 
     `bloom[w]` holds bits for ranks w*p+1 .. (w+1)*p, lowest bit first;
-    rank k occupies bit (k-1) % p of word (k-1) // p. `indirect[k-1]` is
-    the input index stored for rank k, or None where the bit is clear.
+    rank k occupies bit (k-1) % p of word (k-1) // p.
     """
 
     bloom: list[int]
-    indirect: list[int | None]
     n: int
     m: int
     p: int
@@ -40,22 +44,11 @@ class RankTable:
 
 @dataclass
 class ShuffleResult:
-    """Compacted ascending-rank order plus loop instrumentation."""
+    """Occupied ranks in ascending order plus loop instrumentation."""
 
     order: list[int]
     iterations: int
     zero_buckets_skipped: int = 0
-
-
-def count_trailing_zeros(word: int) -> int:
-    """Index of the least significant set bit of a positive integer.
-
-    The portable equivalent of the hardware ctz instruction: word & -word
-    isolates the lowest set bit and bit_length names its position.
-    """
-    if word <= 0:
-        raise ValueError("count_trailing_zeros requires a positive word")
-    return (word & -word).bit_length() - 1
 
 
 def extract_set_bits(word: int) -> list[int]:
@@ -76,15 +69,16 @@ def extract_set_bits(word: int) -> list[int]:
 
 
 def build_rank_table(
-    points: list[Point],
+    points: Sequence[Point],
     rf: RankFunction,
     p: int,
     max_m: int = DEFAULT_MAX_M,
 ) -> RankTable:
-    """Rank every normalized point and record it in a fresh table.
+    """Rank every point in the grid of `rf` and set its bit in a fresh table.
 
-    Duplicate points hit an already-set bit and are skipped and counted;
-    the first occurrence keeps its slot in the side table.
+    Ranks come straight from the points' own coordinates, with the rank
+    arithmetic of :meth:`RankFunction.rank` inlined. Duplicate points hit
+    an already-set bit and are skipped and counted.
     """
     if p < 1:
         raise ValueError("block width must be positive")
@@ -93,36 +87,42 @@ def build_rank_table(
         raise BoxTooLargeError(f"rank range {m} exceeds cap {max_m}")
     r = -(-m // p)
     bloom = [0] * r
-    indirect: list[int | None] = [None] * m
-    rank = rf.rank
-    n = 0
+    # Row-major ranks are the column-major ranks of the transposed points:
+    # k = (a - a_min) * nb + (b - b_min) with (a, b) = (x, y) or (y, x).
+    if rf.variant is RankVariant.COLUMN_MAJOR:
+        pairs, a_min, b_min, nb = points, rf.x_min, rf.y_min, rf.m2
+    else:
+        pairs, a_min, b_min, nb = map(_transpose, points), rf.y_min, rf.x_min, rf.m1
     duplicates = 0
-    for idx, v in enumerate(points):
-        k0 = rank(v) - 1
-        w, b = divmod(k0, p)
-        mask = 1 << b
-        if bloom[w] & mask:
+    for a, b in pairs:
+        db = b - b_min
+        k0 = (a - a_min) * nb + db
+        # 0 <= db < nb and 0 <= k0 < m together put (a, b) inside the grid
+        if not (0 <= db < nb and 0 <= k0 < m):
+            v = (a, b) if rf.variant is RankVariant.COLUMN_MAJOR else (b, a)
+            raise OutOfGridError(f"{v} outside the grid of {rf}")
+        w, bit = divmod(k0, p)
+        mask = 1 << bit
+        word = bloom[w]
+        if word & mask:
             duplicates += 1
-            continue
-        bloom[w] |= mask
-        indirect[k0] = idx
-        n += 1
-    return RankTable(bloom, indirect, n, m, p, r, duplicates)
+        else:
+            bloom[w] = word | mask
+    return RankTable(bloom, len(points) - duplicates, m, p, r, duplicates)
 
 
 def shuffle_naive(table: RankTable) -> ShuffleResult:
-    """Scan ranks 1..m and collect occupied entries, stopping after n hits."""
+    """Scan ranks 1..m and collect occupied ones, stopping after n hits."""
     order: list[int] = []
     append = order.append
     bloom = table.bloom
-    indirect = table.indirect
     p = table.p
     n = table.n
     iterations = 0
     for k0 in range(table.m):
         iterations += 1
         if bloom[k0 // p] >> (k0 % p) & 1:
-            append(indirect[k0])
+            append(k0 + 1)
             if len(order) == n:
                 break
     return ShuffleResult(order, iterations)
@@ -133,12 +133,10 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
 
     Each word costs one zero test; a nonzero word adds one step per set
     bit, so iterations always total r + n. Rank k lives at bit (k-1) % p
-    of word (k-1) // p, hence the side-table slot for word j, bit s is
-    j*p + s (rank j*p + s + 1).
+    of word (k-1) // p, hence word j, bit s holds rank j*p + s + 1.
     """
     order: list[int] = []
     append = order.append
-    indirect = table.indirect
     p = table.p
     iterations = 0
     zero_buckets = 0
@@ -147,8 +145,8 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
         if num == 0:
             zero_buckets += 1
             continue
-        base = j * p
+        base = j * p + 1
         for s in extract_set_bits(num):
             iterations += 1
-            append(indirect[base + s])
+            append(base + s)
     return ShuffleResult(order, iterations, zero_buckets)

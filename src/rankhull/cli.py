@@ -28,7 +28,7 @@ def _print_hull(hull) -> None:
 
 
 def _cmd_hull(args: argparse.Namespace) -> int:
-    points = load_points(args.points_file, bit_width=args.p)
+    points = load_points(args.points_file)
     cfg = PipelineConfig(
         p=args.p,
         rank_variant=RankVariant(args.rank),

@@ -9,20 +9,16 @@ class EmptyInputError(RankHullError):
     """An operation that needs at least one point received none."""
 
 
-class PointOutsideBoxError(RankHullError):
-    """A point lies outside the bounding box it was paired with."""
+class NonIntegerCoordinateError(RankHullError):
+    """A point coordinate is not a plain int (a float, a bool, ...)."""
 
 
 class OutOfGridError(RankHullError):
-    """A point is outside the normalized grid of a rank function."""
+    """A point is outside the grid of a rank function."""
 
 
 class RankOutOfRangeError(RankHullError):
     """A rank is outside [1, m] for the given rank function."""
-
-
-class DuplicatePointError(RankHullError):
-    """Two input points map to the same rank."""
 
 
 class BoxTooLargeError(RankHullError):

@@ -1,15 +1,16 @@
 """Exact integer predicates and bounding-box arithmetic.
 
 All operations are pure functions on immutable values; coordinates are
-plain Python integers, so every determinant is evaluated exactly.
+plain Python integers, so every determinant is evaluated exactly and is
+unchanged by translating all points alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import EmptyInputError, PointOutsideBoxError
+from .errors import EmptyInputError, NonIntegerCoordinateError
 
 
 class Point(NamedTuple):
@@ -71,35 +72,19 @@ def orientation(v0: Point, v1: Point, v2: Point) -> int:
     return 0
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def bounding_box(points: Sequence[Point]) -> BoundingBox:
-    """Tightest axis-aligned bounding box of a non-empty point sequence."""
+    """Tightest axis-aligned bounding box of a non-empty point sequence.
+
+    Every coordinate must be a plain ``int``: floats cannot be ranked, and
+    ``bool`` (an ``int`` subclass) would be ranked silently as 0 or 1.
+    """
     if not points:
         raise EmptyInputError("cannot bound an empty point set")
     xs, ys = zip(*points)
+    if not (_INT_ONLY.issuperset(map(type, xs)) and _INT_ONLY.issuperset(map(type, ys))):
+        bad = next(v for v in points if type(v[0]) is not int or type(v[1]) is not int)
+        raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")
     return BoundingBox(min(xs), max(xs), min(ys), max(ys))
-
-
-def normalize(points: Iterable[Point], box: BoundingBox) -> list[Point]:
-    """Translate points so the box corner maps to (1, 1).
-
-    Every output coordinate satisfies 1 <= x' <= m1 and 1 <= y' <= m2;
-    input order is preserved.
-    """
-    pts = list(points)
-    if not pts:
-        return []
-    xs, ys = zip(*pts)
-    if (min(xs) < box.x_min or max(xs) > box.x_max
-            or min(ys) < box.y_min or max(ys) > box.y_max):
-        offender = next(p for p in pts if not box.contains(p))
-        raise PointOutsideBoxError(f"point {tuple(offender)} lies outside {box}")
-    dx = box.x_min - 1
-    dy = box.y_min - 1
-    return [Point(x - dx, y - dy) for x, y in pts]
-
-
-def denormalize(points: Iterable[Point], box: BoundingBox) -> list[Point]:
-    """Exact inverse of :func:`normalize` for the same box."""
-    dx = box.x_min - 1
-    dy = box.y_min - 1
-    return [Point(x + dx, y + dy) for x, y in points]

@@ -1,4 +1,10 @@
-"""End-to-end rank-ordered hull: box, translate, rank, shuffle, scan.
+"""End-to-end rank-ordered hull: box, rank, shuffle, scan.
+
+Every step works in the caller's coordinates. The paper's translation
+onto the normalized grid (step 2) is folded into step 3's rank
+arithmetic, and orientation tests are translation-invariant, so the
+pipeline makes no translated copy and translates nothing back. The only
+per-box structure is the m/p-word bit table.
 
 The pipeline stays linear while the point set is dense relative to its
 bounding box; the density thresholds quantify where that regime ends for
@@ -16,7 +22,7 @@ from typing import Sequence
 
 from .bitrank import DEFAULT_MAX_M, build_rank_table, fast_shuffle, shuffle_naive
 from .errors import BoxTooLargeError, InvalidCountsError
-from .geometry import Point, bounding_box, denormalize, normalize
+from .geometry import Point, bounding_box
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
@@ -54,9 +60,12 @@ class PipelineReport:
 
     `n` counts distinct points; exact duplicates are absorbed during table
     construction and tallied in `duplicates_skipped`. `step_ns` holds the
-    elapsed monotonic nanoseconds of the five steps (box, translate, rank,
-    shuffle, scan). When `used_fallback` is set the hull came from the
-    sort-based oracle and steps 3-5 and the counters are zero.
+    elapsed monotonic nanoseconds of the paper's five steps (box,
+    translate, rank, shuffle, scan). The translation happens inside the
+    rank arithmetic, so its slot is always 0; the scan's slot includes
+    turning the shuffled ranks back into points. When `used_fallback` is
+    set the hull came from the sort-based oracle and steps 3-5 and the
+    counters are zero.
     """
 
     hull: HullPolygon
@@ -93,11 +102,13 @@ def convex_hull_ranked(
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
-    Step 1 finds the bounding box, step 2 translates the set onto the
-    normalized grid, step 3 marks each point's rank in the blocked bit
-    table, step 4 compacts the table into ascending-rank order, and step 5
-    runs the single-pass deque scan over the resulting simple chain. The
-    hull is translated back to input coordinates before being returned.
+    Step 1 finds the bounding box, step 3 marks each point's rank, taken
+    straight from its coordinates relative to the box corner, in the
+    blocked bit table, step 4 compacts the table into ascending-rank order,
+    and step 5 unranks that order into a simple chain of the caller's
+    points and runs the single-pass deque scan over it. Step 2, the
+    translation onto the normalized grid, is the subtraction of the box
+    corner inside step 3.
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -108,11 +119,9 @@ def convex_hull_ranked(
     t0 = clock()
     box = bounding_box(points)
     t1 = clock()
-    normalized = normalize(points, box)
-    t2 = clock()
-    rf = RankFunction(cfg.rank_variant, box.m1, box.m2)
+    rf = RankFunction(cfg.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
     try:
-        table = build_rank_table(normalized, rf, cfg.p, max_m=cfg.max_m)
+        table = build_rank_table(points, rf, cfg.p, max_m=cfg.max_m)
     except BoxTooLargeError:
         if not cfg.fallback_on_low_density:
             raise
@@ -123,7 +132,7 @@ def convex_hull_ranked(
             density=distinct / box.m,
             duplicates_skipped=len(points) - distinct,
             counters=_ZERO_COUNTERS,
-            step_ns=(t1 - t0, t2 - t1, 0, 0, 0),
+            step_ns=(t1 - t0, 0, 0, 0, 0),
             p=cfg.p, rank_variant=cfg.rank_variant,
             shuffle_variant=cfg.shuffle_variant,
             used_fallback=True,
@@ -134,14 +143,10 @@ def convex_hull_ranked(
     else:
         shuffled = shuffle_naive(table)
     t4 = clock()
-    chain = [normalized[i] for i in shuffled.order]
     stats = MelkmanStats()
-    hull_norm = melkman(chain, stats)
+    hull = melkman(rf.unrank_all(shuffled.order), stats)
     t5 = clock()
 
-    hull = HullPolygon(
-        tuple(denormalize(hull_norm.vertices, box)), hull_norm.degenerate
-    )
     return PipelineReport(
         hull=hull,
         n=table.n, m=table.m, m1=box.m1, m2=box.m2,
@@ -150,7 +155,7 @@ def convex_hull_ranked(
         counters=OperationCounters(
             stats.isleft_evals, shuffled.iterations, stats.deque_ops
         ),
-        step_ns=(t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4),
+        step_ns=(t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4),
         p=cfg.p, rank_variant=cfg.rank_variant,
         shuffle_variant=cfg.shuffle_variant,
     )

@@ -1,20 +1,28 @@
 """Grid rank functions and the simple-chain ordering they induce.
 
-A rank function is a bijection from the normalized grid [1..m1] x [1..m2]
-onto [1..m]. Visiting points by ascending rank traces a zig-zag over the
-grid columns (or rows), which is a simple polygonal chain on any subset of
-grid points: exactly the ordering a single-pass hull scan needs, obtained
-without a comparison sort.
+A rank function is a bijection from an m1 x m2 grid of integer points onto
+[1..m]. The grid's lowest corner is (x_min, y_min): (1, 1) gives the
+paper's normalized grid, and a bounding box's corner ranks the caller's
+points in place, with no translated copy. Visiting points by ascending
+rank traces a zig-zag over the grid columns (or rows), which is a simple
+polygonal chain on any subset of grid points: exactly the ordering a
+single-pass hull scan needs, obtained without a comparison sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
-from .errors import DuplicatePointError, OutOfGridError, RankOutOfRangeError
+from .errors import OutOfGridError, RankOutOfRangeError
 from .geometry import Point
+
+# Point(x, y) runs a Python-level __new__; this builds the same Point in C.
+_new_point = partial(tuple.__new__, Point)
 
 
 class RankVariant(Enum):
@@ -28,14 +36,16 @@ class RankVariant(Enum):
 class RankFunction:
     """A bijection between grid points and ranks 1..m.
 
-    Column-major ranks column by column, bottom to top:
-    rank(i, j) = (i - 1) * m2 + j. Row-major is the transpose:
-    rank(i, j) = (j - 1) * m1 + i. Both invert with one divmod.
+    With i = x - x_min + 1 and j = y - y_min + 1, column-major ranks column
+    by column, bottom to top: rank = (i - 1) * m2 + j. Row-major is the
+    transpose: rank = (j - 1) * m1 + i. Both invert with one divmod.
     """
 
     variant: RankVariant
     m1: int
     m2: int
+    x_min: int = 1
+    y_min: int = 1
 
     def __post_init__(self) -> None:
         if self.m1 < 1 or self.m2 < 1:
@@ -46,37 +56,39 @@ class RankFunction:
         return self.m1 * self.m2
 
     def rank(self, v: Point) -> int:
-        x, y = v
-        if not (1 <= x <= self.m1 and 1 <= y <= self.m2):
+        dx = v[0] - self.x_min
+        dy = v[1] - self.y_min
+        if not (0 <= dx < self.m1 and 0 <= dy < self.m2):
             raise OutOfGridError(
-                f"{(x, y)} outside normalized grid {self.m1}x{self.m2}"
+                f"{tuple(v)} outside the {self.m1}x{self.m2} grid "
+                f"from ({self.x_min}, {self.y_min})"
             )
         if self.variant is RankVariant.COLUMN_MAJOR:
-            return (x - 1) * self.m2 + y
-        return (y - 1) * self.m1 + x
+            return dx * self.m2 + dy + 1
+        return dy * self.m1 + dx + 1
 
     def unrank(self, r: int) -> Point:
         if not 1 <= r <= self.m:
             raise RankOutOfRangeError(f"rank {r} outside [1, {self.m}]")
         if self.variant is RankVariant.COLUMN_MAJOR:
             q, rem = divmod(r - 1, self.m2)
-            return Point(q + 1, rem + 1)
+            return Point(self.x_min + q, self.y_min + rem)
         q, rem = divmod(r - 1, self.m1)
-        return Point(rem + 1, q + 1)
+        return Point(self.x_min + rem, self.y_min + q)
 
-
-def chain_order(points: Sequence[Point], rf: RankFunction) -> list[int]:
-    """Indices of `points` in ascending-rank order.
-
-    The polyline visiting the points in this order is a simple chain.
-    Realized by scattering indices into a rank-indexed table and reading
-    it back, so no comparison sort is involved; the pipeline obtains the
-    same order through the blocked bit table instead.
-    """
-    slots: list[int | None] = [None] * rf.m
-    for idx, v in enumerate(points):
-        k = rf.rank(v) - 1
-        if slots[k] is not None:
-            raise DuplicatePointError(f"points {slots[k]} and {idx} share rank {k + 1}")
-        slots[k] = idx
-    return [idx for idx in slots if idx is not None]
+    def unrank_all(self, ranks: Sequence[int]) -> list[Point]:
+        """``[self.unrank(r) for r in ranks]``, one divmod per rank."""
+        if ranks and not (1 <= min(ranks) and max(ranks) <= self.m):
+            bad = next(r for r in ranks if not 1 <= r <= self.m)
+            raise RankOutOfRangeError(f"rank {bad} outside [1, {self.m}]")
+        x0, y0 = self.x_min, self.y_min
+        zero_based = map(add, ranks, repeat(-1))
+        if self.variant is RankVariant.COLUMN_MAJOR:
+            return [
+                _new_point((x0 + q, y0 + rem))
+                for q, rem in map(divmod, zero_based, repeat(self.m2))
+            ]
+        return [
+            _new_point((x0 + rem, y0 + q))
+            for q, rem in map(divmod, zero_based, repeat(self.m1))
+        ]

@@ -7,39 +7,25 @@ from hypothesis import strategies as st
 from rankhull.bitrank import (
     RankTable,
     build_rank_table,
-    count_trailing_zeros,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.errors import BoxTooLargeError
+from rankhull.errors import BoxTooLargeError, OutOfGridError
 from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
+F2 = RankVariant.ROW_MAJOR
 
 
 def _table_from_ranks(ranks, m, p):
-    """Build a table whose rank k holds input index ranks.index(k)."""
+    """Build a table with exactly the given distinct ranks set."""
     r = -(-m // p)
     bloom = [0] * r
-    indirect = [None] * m
-    for idx, k in enumerate(ranks):
+    for k in ranks:
         bloom[(k - 1) // p] |= 1 << ((k - 1) % p)
-        indirect[k - 1] = idx
-    return RankTable(bloom, indirect, len(ranks), m, p, r)
-
-
-def test_count_trailing_zeros_values():
-    assert count_trailing_zeros(16) == 4
-    assert count_trailing_zeros(1) == 0
-    for p in (8, 16, 32, 64):
-        assert count_trailing_zeros(1 << (p - 1)) == p - 1
-
-
-def test_count_trailing_zeros_rejects_zero():
-    with pytest.raises(ValueError):
-        count_trailing_zeros(0)
+    return RankTable(bloom, len(ranks), m, p, r)
 
 
 def test_extract_set_bits_worked_word():
@@ -81,14 +67,22 @@ def test_build_skips_and_counts_duplicates():
     table = build_rank_table(pts, rf, 8)
     assert table.n == 2
     assert table.duplicates_skipped == 2
-    # first occurrence keeps its slot
-    assert table.indirect[rf.rank(Point(2, 2)) - 1] == 0
+    # the repeated point's rank is recorded once
+    assert fast_shuffle(table).order == [rf.rank(Point(2, 2)), rf.rank(Point(3, 1))]
 
 
 def test_build_honors_rank_range_cap():
     rf = RankFunction(F1, 100, 100)
     with pytest.raises(BoxTooLargeError):
         build_rank_table([Point(1, 1)], rf, 32, max_m=9999)
+
+
+def test_build_rejects_points_outside_the_grid():
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 4, 3, x_min=-2, y_min=5)
+        for bad in (Point(-3, 5), Point(2, 5), Point(-2, 4), Point(-2, 8)):
+            with pytest.raises(OutOfGridError):
+                build_rank_table([Point(-2, 5), bad], rf, 8)
 
 
 def test_build_population_count_equals_n():
@@ -102,8 +96,7 @@ def test_build_population_count_equals_n():
 def test_naive_shuffle_walks_ranks_in_order():
     table = _table_from_ranks([8, 14, 4, 5, 2], 16, 16)
     result = shuffle_naive(table)
-    # ascending ranks 2, 4, 5, 8, 14 map back to these input slots
-    assert result.order == [4, 2, 3, 0, 1]
+    assert result.order == [2, 4, 5, 8, 14]
     assert result.iterations == 14  # early exit at the highest rank
 
 
@@ -115,7 +108,7 @@ def test_naive_shuffle_empty_table_scans_everything():
 
 def test_naive_shuffle_full_table():
     result = shuffle_naive(_table_from_ranks(list(range(1, 17)), 16, 4))
-    assert result.order == list(range(16))
+    assert result.order == list(range(1, 17))
     assert result.iterations == 16
 
 
@@ -125,15 +118,15 @@ def test_fast_shuffle_matches_naive_on_bucket_walkthrough():
     table = build_rank_table(pts, rf, 4)
     assert table.bloom == [0b0010, 0b1001, 0, 0]
     fast = fast_shuffle(table)
-    assert fast.order == shuffle_naive(table).order == [2, 0, 1]
-    assert [rf.rank(pts[i]) for i in fast.order] == [2, 5, 8]
+    assert fast.order == shuffle_naive(table).order == [2, 5, 8]
+    assert [rf.unrank(k) for k in fast.order] == [pts[2], pts[0], pts[1]]
 
 
 def test_fast_shuffle_skips_zero_buckets_in_one_test():
     table = _table_from_ranks([5, 21, 33, 35], 64, 16)
     assert table.bloom == [16, 16, 5, 0]
     result = fast_shuffle(table)
-    assert result.order == [0, 1, 2, 3]
+    assert result.order == [5, 21, 33, 35]
     assert result.zero_buckets_skipped == 1
     assert result.iterations == table.r + table.n == 8
 
@@ -152,11 +145,9 @@ def test_fast_shuffle_iteration_count_is_buckets_plus_bits():
 def test_shuffles_leave_the_table_intact():
     table = _table_from_ranks([3, 9, 10], 12, 4)
     bloom = list(table.bloom)
-    indirect = list(table.indirect)
     fast_shuffle(table)
     shuffle_naive(table)
     assert table.bloom == bloom
-    assert table.indirect == indirect
 
 
 @given(st.data())
@@ -167,9 +158,13 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
     n = data.draw(st.integers(0, m))
     ranks = data.draw(st.permutations(range(1, m + 1)))[:n]
     p = data.draw(st.sampled_from((8, 16, 32, 64)))
-    rf = RankFunction(F1, m1, m2)
+    variant = data.draw(st.sampled_from((F1, F2)))
+    x_min = data.draw(st.integers(-10**12, 10**12))
+    y_min = data.draw(st.integers(-10**12, 10**12))
+    rf = RankFunction(variant, m1, m2, x_min, y_min)
     pts = [rf.unrank(r) for r in ranks]
     table = build_rank_table(pts, rf, p)
-    expected = sorted(range(n), key=ranks.__getitem__)
+    expected = sorted(ranks)
     assert fast_shuffle(table).order == expected
     assert shuffle_naive(table).order == expected
+    assert rf.unrank_all(expected) == [rf.unrank(k) for k in expected]

@@ -32,6 +32,13 @@ def test_hull_flags(tmp_path, capsys):
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
 
 
+def test_hull_block_width_does_not_limit_coordinates(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    path.write_text("0 0\n300 0\n0 70000\n")
+    assert run_cli("hull", str(path), "--p", "8", "--verify") == 0
+    assert capsys.readouterr().out == "0 0\n300 0\n0 70000\n"
+
+
 def test_hull_output_is_stable(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("3 1\n0 0\n5 5\n1 4\n2 2\n")

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankhull.errors import EmptyInputError, PointOutsideBoxError
+from rankhull.errors import EmptyInputError
 from rankhull.geometry import (
     BoundingBox,
     Point,
     bounding_box,
-    denormalize,
-    normalize,
     orientation,
 )
 
@@ -81,35 +79,3 @@ def test_bounding_box_is_tight(pts):
     # shrinking any side by one cell loses a point
     assert box.x_min in xs and box.x_max in xs
     assert box.y_min in ys and box.y_max in ys
-
-
-def test_normalize_examples():
-    pts = [Point(5, 7), Point(9, 7), Point(7, 9)]
-    assert normalize(pts, bounding_box(pts)) == [Point(1, 1), Point(5, 1), Point(3, 3)]
-    assert normalize([Point(1, 1)], BoundingBox(1, 1, 1, 1)) == [Point(1, 1)]
-    negs = [Point(-2, -2), Point(0, 0)]
-    assert normalize(negs, bounding_box(negs)) == [Point(1, 1), Point(3, 3)]
-
-
-def test_normalize_rejects_outside_point():
-    with pytest.raises(PointOutsideBoxError):
-        normalize([Point(10, 10)], BoundingBox(0, 5, 0, 5))
-
-
-def test_denormalize_examples():
-    assert denormalize([Point(1, 1)], BoundingBox(5, 9, 7, 9)) == [Point(5, 7)]
-    assert denormalize([Point(3, 3)], BoundingBox(-2, 0, -2, 0)) == [Point(0, 0)]
-
-
-@given(st.lists(points, min_size=1, max_size=50))
-def test_normalize_roundtrips(pts):
-    box = bounding_box(pts)
-    back = denormalize(normalize(pts, box), box)
-    assert back == pts
-
-
-@given(st.lists(points, min_size=1, max_size=30), points, points, points)
-def test_orientation_unchanged_by_normalization(pts, a, b, c):
-    box = bounding_box(pts + [a, b, c])
-    na, nb, nc = normalize([a, b, c], box)
-    assert orientation(na, nb, nc) == orientation(a, b, c)

@@ -3,7 +3,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankhull.geometry import Point, bounding_box, normalize
+from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
     HullPolygon,
     MelkmanStats,
@@ -12,7 +12,7 @@ from rankhull.hull import (
     is_convex,
     melkman,
 )
-from rankhull.ranking import RankFunction, RankVariant, chain_order
+from rankhull.ranking import RankFunction, RankVariant
 
 coords = st.integers(min_value=0, max_value=40)
 point_lists = st.lists(st.builds(Point, coords, coords), max_size=60)
@@ -20,14 +20,11 @@ point_lists = st.lists(st.builds(Point, coords, coords), max_size=60)
 
 def _chained(points):
     """Distinct points in column-major chain order."""
-    pts = sorted(set(points))
-    if not pts:
+    if not points:
         return []
-    box = bounding_box(pts)
-    norm = normalize(pts, box)
-    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2)
-    order = chain_order(norm, rf)
-    return [pts[i] for i in order]
+    box = bounding_box(points)
+    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
+    return [rf.unrank(k) for k in sorted({rf.rank(v) for v in points})]
 
 
 def test_melkman_drops_interior_point():
@@ -64,7 +61,7 @@ def test_melkman_matches_oracle_on_random_grids():
     for _ in range(25):
         ranks = rng.sample(range(1, 64 * 64 + 1), 300)
         pts = [rf.unrank(r) for r in ranks]
-        chain = [pts[i] for i in chain_order(pts, rf)]
+        chain = [rf.unrank(r) for r in sorted(ranks)]
         assert melkman(chain) == hull_oracle(pts)
 
 

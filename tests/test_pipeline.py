@@ -1,11 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankhull.errors import BoxTooLargeError, InvalidCountsError
+from rankhull.errors import (
+    BoxTooLargeError,
+    InvalidCountsError,
+    NonIntegerCoordinateError,
+)
 from rankhull.geometry import Point
 from rankhull.hull import contains_all, hull_oracle, is_convex
 from rankhull.pipeline import (
@@ -124,6 +129,39 @@ def test_counters_scale_linearly_at_fixed_density():
 @given(point_lists)
 def test_pipeline_equals_oracle(points):
     assert convex_hull_ranked(points).hull == hull_oracle(points)
+
+
+@settings(max_examples=60)
+@given(
+    point_lists,
+    st.integers(-10**12, 10**12),
+    st.integers(-10**12, 10**12),
+    st.sampled_from(tuple(RankVariant)),
+)
+def test_offset_coordinates_match_oracle(points, dx, dy, variant):
+    shifted = [Point(x + dx, y + dy) for x, y in points]
+    report = convex_hull_ranked(shifted, PipelineConfig(rank_variant=variant))
+    assert report.hull == hull_oracle(shifted)
+
+
+def test_sparse_box_memory_is_bit_table_sized():
+    # 4001 x 4001 cells: the bit table is 2 MB; one slot per cell would be 128 MB
+    pts = [Point(0, 0), Point(4000, 0), Point(4000, 4000), Point(0, 4000), Point(7, 9)]
+    tracemalloc.start()
+    try:
+        report = convex_hull_ranked(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.m == 4001 * 4001 and not report.used_fallback
+    assert report.hull == hull_oracle(pts)
+    assert peak < 4 * 2**20
+
+
+def test_non_integer_coordinates_raise_a_library_error():
+    for bad in (Point(0.5, 0), Point(0, 2.0), Point(True, 0), Point(1, False)):
+        with pytest.raises(NonIntegerCoordinateError):
+            convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
 
 
 def test_density_is_exact():

@@ -5,13 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincheck import chain_is_simple
-from rankhull.errors import (
-    DuplicatePointError,
-    OutOfGridError,
-    RankOutOfRangeError,
-)
+from rankhull.errors import OutOfGridError, RankOutOfRangeError
 from rankhull.geometry import Point
-from rankhull.ranking import RankFunction, RankVariant, chain_order
+from rankhull.ranking import RankFunction, RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
 F2 = RankVariant.ROW_MAJOR
@@ -54,6 +50,20 @@ def test_unrank_rejects_out_of_range():
     for bad in (0, -1, 17):
         with pytest.raises(RankOutOfRangeError):
             rf.unrank(bad)
+        with pytest.raises(RankOutOfRangeError):
+            rf.unrank_all([1, bad, 16])
+
+
+def test_grid_origin_moves_the_ranked_cells():
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 5, 3, x_min=-2, y_min=10**12)
+        base = RankFunction(variant, 5, 3)
+        for r in range(1, 16):
+            v = base.unrank(r)
+            assert rf.unrank(r) == Point(v.x - 3, v.y + 10**12 - 1)
+            assert rf.rank(rf.unrank(r)) == r
+        with pytest.raises(OutOfGridError):
+            rf.rank(Point(-3, 10**12))
 
 
 def test_grid_sides_must_be_positive():
@@ -86,42 +96,23 @@ def test_roundtrip_on_every_grid_up_to_64x64():
                 assert [rf.rank(v) for v in cells] == list(range(1, m + 1))
 
 
-def test_chain_order_visits_ascending_ranks():
-    pts = [Point(1, 1), Point(1, 3), Point(2, 2), Point(3, 1), Point(3, 3)]
-    rf = RankFunction(F1, 3, 3)
-    assert chain_order(pts, rf) == [0, 1, 2, 3, 4]
-    shuffled = [pts[i] for i in (3, 0, 4, 2, 1)]
-    order = chain_order(shuffled, rf)
-    assert [shuffled[i] for i in order] == pts
-
-
-def test_chain_order_single_point():
-    assert chain_order([Point(2, 2)], RankFunction(F1, 3, 3)) == [0]
-
-
-def test_chain_order_rejects_duplicates():
-    with pytest.raises(DuplicatePointError):
-        chain_order([Point(1, 1), Point(1, 1)], RankFunction(F1, 2, 2))
-
-
 @given(st.data())
 def test_chain_order_matches_lexicographic_sort(data):
     m1 = data.draw(st.integers(1, 12))
     m2 = data.draw(st.integers(1, 12))
     cells = [Point(x, y) for x in range(1, m1 + 1) for y in range(1, m2 + 1)]
     pts = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=40))
-    f1_order = chain_order(pts, RankFunction(F1, m1, m2))
-    assert f1_order == sorted(range(len(pts)), key=lambda i: (pts[i].x, pts[i].y))
-    f2_order = chain_order(pts, RankFunction(F2, m1, m2))
-    assert f2_order == sorted(range(len(pts)), key=lambda i: (pts[i].y, pts[i].x))
+    f1_order = sorted(pts, key=RankFunction(F1, m1, m2).rank)
+    assert f1_order == sorted(pts, key=lambda v: (v.x, v.y))
+    f2_order = sorted(pts, key=RankFunction(F2, m1, m2).rank)
+    assert f2_order == sorted(pts, key=lambda v: (v.y, v.x))
 
 
 def test_chain_of_50_random_points_is_simple():
     rng = random.Random(99)
     rf = RankFunction(F1, 16, 16)
     ranks = rng.sample(range(1, 257), 50)
-    pts = [rf.unrank(r) for r in ranks]
-    chain = [pts[i] for i in chain_order(pts, rf)]
+    chain = [rf.unrank(r) for r in sorted(ranks)]
     assert chain_is_simple(chain)
 
 
@@ -133,6 +124,5 @@ def test_chains_are_simple_polylines(data):
     rf = RankFunction(variant, m1, m2)
     m = m1 * m2
     ranks = data.draw(st.lists(st.integers(1, m), unique=True, max_size=60))
-    pts = [rf.unrank(r) for r in ranks]
-    chain = [pts[i] for i in chain_order(pts, rf)]
+    chain = [rf.unrank(r) for r in sorted(ranks)]
     assert chain_is_simple(chain)
