@@ -10,8 +10,6 @@ from .analysis import (
     BenchmarkPlan,
     BenchmarkRow,
     FitResult,
-    compare_operation_counts,
-    crossover_ratio,
     linear_fit,
     run_benchmark,
     write_csv,
@@ -44,7 +42,6 @@ from .pipeline import (
     PipelineConfig,
     PipelineReport,
     convex_hull_ranked,
-    density,
     density_threshold_refined,
     density_threshold_simple,
 )
@@ -73,11 +70,8 @@ __all__ = [
     "ShuffleResult",
     "bounding_box",
     "build_rank_table",
-    "compare_operation_counts",
     "contains_all",
     "convex_hull_ranked",
-    "crossover_ratio",
-    "density",
     "density_threshold_refined",
     "density_threshold_simple",
     "extract_set_bits",

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -22,7 +21,6 @@ from .geometry import Point
 from .hull import hull_oracle
 from .pipeline import PipelineConfig, convex_hull_ranked
 from .pointio import generate_dense_set
-from .ranking import RankVariant
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +52,6 @@ class BenchmarkPlan:
     repetitions: int = 3
     seed: int = 0
     variants: Sequence[str] = (RANK_VARIANT,)
-    rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
-    shuffle_variant: str = "fast"
 
 
 @dataclass
@@ -73,7 +69,6 @@ class BenchmarkRow:
     isleft_evals: int
     shuffle_iterations: int
     deque_ops: int
-    residual_ns: float | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,44 +95,6 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
     return FitResult(slope, intercept, r_squared)
 
 
-def crossover_ratio(n: int) -> float:
-    """Density above which rank ordering beats an n·log2(n) sort in principle."""
-    if n < 2:
-        raise ValueError("crossover ratio needs n >= 2")
-    return 1.0 / math.log2(n)
-
-
-class _CountingPoint:
-    """Sort key that tallies comparator invocations."""
-
-    __slots__ = ("point", "tally")
-
-    def __init__(self, point: Point, tally: list[int]):
-        self.point = point
-        self.tally = tally
-
-    def __lt__(self, other: "_CountingPoint") -> bool:
-        self.tally[0] += 1
-        return self.point < other.point
-
-
-def compare_operation_counts(
-    points: Sequence[Point], cfg: PipelineConfig | None = None
-) -> dict[str, int]:
-    """Counted work of the rank path vs the oracle's sort on the same set.
-
-    rank_ops is the shuffle's iteration count plus one rank evaluation per
-    input point; sort_comparisons counts comparator calls while sorting
-    the deduplicated set exactly as the oracle would. Reported, not
-    judged: the two operations cost different constants.
-    """
-    report = convex_hull_ranked(points, cfg)
-    rank_ops = report.counters.shuffle_iterations + len(points)
-    tally = [0]
-    sorted([_CountingPoint(p, tally) for p in set(points)])
-    return {"rank_ops": rank_ops, "sort_comparisons": tally[0]}
-
-
 def _cell_seed(seed: int, n: int) -> int:
     return seed * 2_654_435_761 + n
 
@@ -156,9 +113,7 @@ def _validate(plan: BenchmarkPlan) -> None:
 def _time_rank_cell(
     points: list[Point], p: int, plan: BenchmarkPlan
 ) -> tuple[int, tuple[int, ...], tuple[int, int, int]]:
-    cfg = PipelineConfig(
-        p=p, rank_variant=plan.rank_variant, shuffle_variant=plan.shuffle_variant
-    )
+    cfg = PipelineConfig(p=p)
     convex_hull_ranked(points, cfg)  # warm-up, discarded
     totals = []
     reports = []
@@ -226,20 +181,7 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
                     isleft_evals=counters[0], shuffle_iterations=counters[1],
                     deque_ops=counters[2],
                 ))
-    _fill_residuals(rows)
     return rows
-
-
-def _fill_residuals(rows: list[BenchmarkRow]) -> None:
-    groups: dict[tuple[int, str], list[BenchmarkRow]] = {}
-    for row in rows:
-        groups.setdefault((row.p, row.variant), []).append(row)
-    for group in groups.values():
-        if len(group) < 4:
-            continue
-        fit = linear_fit([r.n for r in group], [r.median_ns for r in group])
-        for row in group:
-            row.residual_ns = row.median_ns - (fit.intercept + fit.slope * row.n)
 
 
 def write_csv(rows: Sequence[BenchmarkRow], dest: str | Path | IO[str]) -> None:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import BoxTooLargeError, OutOfGridError
+from .errors import BoxTooLargeError, NonIntegerCoordinateError, OutOfGridError
 from .geometry import Point
 from .ranking import RankFunction, RankVariant
 
-DEFAULT_MAX_M = 1 << 30
+# Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
+# and 2^30 cells at p = 64.
+MAX_WORDS = 1 << 24
 
 _transpose = itemgetter(1, 0)
 
@@ -72,19 +74,19 @@ def build_rank_table(
     points: Sequence[Point],
     rf: RankFunction,
     p: int,
-    max_m: int = DEFAULT_MAX_M,
 ) -> RankTable:
     """Rank every point in the grid of `rf` and set its bit in a fresh table.
 
     Ranks come straight from the points' own coordinates, with the rank
     arithmetic of :meth:`RankFunction.rank` inlined. Duplicate points hit
-    an already-set bit and are skipped and counted.
+    an already-set bit and are skipped and counted. A box of more than
+    `MAX_WORDS` words raises :class:`BoxTooLargeError`.
     """
     if p < 1:
         raise ValueError("block width must be positive")
     m = rf.m
-    if m > max_m:
-        raise BoxTooLargeError(f"rank range {m} exceeds cap {max_m}")
+    if m > MAX_WORDS * p:
+        raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
     r = -(-m // p)
     bloom = [0] * r
     # Row-major ranks are the column-major ranks of the transposed points:
@@ -94,20 +96,23 @@ def build_rank_table(
     else:
         pairs, a_min, b_min, nb = map(_transpose, points), rf.y_min, rf.x_min, rf.m1
     duplicates = 0
-    for a, b in pairs:
-        db = b - b_min
-        k0 = (a - a_min) * nb + db
-        # 0 <= db < nb and 0 <= k0 < m together put (a, b) inside the grid
-        if not (0 <= db < nb and 0 <= k0 < m):
-            v = (a, b) if rf.variant is RankVariant.COLUMN_MAJOR else (b, a)
-            raise OutOfGridError(f"{v} outside the grid of {rf}")
-        w, bit = divmod(k0, p)
-        mask = 1 << bit
-        word = bloom[w]
-        if word & mask:
-            duplicates += 1
-        else:
-            bloom[w] = word | mask
+    try:
+        for a, b in pairs:
+            db = b - b_min
+            k0 = (a - a_min) * nb + db
+            # 0 <= db < nb and 0 <= k0 < m together put (a, b) inside the grid
+            if not (0 <= db < nb and 0 <= k0 < m):
+                v = (a, b) if rf.variant is RankVariant.COLUMN_MAJOR else (b, a)
+                raise OutOfGridError(f"{v} outside the grid of {rf}")
+            w, bit = divmod(k0, p)
+            mask = 1 << bit
+            word = bloom[w]
+            if word & mask:
+                duplicates += 1
+            else:
+                bloom[w] = word | mask
+    except (TypeError, ValueError, IndexError) as exc:
+        raise NonIntegerCoordinateError(f"a point is not an (x, y) pair: {exc}") from None
     return RankTable(bloom, len(points) - duplicates, m, p, r, duplicates)
 
 

@@ -29,11 +29,7 @@ def _print_hull(hull) -> None:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     points = load_points(args.points_file)
-    cfg = PipelineConfig(
-        p=args.p,
-        rank_variant=RankVariant(args.rank),
-        shuffle_variant=args.shuffle,
-    )
+    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank))
     report = convex_hull_ranked(points, cfg)
     _print_hull(report.hull)
     if args.verify and report.hull != hull_oracle(points):
@@ -101,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     hull.add_argument("points_file")
     hull.add_argument("--p", type=int, default=64, choices=(8, 16, 32, 64))
     hull.add_argument("--rank", default="f1", choices=("f1", "f2"))
-    hull.add_argument("--shuffle", default="fast", choices=("naive", "fast"))
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")
     hull.set_defaults(func=_cmd_hull)
@@ -145,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (RankHullError, OSError) as exc:
+    except (RankHullError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ class EmptyInputError(RankHullError):
 
 
 class NonIntegerCoordinateError(RankHullError):
-    """A point coordinate is not a plain int (a float, a bool, ...)."""
+    """A point is not a pair of plain ints (a triple, a float or bool, ...)."""
 
 
 class OutOfGridError(RankHullError):
@@ -22,11 +22,7 @@ class RankOutOfRangeError(RankHullError):
 
 
 class BoxTooLargeError(RankHullError):
-    """The bounding box area exceeds the configured rank-range cap."""
-
-
-class InvalidCountsError(RankHullError):
-    """A density was requested for counts violating 1 <= n <= m."""
+    """The bounding box needs a bit table longer than the word cap."""
 
 
 class InvalidDensityError(RankHullError):

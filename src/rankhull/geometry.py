@@ -50,9 +50,6 @@ class BoundingBox:
         """Area of the box in grid cells, the range of any rank function on it."""
         return self.m1 * self.m2
 
-    def contains(self, p: Point) -> bool:
-        return self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max
-
 
 def orientation(v0: Point, v1: Point, v2: Point) -> int:
     """Orientation of v2 relative to the directed line v0 -> v1.
@@ -78,12 +75,16 @@ _INT_ONLY = frozenset((int,))
 def bounding_box(points: Sequence[Point]) -> BoundingBox:
     """Tightest axis-aligned bounding box of a non-empty point sequence.
 
-    Every coordinate must be a plain ``int``: floats cannot be ranked, and
-    ``bool`` (an ``int`` subclass) would be ranked silently as 0 or 1.
+    Every point must be an (x, y) pair and every coordinate a plain
+    ``int``: floats cannot be ranked, and ``bool`` (an ``int`` subclass)
+    would be ranked silently as 0 or 1.
     """
     if not points:
         raise EmptyInputError("cannot bound an empty point set")
-    xs, ys = zip(*points)
+    try:
+        xs, ys = zip(*points, strict=True)
+    except (TypeError, ValueError):
+        raise NonIntegerCoordinateError("every point must be an (x, y) pair") from None
     if not (_INT_ONLY.issuperset(map(type, xs)) and _INT_ONLY.issuperset(map(type, ys))):
         bad = next(v for v in points if type(v[0]) is not int or type(v[1]) is not int)
         raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")

@@ -8,9 +8,8 @@ per-box structure is the m/p-word bit table.
 
 The pipeline stays linear while the point set is dense relative to its
 bounding box; the density thresholds quantify where that regime ends for
-a given block width. Pathologically sparse inputs (box area beyond the
-configured cap) are routed to the sort-based oracle instead of failing,
-unless the caller disables the fallback.
+a given block width. A box whose bit table would need more than
+`MAX_WORDS` words is routed to the sort-based oracle instead.
 """
 
 from __future__ import annotations
@@ -20,31 +19,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .bitrank import DEFAULT_MAX_M, build_rank_table, fast_shuffle, shuffle_naive
-from .errors import BoxTooLargeError, InvalidCountsError
+from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
 from .geometry import Point, bounding_box
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
 _BLOCK_WIDTHS = (8, 16, 32, 64)
-_SHUFFLES = ("naive", "fast")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The method's two parameters: block width p and rank function f1/f2."""
+
     p: int = 64
     rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
-    max_m: int = DEFAULT_MAX_M
-    fallback_on_low_density: bool = True
-    shuffle_variant: str = "fast"
 
     def __post_init__(self) -> None:
         if self.p not in _BLOCK_WIDTHS:
             raise ValueError(f"block width must be one of {_BLOCK_WIDTHS}")
-        if self.max_m < 1:
-            raise ValueError("max_m must be at least 1")
-        if self.shuffle_variant not in _SHUFFLES:
-            raise ValueError(f"shuffle variant must be one of {_SHUFFLES}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,6 @@ class PipelineReport:
     step_ns: tuple[int, int, int, int, int]
     p: int
     rank_variant: RankVariant
-    shuffle_variant: str
     used_fallback: bool = False
 
 
@@ -92,7 +83,6 @@ def _empty_report(cfg: PipelineConfig) -> PipelineReport:
         n=0, m=0, m1=0, m2=0, density=0.0, duplicates_skipped=0,
         counters=_ZERO_COUNTERS, step_ns=(0, 0, 0, 0, 0),
         p=cfg.p, rank_variant=cfg.rank_variant,
-        shuffle_variant=cfg.shuffle_variant,
     )
 
 
@@ -108,7 +98,8 @@ def convex_hull_ranked(
     and step 5 unranks that order into a simple chain of the caller's
     points and runs the single-pass deque scan over it. Step 2, the
     translation onto the normalized grid, is the subtraction of the box
-    corner inside step 3.
+    corner inside step 3. A box too large for a table of `MAX_WORDS`
+    words gets its hull from the sort-based oracle.
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -119,12 +110,7 @@ def convex_hull_ranked(
     t0 = clock()
     box = bounding_box(points)
     t1 = clock()
-    rf = RankFunction(cfg.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
-    try:
-        table = build_rank_table(points, rf, cfg.p, max_m=cfg.max_m)
-    except BoxTooLargeError:
-        if not cfg.fallback_on_low_density:
-            raise
+    if box.m > MAX_WORDS * cfg.p:
         distinct = len(set(points))
         return PipelineReport(
             hull=hull_oracle(points),
@@ -134,14 +120,12 @@ def convex_hull_ranked(
             counters=_ZERO_COUNTERS,
             step_ns=(t1 - t0, 0, 0, 0, 0),
             p=cfg.p, rank_variant=cfg.rank_variant,
-            shuffle_variant=cfg.shuffle_variant,
             used_fallback=True,
         )
+    rf = RankFunction(cfg.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
+    table = build_rank_table(points, rf, cfg.p)
     t3 = clock()
-    if cfg.shuffle_variant == "fast":
-        shuffled = fast_shuffle(table)
-    else:
-        shuffled = shuffle_naive(table)
+    shuffled = fast_shuffle(table)
     t4 = clock()
     stats = MelkmanStats()
     hull = melkman(rf.unrank_all(shuffled.order), stats)
@@ -157,15 +141,7 @@ def convex_hull_ranked(
         ),
         step_ns=(t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4),
         p=cfg.p, rank_variant=cfg.rank_variant,
-        shuffle_variant=cfg.shuffle_variant,
     )
-
-
-def density(n: int, m: int) -> Fraction:
-    """Exact occupancy ratio n/m of a box holding n distinct points."""
-    if not 1 <= n <= m:
-        raise InvalidCountsError(f"need 1 <= n <= m, got n={n}, m={m}")
-    return Fraction(n, m)
 
 
 def density_threshold_simple(p: int) -> Fraction:

@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bitrank import DEFAULT_MAX_M
+from .bitrank import MAX_WORDS
 from .errors import (
     BoxTooLargeError,
     CoordinateOverflowError,
@@ -74,8 +74,9 @@ def generate_dense_set(
     if m1 < 1 or m2 < 1:
         raise ValueError("grid sides must be at least 1")
     m = m1 * m2
-    if m > DEFAULT_MAX_M:
-        raise BoxTooLargeError(f"grid of {m} cells exceeds cap {DEFAULT_MAX_M}")
+    # the largest box the rank path takes at p = 64
+    if m > MAX_WORDS * 64:
+        raise BoxTooLargeError(f"grid of {m} cells exceeds cap {MAX_WORDS * 64}")
     if (density is None) == (count is None):
         raise ValueError("provide exactly one of density and count")
     if density is not None:

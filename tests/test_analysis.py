@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 
 import pytest
 
@@ -9,16 +8,11 @@ from rankhull.analysis import (
     ORACLE_VARIANT,
     RANK_VARIANT,
     BenchmarkPlan,
-    compare_operation_counts,
-    crossover_ratio,
     linear_fit,
     run_benchmark,
     write_csv,
 )
 from rankhull.errors import InsufficientDataError, InvalidDensityError
-from rankhull.geometry import Point
-from rankhull.pipeline import PipelineConfig
-from rankhull.pointio import generate_dense_set
 
 
 def test_linear_fit_exact_line():
@@ -41,30 +35,6 @@ def test_linear_fit_needs_four_samples():
         linear_fit([1, 2, 3], [1, 2, 3])
     with pytest.raises(InsufficientDataError):
         linear_fit([1, 2, 3, 4], [1, 2, 3])
-
-
-def test_crossover_ratio_values():
-    assert crossover_ratio(2) == 1.0
-    assert crossover_ratio(1024) == pytest.approx(0.1)
-    assert crossover_ratio(65536) == pytest.approx(1 / 16)
-    with pytest.raises(ValueError):
-        crossover_ratio(1)
-
-
-def test_compare_operation_counts_keys_and_scale():
-    pts = generate_dense_set(64, 48, density=0.5, seed=9)
-    counts = compare_operation_counts(pts, PipelineConfig(p=32))
-    assert set(counts) == {"rank_ops", "sort_comparisons"}
-    n = len(pts)
-    # dense instance: counted rank work stays well under the sort's n*log2(n)
-    assert counts["rank_ops"] < n * math.log2(n)
-    assert counts["sort_comparisons"] > 0
-
-
-def test_compare_operation_counts_single_point():
-    counts = compare_operation_counts([Point(2, 2)])
-    assert counts["sort_comparisons"] == 0
-    assert counts["rank_ops"] >= 1
 
 
 def test_empty_plan_produces_no_rows():
@@ -120,15 +90,6 @@ def test_benchmark_counters_are_deterministic():
         for r in rows
     ]
     assert keyed(a) == keyed(b)
-
-
-def test_residuals_filled_for_groups_of_four():
-    plan = BenchmarkPlan(
-        m1=64, m2=64, densities=(0.05, 0.1, 0.2, 0.4, 0.6), p_values=(32,),
-        repetitions=3, seed=1,
-    )
-    rows = run_benchmark(plan)
-    assert all(r.residual_ns is not None for r in rows)
 
 
 def test_csv_schema_is_stable():

@@ -5,13 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rankhull.bitrank import (
+    MAX_WORDS,
     RankTable,
     build_rank_table,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.errors import BoxTooLargeError, OutOfGridError
+from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError, OutOfGridError
 from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -72,9 +73,19 @@ def test_build_skips_and_counts_duplicates():
 
 
 def test_build_honors_rank_range_cap():
-    rf = RankFunction(F1, 100, 100)
-    with pytest.raises(BoxTooLargeError):
-        build_rank_table([Point(1, 1)], rf, 32, max_m=9999)
+    # the cap counts words: a box of MAX_WORDS * p cells is the largest at width p
+    for p in (8, 64):
+        rf = RankFunction(F1, MAX_WORDS * p + 1, 1)
+        with pytest.raises(BoxTooLargeError):
+            build_rank_table([Point(1, 1)], rf, p)
+
+
+def test_build_rejects_points_that_are_not_pairs():
+    for variant, bads in ((F1, [(2, 2, 2), (2,), None]), (F2, [(2,), None])):
+        rf = RankFunction(variant, 4, 4)
+        for bad in bads:
+            with pytest.raises(NonIntegerCoordinateError):
+                build_rank_table([Point(1, 1), bad], rf, 8)
 
 
 def test_build_rejects_points_outside_the_grid():

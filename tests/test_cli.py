@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from rankhull import cli
 from rankhull.geometry import Point
 from rankhull.hull import HullPolygon
@@ -27,7 +29,7 @@ def test_hull_verify_agrees(tmp_path, capsys):
 def test_hull_flags(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n")
-    for flags in ((), ("--p", "16"), ("--rank", "f2"), ("--shuffle", "naive")):
+    for flags in ((), ("--p", "16"), ("--rank", "f2")):
         assert run_cli("hull", str(path), *flags) == 0
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
 
@@ -73,6 +75,26 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
     capsys.readouterr()
+
+
+_BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out", "{out}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("image-hull", "{mask}", "--threshold", "5"),
+    ("gen", "--width", "0", "--height", "4", "--density", "0.5", "--out", "{out}"),
+    (*_BENCH, "--reps", "2"),
+    (*_BENCH, "--p-list", "12"),
+    ("thresholds", "--p-list", "0"),
+])
+def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
+    mask = tmp_path / "mask.pbm"
+    mask.write_bytes(b"P4\n8 1\n\x80")
+    paths = {"mask": mask, "out": tmp_path / "out.txt"}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_gen_then_verified_hull_roundtrip(tmp_path, capsys):

@@ -6,22 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankhull.errors import (
-    BoxTooLargeError,
-    InvalidCountsError,
-    NonIntegerCoordinateError,
-)
-from rankhull.geometry import Point
-from rankhull.hull import contains_all, hull_oracle, is_convex
+from rankhull.bitrank import build_rank_table, shuffle_naive
+from rankhull.errors import NonIntegerCoordinateError
+from rankhull.geometry import Point, bounding_box
+from rankhull.hull import contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     PipelineConfig,
     convex_hull_ranked,
-    density,
     density_threshold_refined,
     density_threshold_simple,
 )
 from rankhull.pointio import generate_dense_set
-from rankhull.ranking import RankVariant
+from rankhull.ranking import RankFunction, RankVariant
 
 coords = st.integers(min_value=-50, max_value=50)
 point_lists = st.lists(st.builds(Point, coords, coords), max_size=50)
@@ -59,25 +55,44 @@ def test_empty_input_yields_empty_degenerate_report():
 
 
 def test_fallback_routes_to_oracle_when_box_exceeds_cap():
-    pts = [Point(0, 0), Point(5000, 1), Point(2500, 4000), Point(17, 33)]
-    cfg = PipelineConfig(max_m=1000)
-    report = convex_hull_ranked(pts, cfg)
+    # 40001^2 cells is over 2^30: more than 2^24 words even at p = 64
+    pts = [Point(0, 0), Point(40000, 1), Point(20000, 40000), Point(17, 33)] * 2
+    report = convex_hull_ranked(pts)
     assert report.used_fallback
     assert report.hull == hull_oracle(pts)
     assert report.counters.shuffle_iterations == 0
+    assert (report.n, report.duplicates_skipped, report.m) == (4, 4, 40001 * 40001)
 
-    strict = PipelineConfig(max_m=1000, fallback_on_low_density=False)
-    with pytest.raises(BoxTooLargeError):
-        convex_hull_ranked(pts, strict)
+
+_CAP_BOX = [
+    Point(0, 0), Point(11586, 0), Point(11586, 11586), Point(0, 11586), Point(5, 9)
+]
+
+
+def test_cap_counts_words_not_cells():
+    # 11587^2 cells need 2^24 + 5,106 words at p = 8: over the cap
+    tracemalloc.start()
+    try:
+        report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.used_fallback
+    assert report.hull == hull_oracle(_CAP_BOX)
+    assert peak < 2**20
+
+
+def test_cap_box_stays_on_the_rank_path_at_p64():
+    report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=64))
+    assert not report.used_fallback
+    assert report.hull == hull_oracle(_CAP_BOX)
+    assert report.counters.shuffle_iterations == -(-report.m // 64) + 5
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PipelineConfig(p=12)
-    with pytest.raises(ValueError):
-        PipelineConfig(shuffle_variant="sorted")
-    with pytest.raises(ValueError):
-        PipelineConfig(max_m=0)
+    for p in (0, 12, 128):
+        with pytest.raises(ValueError):
+            PipelineConfig(p=p)
 
 
 def test_fast_shuffle_counter_is_buckets_plus_points():
@@ -90,12 +105,14 @@ def test_fast_shuffle_counter_is_buckets_plus_points():
 
 
 def test_naive_and_fast_variants_agree():
+    # the pipeline's hull is also the scan of the naive shuffle's chain
     rng = random.Random(3)
     pts = [Point(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(400)]
-    fast = convex_hull_ranked(pts, PipelineConfig(shuffle_variant="fast"))
-    naive = convex_hull_ranked(pts, PipelineConfig(shuffle_variant="naive"))
-    assert fast.hull == naive.hull
-    assert naive.counters.shuffle_iterations <= naive.m
+    box = bounding_box(pts)
+    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
+    naive = shuffle_naive(build_rank_table(pts, rf, 64))
+    assert melkman(rf.unrank_all(naive.order)) == convex_hull_ranked(pts).hull
+    assert naive.iterations <= box.m
 
 
 def test_row_major_variant_matches_oracle():
@@ -164,17 +181,11 @@ def test_non_integer_coordinates_raise_a_library_error():
             convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
 
 
-def test_density_is_exact():
-    assert density(9216, 307200) == Fraction(3, 100)
-    assert float(density(9216, 307200)) == 0.03
-    assert density(5, 5) == 1
-    assert density(1, 2) == Fraction(1, 2)
-
-
-def test_density_rejects_bad_counts():
-    for n, m in ((0, 5), (6, 5), (-1, 4)):
-        with pytest.raises(InvalidCountsError):
-            density(n, m)
+@pytest.mark.parametrize("variant", tuple(RankVariant))
+@pytest.mark.parametrize("points", [[(1, 2, 3)], [(1,)], [None], [(1, 2), (3, 4, 5)]])
+def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
+    with pytest.raises(NonIntegerCoordinateError):
+        convex_hull_ranked(points, PipelineConfig(rank_variant=variant))
 
 
 def test_simple_threshold_is_reciprocal_block_width():
