@@ -3,26 +3,24 @@
 Operation counters are the primary signal here: they are machine
 independent and reproduce exactly for a given plan and seed. Wall-clock
 medians back them up for trend checks (time vs n at fixed density) but
-carry no absolute meaning across machines.
+carry no absolute meaning across machines. An error in any cell aborts
+the sweep, so a plan either yields every row or raises.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import statistics
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
-from .errors import InsufficientDataError, InvalidDensityError, RankHullError
-from .geometry import Point
+from .errors import InsufficientDataError, InvalidDensityError
 from .hull import hull_oracle
 from .pipeline import PipelineConfig, convex_hull_ranked
 from .pointio import generate_dense_set
-
-log = logging.getLogger(__name__)
 
 RANK_VARIANT = "rank_pipeline"
 ORACLE_VARIANT = "oracle_sort_hull"
@@ -110,70 +108,51 @@ def _validate(plan: BenchmarkPlan) -> None:
             raise ValueError(f"unknown variant {v!r}")
 
 
-def _time_rank_cell(
-    points: list[Point], p: int, plan: BenchmarkPlan
-) -> tuple[int, tuple[int, ...], tuple[int, int, int]]:
-    cfg = PipelineConfig(p=p)
-    convex_hull_ranked(points, cfg)  # warm-up, discarded
+def _time_cell(call: Callable[[], object], repetitions: int) -> tuple[int, list]:
+    """Median ns of `repetitions` timed calls after a discarded warm-up call."""
+    call()
     totals = []
-    reports = []
-    for _ in range(plan.repetitions):
+    results = []
+    for _ in range(repetitions):
         t0 = time.perf_counter_ns()
-        report = convex_hull_ranked(points, cfg)
+        result = call()
         totals.append(time.perf_counter_ns() - t0)
-        reports.append(report)
-    steps = tuple(
-        int(statistics.median(r.step_ns[i] for r in reports)) for i in range(5)
-    )
-    counters = reports[-1].counters
-    return (
-        int(statistics.median(totals)),
-        steps,
-        (counters.isleft_evals, counters.shuffle_iterations, counters.deque_ops),
-    )
-
-
-def _time_oracle_cell(
-    points: list[Point], plan: BenchmarkPlan
-) -> tuple[int, tuple[int, ...], tuple[int, int, int]]:
-    hull_oracle(points)  # warm-up, discarded
-    totals = []
-    for _ in range(plan.repetitions):
-        t0 = time.perf_counter_ns()
-        hull_oracle(points)
-        totals.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(totals)), (0, 0, 0, 0, 0), (0, 0, 0)
+        results.append(result)
+    return int(statistics.median(totals)), results
 
 
 def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     """Execute the sweep and return one row per (n, p, variant) cell.
 
     Cells sharing an n value share the generated point set so block-width
-    and variant comparisons see identical inputs. A failing cell is logged
-    and skipped without aborting the sweep.
+    and variant comparisons see identical inputs.
     """
     _validate(plan)
     m = plan.m1 * plan.m2
     n_values = [round(d * m) for d in plan.densities] + [int(c) for c in plan.counts]
     rows: list[BenchmarkRow] = []
     for n in n_values:
-        try:
-            points = generate_dense_set(
-                plan.m1, plan.m2, count=n, seed=_cell_seed(plan.seed, n)
-            )
-        except RankHullError as exc:
-            log.warning("skipping n=%d cells: %s", n, exc)
-            continue
+        points = generate_dense_set(
+            plan.m1, plan.m2, count=n, seed=_cell_seed(plan.seed, n)
+        )
         for p in plan.p_values:
             for variant in plan.variants:
-                try:
-                    if variant == RANK_VARIANT:
-                        median_ns, steps, counters = _time_rank_cell(points, p, plan)
-                    else:
-                        median_ns, steps, counters = _time_oracle_cell(points, plan)
-                except RankHullError as exc:
-                    log.warning("skipping cell n=%d p=%d %s: %s", n, p, variant, exc)
-                    continue
+                if variant == RANK_VARIANT:
+                    median_ns, reports = _time_cell(
+                        partial(convex_hull_ranked, points, PipelineConfig(p=p)),
+                        plan.repetitions,
+                    )
+                    steps = tuple(
+                        int(statistics.median(r.step_ns[i] for r in reports))
+                        for i in range(5)
+                    )
+                    c = reports[-1].counters
+                    counters = (c.isleft_evals, c.shuffle_iterations, c.deque_ops)
+                else:
+                    median_ns, _ = _time_cell(
+                        partial(hull_oracle, points), plan.repetitions
+                    )
+                    steps, counters = (0, 0, 0, 0, 0), (0, 0, 0)
                 rows.append(BenchmarkRow(
                     m1=plan.m1, m2=plan.m2, m=m, n=n, density=n / m,
                     p=p, variant=variant, rep_count=plan.repetitions,

@@ -14,7 +14,6 @@ lowest-set-bit clearing trick.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence
 
 from .errors import BoxTooLargeError, NonIntegerCoordinateError, OutOfGridError
@@ -24,8 +23,6 @@ from .ranking import RankFunction, RankVariant
 # Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
 # and 2^30 cells at p = 64.
 MAX_WORDS = 1 << 24
-
-_transpose = itemgetter(1, 0)
 
 
 @dataclass
@@ -94,7 +91,7 @@ def build_rank_table(
     if rf.variant is RankVariant.COLUMN_MAJOR:
         pairs, a_min, b_min, nb = points, rf.x_min, rf.y_min, rf.m2
     else:
-        pairs, a_min, b_min, nb = map(_transpose, points), rf.y_min, rf.x_min, rf.m1
+        pairs, a_min, b_min, nb = ((y, x) for x, y in points), rf.y_min, rf.x_min, rf.m1
     duplicates = 0
     try:
         for a, b in pairs:

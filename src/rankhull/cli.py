@@ -12,6 +12,7 @@ from .analysis import RANK_VARIANT, BenchmarkPlan, run_benchmark, write_csv
 from .errors import RankHullError
 from .hull import hull_oracle
 from .pipeline import (
+    BLOCK_WIDTHS,
     PipelineConfig,
     convex_hull_ranked,
     density_threshold_refined,
@@ -39,8 +40,8 @@ def _cmd_hull(args: argparse.Namespace) -> int:
 
 
 def _cmd_image_hull(args: argparse.Namespace) -> int:
-    mask = load_image_mask(args.image_file, threshold=args.threshold)
-    report = convex_hull_ranked(image_to_points(mask))
+    points = image_to_points(load_image_mask(args.image_file), args.threshold)
+    report = convex_hull_ranked(points)
     _print_hull(report.hull)
     return 0
 
@@ -95,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     hull = sub.add_parser("hull", help="hull of a point file")
     hull.add_argument("points_file")
-    hull.add_argument("--p", type=int, default=64, choices=(8, 16, 32, 64))
+    hull.add_argument("--p", type=int, default=64, choices=BLOCK_WIDTHS)
     hull.add_argument("--rank", default="f1", choices=("f1", "f2"))
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")

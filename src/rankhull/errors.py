@@ -10,7 +10,11 @@ class EmptyInputError(RankHullError):
 
 
 class NonIntegerCoordinateError(RankHullError):
-    """A point is not a pair of plain ints (a triple, a float or bool, ...)."""
+    """The points are not a collection of pairs of plain ints.
+
+    For example an iterator or None instead of a collection, a triple
+    instead of a pair, or a float or bool coordinate.
+    """
 
 
 class OutOfGridError(RankHullError):

@@ -142,7 +142,7 @@ def hull_oracle(points: Iterable[Point]) -> HullPolygon:
     """
     pts = sorted(set(points))
     if len(pts) < 3:
-        return _degenerate(pts)
+        return HullPolygon(tuple(pts), degenerate=True)
     lower: list[Point] = []
     for px, py in pts:
         while len(lower) >= 2:
@@ -164,7 +164,8 @@ def hull_oracle(points: Iterable[Point]) -> HullPolygon:
     cycle = lower[:-1] + upper[:-1]
     if len(cycle) == 2:
         return HullPolygon(tuple(cycle), degenerate=True)
-    return HullPolygon(_canonical(cycle))
+    # the cycle starts at lower[0] = pts[0], the lexicographic minimum
+    return HullPolygon(tuple(cycle))
 
 
 def _half_turn(v: tuple[int, int]) -> int:

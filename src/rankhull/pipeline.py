@@ -15,16 +15,17 @@ a given block width. A box whose bit table would need more than
 from __future__ import annotations
 
 import time
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
+from .errors import NonIntegerCoordinateError
 from .geometry import Point, bounding_box
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
-_BLOCK_WIDTHS = (8, 16, 32, 64)
+BLOCK_WIDTHS = (8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class PipelineConfig:
     rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
 
     def __post_init__(self) -> None:
-        if self.p not in _BLOCK_WIDTHS:
-            raise ValueError(f"block width must be one of {_BLOCK_WIDTHS}")
+        if self.p not in BLOCK_WIDTHS:
+            raise ValueError(f"block width must be one of {BLOCK_WIDTHS}")
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _empty_report(cfg: PipelineConfig) -> PipelineReport:
 
 
 def convex_hull_ranked(
-    points: Sequence[Point],
+    points: Collection[Point],
     cfg: PipelineConfig | None = None,
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
@@ -99,8 +100,14 @@ def convex_hull_ranked(
     points and runs the single-pass deque scan over it. Step 2, the
     translation onto the normalized grid, is the subtraction of the box
     corner inside step 3. A box too large for a table of `MAX_WORDS`
-    words gets its hull from the sort-based oracle.
+    words gets its hull from the sort-based oracle. `points` must be a
+    sized collection, such as a list, tuple or set: steps 1 and 3 each
+    iterate over it.
     """
+    if not isinstance(points, Collection):
+        raise NonIntegerCoordinateError(
+            f"points must be a sized collection, not {type(points).__name__}"
+        )
     if cfg is None:
         cfg = PipelineConfig()
     if not points:

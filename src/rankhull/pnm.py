@@ -3,7 +3,9 @@
 Supports the bitmap and graymap members of the family: P1/P4 (bitmap,
 ASCII/packed) and P2/P5 (graymap, ASCII/binary). Color maps and anything
 else are rejected. Pixels are addressed with x rightward and y downward
-from the top-left origin (0, 0), one point per foreground pixel.
+from the top-left origin (0, 0), one point per foreground pixel. The
+foreground rule is the same for every format and lives in
+:func:`image_to_points`: a sample at or above the threshold is ink.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ _WHITESPACE = b" \t\r\n\v\f"
 
 @dataclass(frozen=True)
 class ImageMask:
-    """Decoded raster plus the foreground threshold to apply to it.
+    """Decoded raster.
 
     `samples` is row-major, length width * height. Bitmaps have maxval 1
     with 1 meaning ink (foreground); graymaps hold 0..maxval.
@@ -30,13 +32,10 @@ class ImageMask:
     height: int
     maxval: int
     samples: tuple[int, ...]
-    threshold: int = 1
 
     def __post_init__(self) -> None:
         if len(self.samples) != self.width * self.height:
             raise ValueError("sample count does not match dimensions")
-        if not 0 <= self.threshold <= self.maxval:
-            raise ValueError("threshold outside sample range")
 
 
 def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
@@ -65,7 +64,7 @@ def _ascii_body(data: bytes) -> str:
     return "\n".join(line.split("#", 1)[0] for line in lines)
 
 
-def parse_pnm(data: bytes, threshold: int = 1) -> ImageMask:
+def parse_pnm(data: bytes) -> ImageMask:
     """Decode P1/P2/P4/P5 bytes into an :class:`ImageMask`."""
     tokens = _header_tokens(data)
     try:
@@ -140,27 +139,29 @@ def parse_pnm(data: bytes, threshold: int = 1) -> ImageMask:
             if any(s > maxval for s in samples):
                 raise ParseError("graymap sample outside [0, maxval]")
 
-    return ImageMask(width, height, maxval, samples, threshold)
+    return ImageMask(width, height, maxval, samples)
 
 
-def load_image_mask(path: str | Path, threshold: int = 1) -> ImageMask:
+def load_image_mask(path: str | Path) -> ImageMask:
     with open(path, "rb") as fh:
-        return parse_pnm(fh.read(), threshold)
+        return parse_pnm(fh.read())
 
 
-def image_to_points(mask: ImageMask) -> list[Point]:
+def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
     """One point per foreground pixel, at the pixel's integer position.
 
-    Bitmaps treat set bits as foreground; graymaps treat samples at or
-    above the mask's threshold as foreground.
+    A pixel is foreground when its sample is at least `threshold`, which
+    must lie in [0, maxval]. The default 1 takes a bitmap's set bits and a
+    graymap's nonzero samples; 0 takes every pixel.
     """
+    if not 0 <= threshold <= mask.maxval:
+        raise ValueError(f"threshold {threshold} outside [0, {mask.maxval}]")
     points = []
     samples = mask.samples
-    cutoff = 1 if mask.maxval == 1 else mask.threshold
     i = 0
     for y in range(mask.height):
         for x in range(mask.width):
-            if samples[i] >= cutoff:
+            if samples[i] >= threshold:
                 points.append(Point(x, y))
             i += 1
     return points

@@ -22,9 +22,12 @@ from .geometry import Point
 from .ranking import RankFunction, RankVariant
 
 
-def load_points(path: str | Path, bit_width: int = 64) -> list[Point]:
-    """Parse a point file, rejecting coordinates wider than `bit_width` bits."""
-    limit = (1 << bit_width) - 1
+# Largest coordinate magnitude a point file may hold: 64 bits.
+MAX_COORDINATE = (1 << 64) - 1
+
+
+def load_points(path: str | Path) -> list[Point]:
+    """Parse a point file, rejecting coordinates wider than 64 bits."""
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -40,9 +43,9 @@ def load_points(path: str | Path, bit_width: int = 64) -> list[Point]:
                 x, y = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-integer coordinate") from None
-            if abs(x) > limit or abs(y) > limit:
+            if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
                 raise CoordinateOverflowError(
-                    f"{path}:{lineno}: coordinate exceeds {bit_width}-bit range"
+                    f"{path}:{lineno}: coordinate exceeds 64-bit range"
                 )
             points.append(Point(x, y))
     return points
@@ -89,4 +92,4 @@ def generate_dense_set(
             raise InvalidDensityError(f"count must be in [0, {m}], got {n}")
     rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
     rng = random.Random(seed)
-    return [rf.unrank(k) for k in rng.sample(range(1, m + 1), n)]
+    return rf.unrank_all(rng.sample(range(1, m + 1), n))

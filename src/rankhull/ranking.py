@@ -68,16 +68,10 @@ class RankFunction:
         return dy * self.m1 + dx + 1
 
     def unrank(self, r: int) -> Point:
-        if not 1 <= r <= self.m:
-            raise RankOutOfRangeError(f"rank {r} outside [1, {self.m}]")
-        if self.variant is RankVariant.COLUMN_MAJOR:
-            q, rem = divmod(r - 1, self.m2)
-            return Point(self.x_min + q, self.y_min + rem)
-        q, rem = divmod(r - 1, self.m1)
-        return Point(self.x_min + rem, self.y_min + q)
+        return self.unrank_all((r,))[0]
 
     def unrank_all(self, ranks: Sequence[int]) -> list[Point]:
-        """``[self.unrank(r) for r in ranks]``, one divmod per rank."""
+        """The point of each rank, in order, one divmod per rank."""
         if ranks and not (1 <= min(ranks) and max(ranks) <= self.m):
             bad = next(r for r in ranks if not 1 <= r <= self.m)
             raise RankOutOfRangeError(f"rank {bad} outside [1, {self.m}]")

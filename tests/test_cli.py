@@ -86,6 +86,8 @@ _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out
     (*_BENCH, "--reps", "2"),
     (*_BENCH, "--p-list", "12"),
     ("thresholds", "--p-list", "0"),
+    ("bench", "--width", "40000", "--height", "40000", "--densities", "0.001",
+     "--out", "{out}"),
 ])
 def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     mask = tmp_path / "mask.pbm"
@@ -95,6 +97,7 @@ def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not paths["out"].exists()
 
 
 def test_gen_then_verified_hull_roundtrip(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
     HullPolygon,
@@ -113,6 +114,24 @@ def test_oracle_square_with_center():
 def test_oracle_collinear_set():
     hull = hull_oracle([Point(0, 0), Point(2, 2), Point(5, 5), Point(1, 1)])
     assert hull == HullPolygon((Point(0, 0), Point(5, 5)), degenerate=True)
+
+
+def test_oracle_shares_no_helper_with_melkman(monkeypatch):
+    def boom(*args):
+        raise AssertionError("hull_oracle called a melkman helper")
+
+    monkeypatch.setattr(hull_module, "_degenerate", boom)
+    monkeypatch.setattr(hull_module, "_canonical", boom)
+    cases = [
+        ([], ()),
+        ([Point(2, 2), Point(2, 2)], (Point(2, 2),)),
+        ([Point(3, 1), Point(0, 4)], (Point(0, 4), Point(3, 1))),
+        ([Point(2, 2), Point(0, 0), Point(3, 3), Point(1, 1)], (Point(0, 0), Point(3, 3))),
+    ]
+    for points, vertices in cases:
+        assert hull_oracle(points) == HullPolygon(vertices, degenerate=True)
+    triangle = [Point(4, 4), Point(0, 4), Point(2, 0)]
+    assert hull_oracle(triangle) == HullPolygon((Point(0, 4), Point(2, 0), Point(4, 4)))
 
 
 def test_oracle_output_is_self_consistent():

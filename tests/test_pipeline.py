@@ -188,6 +188,22 @@ def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
         convex_hull_ranked(points, PipelineConfig(rank_variant=variant))
 
 
+_PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]
+
+
+# each iterator is used by one run only: a spent one would fail differently
+@pytest.mark.parametrize("points", [iter(_PTS), (v for v in _PTS), None])
+def test_points_that_are_not_a_collection_raise_a_library_error(points):
+    with pytest.raises(NonIntegerCoordinateError, match="collection"):
+        convex_hull_ranked(points)
+
+
+def test_lists_tuples_and_sets_are_collections():
+    expected = hull_oracle(_PTS)
+    for points in (list(_PTS), tuple(_PTS), set(_PTS)):
+        assert convex_hull_ranked(points).hull == expected
+
+
 def test_simple_threshold_is_reciprocal_block_width():
     assert density_threshold_simple(32) == Fraction(1, 32)
     assert density_threshold_simple(64) == Fraction(1, 64)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rankhull.errors import MalformedHeaderError, ParseError, UnsupportedFormatError
 from rankhull.geometry import Point, bounding_box
@@ -23,19 +25,37 @@ def test_all_background_image_is_empty():
 
 
 def test_ascii_graymap_threshold():
-    data = b"P2\n3 1\n255\n0 128 255\n"
-    assert image_to_points(parse_pnm(data, threshold=128)) == [Point(1, 0), Point(2, 0)]
-    assert image_to_points(parse_pnm(data, threshold=200)) == [Point(2, 0)]
-    assert image_to_points(parse_pnm(data, threshold=0)) == [
-        Point(0, 0), Point(1, 0), Point(2, 0),
-    ]
+    mask = parse_pnm(b"P2\n3 1\n255\n0 128 255\n")
+    assert image_to_points(mask, 128) == [Point(1, 0), Point(2, 0)]
+    assert image_to_points(mask, 200) == [Point(2, 0)]
+    assert image_to_points(mask, 0) == [Point(0, 0), Point(1, 0), Point(2, 0)]
+
+
+@pytest.mark.parametrize("data", [
+    b"P1\n2 2\n1 0 0 0\n",
+    b"P4\n2 2\n\x80\x00",
+    b"P2\n2 2\n1\n1 0 0 0\n",
+    b"P2\n2 2\n2\n2 0 1 0\n",
+])
+def test_threshold_zero_takes_every_pixel_in_every_format(data):
+    mask = parse_pnm(data)
+    assert image_to_points(mask, 0) == [Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)]
+    assert image_to_points(mask, mask.maxval) == [Point(0, 0)]
+
+
+def test_threshold_outside_sample_range_is_rejected():
+    bitmap = parse_pnm(b"P1\n2 1\n10\n")
+    graymap = parse_pnm(b"P2\n2 1\n9\n4 9\n")
+    for mask, bad in ((bitmap, -1), (bitmap, 2), (graymap, -1), (graymap, 10)):
+        with pytest.raises(ValueError):
+            image_to_points(mask, bad)
 
 
 def test_header_comments_are_skipped():
     data = b"P2 # magic\n# a comment line\n2 # width\n1\n9\n4 9\n"
-    mask = parse_pnm(data, threshold=5)
+    mask = parse_pnm(data)
     assert mask.width == 2 and mask.height == 1 and mask.maxval == 9
-    assert image_to_points(mask) == [Point(1, 0)]
+    assert image_to_points(mask, 5) == [Point(1, 0)]
 
 
 def test_packed_bitmap_rows_are_byte_padded():
@@ -47,15 +67,15 @@ def test_packed_bitmap_rows_are_byte_padded():
 
 
 def test_binary_graymap_single_byte():
-    mask = parse_pnm(b"P5\n2 2\n255\n" + bytes([0, 200, 10, 255]), threshold=100)
-    assert image_to_points(mask) == [Point(1, 0), Point(1, 1)]
+    mask = parse_pnm(b"P5\n2 2\n255\n" + bytes([0, 200, 10, 255]))
+    assert image_to_points(mask, 100) == [Point(1, 0), Point(1, 1)]
 
 
 def test_binary_graymap_two_byte_samples():
     samples = (0).to_bytes(2, "big") + (40000).to_bytes(2, "big")
-    mask = parse_pnm(b"P5\n2 1\n65535\n" + samples, threshold=30000)
+    mask = parse_pnm(b"P5\n2 1\n65535\n" + samples)
     assert mask.samples == (0, 40000)
-    assert image_to_points(mask) == [Point(1, 0)]
+    assert image_to_points(mask, 30000) == [Point(1, 0)]
 
 
 def test_rejects_unsupported_magic():
@@ -95,9 +115,45 @@ def test_rejects_truncated_or_invalid_raster():
 
 def test_mask_invariants():
     with pytest.raises(ValueError):
-        ImageMask(2, 2, 1, (0, 1, 0), threshold=1)
-    with pytest.raises(ValueError):
-        ImageMask(2, 1, 1, (0, 1), threshold=5)
+        ImageMask(2, 2, 1, (0, 1, 0))
+
+
+def _foreground(width, samples, threshold):
+    # per-pixel reference: one (x, y) per sample at or above the threshold
+    return [Point(i % width, i // width) for i, s in enumerate(samples) if s >= threshold]
+
+
+@given(st.data())
+def test_packed_bitmap_decodes_to_the_reference(data):
+    width = data.draw(st.integers(1, 40))
+    height = data.draw(st.integers(1, 6))
+    rows = [data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width))
+            for _ in range(height)]
+    raster = bytearray()
+    for row in rows:
+        # the padding bits after the last pixel of a row are random too
+        row_bits = row + data.draw(st.lists(
+            st.integers(0, 1), min_size=-width % 8, max_size=-width % 8))
+        raster += bytes(int("".join(map(str, row_bits[k:k + 8])), 2)
+                        for k in range(0, len(row_bits), 8))
+    threshold = data.draw(st.integers(0, 1))
+    mask = parse_pnm(b"P4\n%d %d\n" % (width, height) + bytes(raster))
+    expected = _foreground(width, [b for row in rows for b in row], threshold)
+    assert image_to_points(mask, threshold) == expected
+
+
+@given(st.data())
+def test_binary_graymap_decodes_to_the_reference(data):
+    width = data.draw(st.integers(1, 12))
+    height = data.draw(st.integers(1, 6))
+    maxval = data.draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    samples = data.draw(st.lists(
+        st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    per = 1 if maxval < 256 else 2
+    raster = b"".join(s.to_bytes(per, "big") for s in samples)
+    threshold = data.draw(st.integers(0, maxval))
+    mask = parse_pnm(b"P5\n%d %d\n%d\n" % (width, height, maxval) + raster)
+    assert image_to_points(mask, threshold) == _foreground(width, samples, threshold)
 
 
 def test_load_image_mask_reads_files(tmp_path):

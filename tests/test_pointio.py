@@ -45,10 +45,12 @@ def test_load_rejects_non_integer(tmp_path):
 
 def test_load_rejects_oversized_coordinates(tmp_path):
     path = tmp_path / "wide.txt"
-    path.write_text("300 0\n")
-    with pytest.raises(CoordinateOverflowError):
-        load_points(path, bit_width=8)
-    assert load_points(path, bit_width=16) == [Point(300, 0)]
+    for line in (f"{2**64} 0\n", f"0 {-2**64}\n"):
+        path.write_text(line)
+        with pytest.raises(CoordinateOverflowError, match="64-bit"):
+            load_points(path)
+    path.write_text(f"{2**64 - 1} {-(2**64 - 1)}\n")
+    assert load_points(path) == [Point(2**64 - 1, -(2**64 - 1))]
 
 
 @given(st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))))
