@@ -156,6 +156,45 @@ def test_binary_graymap_decodes_to_the_reference(data):
     assert image_to_points(mask, threshold) == _foreground(width, samples, threshold)
 
 
+# whitespace runs and comments that may sit between two ASCII samples; a
+# comment runs from '#' to the next CR or LF
+_GAPS = (b" ", b"\t", b"\n", b"\r\n", b"  \n\t", b"#7 1\n", b" # 0 1\r", b"\n#\n")
+
+
+def _ascii_raster(data, samples, gaps):
+    after = data.draw(st.lists(st.sampled_from(gaps),
+                               min_size=len(samples), max_size=len(samples)))
+    return b"".join(b"%d" % s + gap for s, gap in zip(samples, after))
+
+
+@given(st.data())
+def test_ascii_bitmap_decodes_to_the_reference(data):
+    width = data.draw(st.integers(1, 12))
+    height = data.draw(st.integers(1, 6))
+    bits = data.draw(st.lists(
+        st.integers(0, 1), min_size=width * height, max_size=width * height))
+    # digits either run together, with only comments between some of them,
+    # or are separated by whitespace and comments
+    together = data.draw(st.booleans())
+    gaps = (b"", b"", b"#0 1\n") if together else _GAPS
+    threshold = data.draw(st.integers(0, 1))
+    mask = parse_pnm(b"P1\n%d %d\n" % (width, height) + _ascii_raster(data, bits, gaps))
+    assert image_to_points(mask, threshold) == _foreground(width, bits, threshold)
+
+
+@given(st.data())
+def test_ascii_graymap_decodes_to_the_reference(data):
+    width = data.draw(st.integers(1, 12))
+    height = data.draw(st.integers(1, 6))
+    maxval = data.draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    samples = data.draw(st.lists(
+        st.integers(0, maxval), min_size=width * height, max_size=width * height))
+    threshold = data.draw(st.integers(0, maxval))
+    header = b"P2\n%d %d\n%d\n" % (width, height, maxval)
+    mask = parse_pnm(header + _ascii_raster(data, samples, _GAPS))
+    assert image_to_points(mask, threshold) == _foreground(width, samples, threshold)
+
+
 def test_load_image_mask_reads_files(tmp_path):
     path = tmp_path / "mask.pbm"
     path.write_bytes(b"P1\n2 1\n10\n")
