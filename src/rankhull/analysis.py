@@ -3,8 +3,10 @@
 Operation counters are the primary signal here: they are machine
 independent and reproduce exactly for a given plan and seed. Wall-clock
 medians back them up for trend checks (time vs n at fixed density) but
-carry no absolute meaning across machines. An error in any cell aborts
-the sweep, so a plan either yields every row or raises.
+carry no absolute meaning across machines. A plan's densities, block
+widths, repetitions and variants are checked before its first cell runs,
+and an error in any cell aborts the sweep, so a plan either yields every
+row or raises.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import statistics
 import time
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import IO, Callable, Sequence
 
 from .errors import InsufficientDataError, InvalidDensityError
@@ -128,6 +129,8 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     and variant comparisons see identical inputs.
     """
     _validate(plan)
+    # PipelineConfig rejects a block width before any cell runs
+    configs = [PipelineConfig(p=p) for p in plan.p_values]
     m = plan.m1 * plan.m2
     n_values = [round(d * m) for d in plan.densities] + [int(c) for c in plan.counts]
     rows: list[BenchmarkRow] = []
@@ -135,11 +138,11 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
         points = generate_dense_set(
             plan.m1, plan.m2, count=n, seed=_cell_seed(plan.seed, n)
         )
-        for p in plan.p_values:
+        for cfg in configs:
             for variant in plan.variants:
                 if variant == RANK_VARIANT:
                     median_ns, reports = _time_cell(
-                        partial(convex_hull_ranked, points, PipelineConfig(p=p)),
+                        partial(convex_hull_ranked, points, cfg),
                         plan.repetitions,
                     )
                     steps = tuple(
@@ -155,7 +158,7 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
                     steps, counters = (0, 0, 0, 0, 0), (0, 0, 0)
                 rows.append(BenchmarkRow(
                     m1=plan.m1, m2=plan.m2, m=m, n=n, density=n / m,
-                    p=p, variant=variant, rep_count=plan.repetitions,
+                    p=cfg.p, variant=variant, rep_count=plan.repetitions,
                     median_ns=median_ns, step_ns=steps,
                     isleft_evals=counters[0], shuffle_iterations=counters[1],
                     deque_ops=counters[2],
@@ -163,19 +166,17 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     return rows
 
 
-def write_csv(rows: Sequence[BenchmarkRow], dest: str | Path | IO[str]) -> None:
-    """Write rows under the fixed header, one line per benchmark cell."""
-    own = isinstance(dest, (str, Path))
-    fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow((
-                r.m1, r.m2, r.m, r.n, f"{r.density:.10g}", r.p, r.variant,
-                r.rep_count, r.median_ns, *r.step_ns,
-                r.isleft_evals, r.shuffle_iterations, r.deque_ops,
-            ))
-    finally:
-        if own:
-            fh.close()
+def write_csv(rows: Sequence[BenchmarkRow], fh: IO[str]) -> None:
+    """Write rows under the fixed header, one line per benchmark cell.
+
+    `fh` is an open text file; open it with ``newline=""``, as the csv
+    module asks.
+    """
+    writer = csv.writer(fh)
+    writer.writerow(CSV_HEADER)
+    for r in rows:
+        writer.writerow((
+            r.m1, r.m2, r.m, r.n, f"{r.density:.10g}", r.p, r.variant,
+            r.rep_count, r.median_ns, *r.step_ns,
+            r.isleft_evals, r.shuffle_iterations, r.deque_ops,
+        ))

@@ -64,7 +64,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         variants=(RANK_VARIANT,),
     )
-    write_csv(run_benchmark(plan), args.out)
+    rows = run_benchmark(plan)
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        write_csv(rows, fh)
     return 0
 
 

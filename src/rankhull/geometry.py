@@ -8,6 +8,7 @@ unchanged by translating all points alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
@@ -18,6 +19,11 @@ class Point(NamedTuple):
 
     x: int
     y: int
+
+
+# Point(x, y) runs a Python-level __new__; this builds the same Point in C
+# from any (x, y) iterable, such as a tuple or a list.
+new_point = partial(tuple.__new__, Point)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
 from .errors import NonIntegerCoordinateError
-from .geometry import Point, bounding_box
+from .geometry import Point, bounding_box, new_point
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
@@ -118,12 +118,13 @@ def convex_hull_ranked(
     box = bounding_box(points)
     t1 = clock()
     if box.m > MAX_WORDS * cfg.p:
-        distinct = len(set(points))
+        # hashable Points whatever pair type the caller used, deduplicated once
+        distinct = set(map(new_point, points))
         return PipelineReport(
-            hull=hull_oracle(points),
-            n=distinct, m=box.m, m1=box.m1, m2=box.m2,
-            density=distinct / box.m,
-            duplicates_skipped=len(points) - distinct,
+            hull=hull_oracle(distinct),
+            n=len(distinct), m=box.m, m1=box.m1, m2=box.m2,
+            density=len(distinct) / box.m,
+            duplicates_skipped=len(points) - len(distinct),
             counters=_ZERO_COUNTERS,
             step_ns=(t1 - t0, 0, 0, 0, 0),
             p=cfg.p, rank_variant=cfg.rank_variant,

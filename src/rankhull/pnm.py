@@ -2,22 +2,36 @@
 
 Supports the bitmap and graymap members of the family: P1/P4 (bitmap,
 ASCII/packed) and P2/P5 (graymap, ASCII/binary). Color maps and anything
-else are rejected. Pixels are addressed with x rightward and y downward
-from the top-left origin (0, 0), one point per foreground pixel. The
-foreground rule is the same for every format and lives in
+else are rejected. One tokenizer reads the header and the ASCII rasters:
+tokens are separated by whitespace, and a ``#`` anywhere, even inside a
+token, starts a comment that runs to the next CR or LF. A binary raster
+starts one whitespace byte after the header. Decoding runs at C speed, per
+row at worst, never per pixel. Pixels are addressed with x rightward and
+y downward from the top-left origin (0, 0), one point per foreground
+pixel. The foreground rule is the same for every format and lives in
 :func:`image_to_points`: a sample at or above the threshold is ink.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import ge
 from pathlib import Path
-from typing import Iterator
+from typing import Sequence
 
 from .errors import MalformedHeaderError, ParseError, UnsupportedFormatError
-from .geometry import Point
+from .geometry import Point, new_point
 
-_WHITESPACE = b" \t\r\n\v\f"
+# A comment matches with an empty group, so only tokens come out non-empty.
+_TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
+# the 8 samples of each P4 byte, most significant bit first
+_BYTE_BITS = [bytes(b >> k & 1 for k in range(7, -1, -1)) for b in range(256)]
+# P1 digit -> sample; any other byte maps to 255, which fails the range check
+_DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
 
 
 @dataclass(frozen=True)
@@ -25,120 +39,93 @@ class ImageMask:
     """Decoded raster.
 
     `samples` is row-major, length width * height. Bitmaps have maxval 1
-    with 1 meaning ink (foreground); graymaps hold 0..maxval.
+    with 1 meaning ink (foreground); graymaps hold 0..maxval. A parsed
+    mask stores one byte per sample (`bytes`) when maxval < 256 and an
+    `array('H')` otherwise; any sequence of ints works here.
     """
 
     width: int
     height: int
     maxval: int
-    samples: tuple[int, ...]
+    samples: Sequence[int]
 
     def __post_init__(self) -> None:
         if len(self.samples) != self.width * self.height:
             raise ValueError("sample count does not match dimensions")
 
 
-def _header_tokens(data: bytes) -> Iterator[tuple[bytes, int]]:
-    """Yield (token, end_offset) pairs, skipping whitespace and # comments."""
-    i = 0
-    size = len(data)
-    while i < size:
-        c = data[i:i + 1]
-        if c in _WHITESPACE:
-            i += 1
-            continue
-        if c == b"#":
-            while i < size and data[i:i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < size and data[i:i + 1] not in _WHITESPACE:
-            i += 1
-        yield data[start:i], i
-    return
-
-
-def _ascii_body(data: bytes) -> str:
-    # comments are legal between any two tokens in the ASCII formats
-    lines = data.decode("ascii", errors="replace").splitlines()
-    return "\n".join(line.split("#", 1)[0] for line in lines)
-
-
 def parse_pnm(data: bytes) -> ImageMask:
     """Decode P1/P2/P4/P5 bytes into an :class:`ImageMask`."""
-    tokens = _header_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise UnsupportedFormatError("empty file") from None
+    header = (m for m in _TOKEN.finditer(data) if m[1])
+    first = next(header, None)
+    if first is None:
+        raise UnsupportedFormatError("empty file")
+    magic = first[1]
     if magic not in (b"P1", b"P2", b"P4", b"P5"):
         raise UnsupportedFormatError(
             f"magic {magic!r} is not a supported bitmap/graymap format"
         )
     grayscale = magic in (b"P2", b"P5")
     wanted = 3 if grayscale else 2
-    fields = []
-    end = 0
-    for token, end in tokens:
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise MalformedHeaderError(f"non-numeric header field {token!r}") from None
-        if len(fields) == wanted:
-            break
+    fields = list(islice(header, wanted))
     if len(fields) < wanted:
         raise MalformedHeaderError("truncated header")
-    width, height = fields[0], fields[1]
+    try:
+        values = [int(f[1]) for f in fields]
+    except ValueError:
+        raise MalformedHeaderError("non-numeric header field") from None
+    width, height = values[0], values[1]
+    maxval = values[2] if grayscale else 1
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad dimensions {width}x{height}")
-    maxval = fields[2] if grayscale else 1
-    if grayscale and not 1 <= maxval <= 65535:
+    if not 1 <= maxval <= 65535:
         raise MalformedHeaderError(f"maxval {maxval} outside [1, 65535]")
     count = width * height
+    wide = maxval > 255
+    end = fields[-1].end()
+    start = end + 1
 
+    # every truncation check runs before anything of width * height is built
     if magic == b"P1":
-        bits = [c for c in _ascii_body(data[end:]) if not c.isspace()]
-        if len(bits) < count:
+        digits = b"".join(_TOKEN.findall(data, end))
+        if len(digits) < count:
             raise ParseError("bitmap data truncated")
-        if any(c not in "01" for c in bits[:count]):
-            raise ParseError("bitmap sample is not 0 or 1")
-        samples = tuple(int(c) for c in bits[:count])
+        samples = digits[:count].translate(_DIGITS)
     elif magic == b"P2":
-        values = _ascii_body(data[end:]).split()
-        if len(values) < count:
+        tokens = list(filter(None, _TOKEN.findall(data, end)))
+        if len(tokens) < count:
             raise ParseError("graymap data truncated")
         try:
-            samples = tuple(int(v) for v in values[:count])
-        except ValueError:
-            raise ParseError("non-integer graymap sample") from None
-        if any(not 0 <= s <= maxval for s in samples):
-            raise ParseError("graymap sample outside [0, maxval]")
+            samples = array("H" if wide else "B", map(int, tokens[:count]))
+        except (ValueError, OverflowError):
+            raise ParseError("graymap sample is not an integer in [0, 65535]") from None
+        if not wide:
+            samples = samples.tobytes()
+    elif data[end:start] == b"#":
+        raise MalformedHeaderError("no whitespace byte before the binary raster")
+    elif magic == b"P4":
+        row_bytes = (width + 7) // 8
+        stop = start + row_bytes * height
+        if len(data) < stop:
+            raise ParseError("bitmap data truncated")
+        bits = _BYTE_BITS.__getitem__
+        samples = b"".join(
+            b"".join(map(bits, data[i:i + row_bytes]))[:width]
+            for i in range(start, stop, row_bytes)
+        )
     else:
-        # binary raster begins after exactly one whitespace byte
-        raster = data[end + 1:]
-        if magic == b"P4":
-            row_bytes = (width + 7) // 8
-            if len(raster) < row_bytes * height:
-                raise ParseError("bitmap data truncated")
-            out = []
-            for y in range(height):
-                row = raster[y * row_bytes:(y + 1) * row_bytes]
-                for x in range(width):
-                    out.append(row[x >> 3] >> (7 - (x & 7)) & 1)
-            samples = tuple(out)
-        else:
-            per = 1 if maxval < 256 else 2
-            if len(raster) < count * per:
-                raise ParseError("graymap data truncated")
-            if per == 1:
-                samples = tuple(raster[:count])
-            else:
-                samples = tuple(
-                    raster[2 * i] << 8 | raster[2 * i + 1] for i in range(count)
-                )
-            if any(s > maxval for s in samples):
-                raise ParseError("graymap sample outside [0, maxval]")
+        stop = start + count * (2 if wide else 1)
+        if len(data) < stop:
+            raise ParseError("graymap data truncated")
+        samples = data[start:stop]
+        if wide:
+            samples = array("H", samples)
+            if sys.byteorder == "little":
+                samples.byteswap()  # the raster is big-endian
 
+    # a P4 sample is a bit by construction; every other decoder can overshoot
+    if magic != b"P4" and max(samples) > maxval:
+        raise ParseError(f"sample outside [0, {maxval}]")
     return ImageMask(width, height, maxval, samples)
 
 
@@ -152,16 +139,16 @@ def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
 
     A pixel is foreground when its sample is at least `threshold`, which
     must lie in [0, maxval]. The default 1 takes a bitmap's set bits and a
-    graymap's nonzero samples; 0 takes every pixel.
+    graymap's nonzero samples; 0 takes every pixel. Points come in
+    row-major order.
     """
     if not 0 <= threshold <= mask.maxval:
         raise ValueError(f"threshold {threshold} outside [0, {mask.maxval}]")
-    points = []
-    samples = mask.samples
-    i = 0
+    width, samples = mask.width, mask.samples
+    columns = range(width)
+    points: list[Point] = []
     for y in range(mask.height):
-        for x in range(mask.width):
-            if samples[i] >= threshold:
-                points.append(Point(x, y))
-            i += 1
+        row = samples[y * width:(y + 1) * width]
+        ink = compress(columns, map(ge, row, repeat(threshold)))
+        points += map(new_point, zip(ink, repeat(y)))
     return points

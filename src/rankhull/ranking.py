@@ -13,16 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import repeat
 from operator import add
 from typing import Sequence
 
 from .errors import OutOfGridError, RankOutOfRangeError
-from .geometry import Point
-
-# Point(x, y) runs a Python-level __new__; this builds the same Point in C.
-_new_point = partial(tuple.__new__, Point)
+from .geometry import Point, new_point
 
 
 class RankVariant(Enum):
@@ -79,10 +75,10 @@ class RankFunction:
         zero_based = map(add, ranks, repeat(-1))
         if self.variant is RankVariant.COLUMN_MAJOR:
             return [
-                _new_point((x0 + q, y0 + rem))
+                new_point((x0 + q, y0 + rem))
                 for q, rem in map(divmod, zero_based, repeat(self.m2))
             ]
         return [
-            _new_point((x0 + rem, y0 + q))
+            new_point((x0 + rem, y0 + q))
             for q, rem in map(divmod, zero_based, repeat(self.m1))
         ]

@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from rankhull import analysis
 from rankhull.analysis import (
     CSV_HEADER,
     ORACLE_VARIANT,
@@ -49,6 +50,16 @@ def test_plan_validation():
         run_benchmark(BenchmarkPlan(m1=10, m2=10, repetitions=2))
     with pytest.raises(ValueError):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, variants=("quickhull",)))
+
+
+def test_plan_block_widths_are_checked_before_any_cell_runs(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("a cell ran before the plan was validated")
+
+    monkeypatch.setattr(analysis, "generate_dense_set", generate)
+    plan = BenchmarkPlan(m1=640, m2=480, densities=(0.1,), p_values=(32, 12))
+    with pytest.raises(ValueError, match="block width"):
+        run_benchmark(plan)
 
 
 def test_benchmark_rows_cover_each_cell_in_order():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,20 @@ def test_lists_tuples_and_sets_are_collections():
     expected = hull_oracle(_PTS)
     for points in (list(_PTS), tuple(_PTS), set(_PTS)):
         assert convex_hull_ranked(points).hull == expected
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (4, 4), (0, 4), (0, 4)],                       # rank path
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],       # over the cap
+    [(0, 0), (40000, 40000), (40000, 40000)],               # degenerate, over the cap
+])
+def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
+    as_tuples = convex_hull_ranked(pts)
+    as_lists = convex_hull_ranked([list(v) for v in pts])
+    assert as_lists.used_fallback == as_tuples.used_fallback == (as_tuples.m > 1 << 30)
+    # everything but the wall-clock step times
+    assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
+    assert all(type(v) is Point for v in as_lists.hull.vertices)
 
 
 def test_simple_threshold_is_reciprocal_block_width():

@@ -1,3 +1,6 @@
+import tracemalloc
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,6 +61,67 @@ def test_header_comments_are_skipped():
     assert image_to_points(mask, 5) == [Point(1, 0)]
 
 
+def test_a_hash_starts_a_comment_anywhere_in_header_and_raster():
+    # the same rule for both: '#' ends the token it touches, and the comment
+    # runs to the next CR or LF
+    mask = parse_pnm(b"P2 #magic\r2#w\n1#h\r9#maxval\n4#x\r9#y")
+    assert (mask.width, mask.height, mask.maxval) == (2, 1, 9)
+    assert list(mask.samples) == [4, 9]
+    bitmap = parse_pnm(b"P1#\r3 1\n1#0\n01")
+    assert image_to_points(bitmap) == [Point(0, 0), Point(2, 0)]
+
+
+def test_binary_raster_needs_a_whitespace_byte_after_the_header():
+    # a comment cannot stand in for it: the raster would start inside it
+    with pytest.raises(MalformedHeaderError):
+        parse_pnm(b"P4\n8 1#c\n\xff")
+    with pytest.raises(MalformedHeaderError):
+        parse_pnm(b"P5\n1 1\n255#c\n\x07")
+
+
+@pytest.mark.parametrize("data, kind", [
+    (b"P1\n2 1\n10", bytes),
+    (b"P4\n2 1\n\x80", bytes),
+    (b"P2\n2 1\n255\n255 0", bytes),
+    (b"P5\n2 1\n255\n\xff\x00", bytes),
+    (b"P2\n2 1\n256\n256 0", array),
+    (b"P5\n2 1\n256\n\x01\x00\x00\x00", array),
+])
+def test_samples_take_one_byte_below_256_and_two_from_256(data, kind):
+    mask = parse_pnm(data)
+    assert type(mask.samples) is kind
+    assert memoryview(mask.samples).itemsize == (2 if kind is array else 1)
+    assert list(mask.samples) == [mask.maxval, 0]
+
+
+def test_blank_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
+    # a Python list of 640 * 480 samples alone would take more than 2 MiB
+    data = b"P4\n640 480\n" + bytes(80 * 480)
+    tracemalloc.start()
+    try:
+        points = image_to_points(parse_pnm(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points == []
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("header", [
+    b"P1\n100000 100000\n", b"P2\n100000 100000\n255\n",
+    b"P4\n100000 100000\n", b"P5\n100000 100000\n65535\n",
+])
+def test_a_header_claiming_a_huge_image_fails_cheaply(header):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated"):
+            parse_pnm(header + b"1 0 1 1\n" * 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_packed_bitmap_rows_are_byte_padded():
     # 10 wide: each row spans two bytes, the trailing 6 bits are padding
     row0 = bytes([0b10000000, 0b01000000])  # pixels 0 and 9
@@ -74,7 +138,7 @@ def test_binary_graymap_single_byte():
 def test_binary_graymap_two_byte_samples():
     samples = (0).to_bytes(2, "big") + (40000).to_bytes(2, "big")
     mask = parse_pnm(b"P5\n2 1\n65535\n" + samples)
-    assert mask.samples == (0, 40000)
+    assert list(mask.samples) == [0, 40000]
     assert image_to_points(mask, 30000) == [Point(1, 0)]
 
 
@@ -103,6 +167,8 @@ def test_rejects_truncated_or_invalid_raster():
         parse_pnm(b"P1\n2 2\n101")
     with pytest.raises(ParseError):
         parse_pnm(b"P1\n2 2\n1021")
+    with pytest.raises(ParseError):
+        parse_pnm(b"P1\n2 1\n1\x1c0")  # only ASCII whitespace separates samples
     with pytest.raises(ParseError):
         parse_pnm(b"P2\n2 2\n255\n1 2 3")
     with pytest.raises(ParseError):
