@@ -1,9 +1,18 @@
-"""Brute-force chain-simplicity oracle shared by test modules.
+"""Reference checks shared by test modules.
 
-Exact integer tests throughout: a chain is simple iff no two non-adjacent
-segments share any point (endpoints included) and adjacent segments meet
-only at their common endpoint.
+`chain_is_simple` is a brute-force chain-simplicity oracle. Exact integer
+tests throughout: a chain is simple iff no two non-adjacent segments share
+any point (endpoints included) and adjacent segments meet only at their
+common endpoint.
+
+`melkman_reference` is the plain deque scan that `rankhull.hull.melkman`
+must match test for test: same hull, same counters.
 """
+
+from collections import deque
+
+from rankhull.geometry import orientation
+from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate
 
 
 def _orient(ax, ay, bx, by, px, py):
@@ -64,3 +73,67 @@ def chain_is_simple(points) -> bool:
             if segments_intersect((ax, ay), (bx, by), (s[4], s[5]), (s[6], s[7])):
                 return False
     return True
+
+
+def melkman_reference(chain, stats=None) -> HullPolygon:
+    """Melkman's scan with every support edge read back from the deque.
+
+    Runs the same orientation tests in the same order as
+    `rankhull.hull.melkman` and counts them the same way.
+    """
+    pts = list(chain)
+    if stats is None:
+        stats = MelkmanStats()
+    if len(pts) < 3:
+        return _degenerate(pts)
+
+    it = iter(pts)
+    a = next(it)
+    b = next(it)
+    evals = 0
+    turn = 0
+    for c in it:
+        evals += 1
+        turn = orientation(a, b, c)
+        if turn != 0:
+            break
+        b = c
+    if turn == 0:
+        stats.isleft_evals += evals
+        return _degenerate([a, b])
+
+    dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
+    placed = 3
+    removed = 0
+    b0, b1, t1, t0 = dq[0], dq[1], dq[-2], dq[-1]
+    for v in it:
+        vx, vy = v
+        evals += 1
+        if (b1[0] - b0[0]) * (vy - b0[1]) - (b1[1] - b0[1]) * (vx - b0[0]) > 0:
+            evals += 1
+            if (t0[0] - t1[0]) * (vy - t1[1]) - (t0[1] - t1[1]) * (vx - t1[0]) > 0:
+                continue
+        while len(dq) > 2:
+            evals += 1
+            p, q = dq[-2], dq[-1]
+            if (q[0] - p[0]) * (vy - p[1]) - (q[1] - p[1]) * (vx - p[0]) > 0:
+                break
+            dq.pop()
+            removed += 1
+        dq.append(v)
+        while len(dq) > 2:
+            evals += 1
+            p, q = dq[0], dq[1]
+            if (q[0] - p[0]) * (vy - p[1]) - (q[1] - p[1]) * (vx - p[0]) > 0:
+                break
+            dq.popleft()
+            removed += 1
+        dq.appendleft(v)
+        placed += 1
+        b0, b1, t1, t0 = dq[0], dq[1], dq[-2], dq[-1]
+
+    stats.isleft_evals += evals
+    stats.deque_ops += placed + removed
+    cycle = list(dq)
+    cycle.pop()
+    return HullPolygon(_canonical(cycle))

@@ -3,6 +3,7 @@ import random
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaincheck import melkman_reference
 from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
@@ -81,8 +82,9 @@ def test_melkman_reads_each_point_once_and_bounds_deque_work():
     for _ in range(100):
         n = rng.randint(1, 120)
         chain = _chained(
-            Point(rng.randint(0, 31), rng.randint(0, 31)) for _ in range(n)
+            [Point(rng.randint(0, 31), rng.randint(0, 31)) for _ in range(n)]
         )
+        assert len(chain) >= 1
         stats = MelkmanStats()
         melkman(chain, stats)
         assert stats.deque_ops <= 3 * len(chain) + 4
@@ -103,6 +105,44 @@ def test_melkman_output_is_valid(points):
         assert is_convex(hull)
     assert contains_all(hull, points)
     assert set(hull.vertices) <= set(points)
+
+
+@st.composite
+def rank_chains(draw):
+    """f1 or f2 rank chains, 0 to 80 points, boxes anywhere within 10^6.
+
+    Half of them hold a whole first grid line, so they open with a run of
+    collinear points.
+    """
+    variant = draw(st.sampled_from(tuple(RankVariant)))
+    m1 = draw(st.integers(1, 24))
+    m2 = draw(st.integers(1, 24))
+    x0 = draw(st.integers(-10**6, 10**6))
+    y0 = draw(st.integers(-10**6, 10**6))
+    rf = RankFunction(variant, m1, m2, x0, y0)
+    ranks = set(draw(st.lists(st.integers(1, rf.m), max_size=80)))
+    if draw(st.booleans()):
+        line = m2 if variant is RankVariant.COLUMN_MAJOR else m1
+        ranks.update(range(1, line + 1))
+    return rf.unrank_all(sorted(ranks))
+
+
+@st.composite
+def hull_cycles(draw):
+    """A hull's vertex cycle from any start, in either direction."""
+    cycle = list(hull_oracle(draw(point_lists)).vertices)
+    k = draw(st.integers(0, max(0, len(cycle) - 1)))
+    cycle = cycle[k:] + cycle[:k]
+    return cycle[::-1] if draw(st.booleans()) else cycle
+
+
+@given(st.one_of(rank_chains(), hull_cycles()))
+def test_melkman_runs_the_reference_scan(chain):
+    got, want = MelkmanStats(), MelkmanStats()
+    hull = melkman(chain, got)
+    assert hull == melkman_reference(chain, want)
+    assert (got.isleft_evals, got.deque_ops) == (want.isleft_evals, want.deque_ops)
+    assert all(type(v) is Point for v in hull.vertices)
 
 
 def test_oracle_square_with_center():

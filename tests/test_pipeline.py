@@ -143,6 +143,18 @@ def test_counters_scale_linearly_at_fixed_density():
         assert 1.9 <= b / a <= 2.1, name
 
 
+@pytest.mark.parametrize("variant, expected", [
+    (RankVariant.COLUMN_MAJOR, (86729, 19980, 51731, 10)),
+    (RankVariant.ROW_MAJOR, (86558, 19980, 51692, 10)),
+])
+def test_dense_counters_are_pinned(variant, expected):
+    # exact counts, so a rewrite of any step must keep its every decision
+    pts = generate_dense_set(480, 360, count=17280, seed=7)
+    report = convex_hull_ranked(pts, PipelineConfig(p=64, rank_variant=variant))
+    c = report.counters
+    assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
+
+
 @settings(max_examples=60)
 @given(point_lists)
 def test_pipeline_equals_oracle(points):
