@@ -3,12 +3,13 @@
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
 words of p bits: m/8 bytes for a box of m cells, whatever n is. It is the
 only per-box structure. Because rank is a bijection, the table needs no
-record of which input point set a bit; a rank turns back into its point
-with one divmod (:meth:`RankFunction.unrank_all`). Compacting the table
-into ascending-rank order ("shuffling") can either scan all m ranks, or
-walk the words: a zero word is skipped in a single compare and a nonzero
-word yields its bit positions in popcount(word) steps via the
-lowest-set-bit clearing trick.
+record of which input point set a bit; a rank turns back into its offset
+from the box corner with one divmod (:meth:`RankFunction.offsets`), and
+the scan needs nothing more. Compacting the table into ascending-rank
+order ("shuffling") can either scan all m ranks, or walk the words: a
+zero word is skipped in a single compare and a nonzero word yields its
+bit positions in popcount(word) steps via the lowest-set-bit clearing
+trick.
 """
 
 from __future__ import annotations

@@ -71,7 +71,9 @@ def melkman(chain: Sequence[Point], stats: MelkmanStats | None = None) -> HullPo
     point becomes the new seam. Pops use non-strict tests so collinear
     vertices never survive.
 
-    The chain must be simple and its points distinct (the rank pipeline
+    The chain may hold any integer (x, y) pairs, such as `Point`s or
+    offsets from a box corner; the hull holds the chain's own objects. The
+    chain must be simple and its points distinct (the rank pipeline
     guarantees both). Fully collinear chains and chains of fewer than
     three points produce degenerate polygons.
     """
@@ -97,34 +99,59 @@ def melkman(chain: Sequence[Point], stats: MelkmanStats | None = None) -> HullPo
         return _degenerate([a, b])
 
     dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
+    pop, push, popleft, pushleft = dq.pop, dq.append, dq.popleft, dq.appendleft
+    size = 4
     placed = 3
     removed = 0
-    b0, b1, t1, t0 = dq[0], dq[1], dq[-2], dq[-1]
+    # The support edges are seam -> dq[1] and dq[-2] -> seam, where the
+    # seam is dq[0] == dq[-1]. Their endpoints are kept as coordinate
+    # locals, so no test indexes a tuple; the deque is read only after a
+    # pop or a placement.
+    # "v strictly left of p -> q" is the cross product (q - p) x (v - p) > 0,
+    # written as a comparison of its two products.
+    sx, sy = c
+    b1x, b1y = dq[1]
+    t1x, t1y = dq[-2]
     for v in it:
         vx, vy = v
         evals += 1
-        if (b1[0] - b0[0]) * (vy - b0[1]) - (b1[1] - b0[1]) * (vx - b0[0]) > 0:
+        if (b1x - sx) * (vy - sy) > (b1y - sy) * (vx - sx):
             evals += 1
-            if (t0[0] - t1[0]) * (vy - t1[1]) - (t0[1] - t1[1]) * (vx - t1[0]) > 0:
+            if (sx - t1x) * (vy - t1y) > (sy - t1y) * (vx - t1x):
                 continue
-        while len(dq) > 2:
+        # top: pop dq[-1] while v is not strictly left of dq[-2] -> dq[-1]
+        px, py = t1x, t1y
+        qx, qy = sx, sy
+        while size > 2:
             evals += 1
-            p, q = dq[-2], dq[-1]
-            if (q[0] - p[0]) * (vy - p[1]) - (q[1] - p[1]) * (vx - p[0]) > 0:
+            if (qx - px) * (vy - py) > (qy - py) * (vx - px):
                 break
-            dq.pop()
+            pop()
+            size -= 1
             removed += 1
-        dq.append(v)
-        while len(dq) > 2:
+            qx, qy = px, py
+            px, py = dq[-2]
+        push(v)
+        size += 1
+        # bottom: the top pops never reach dq[0] or dq[1], so they still
+        # hold the seam and b1
+        px, py = sx, sy
+        qx, qy = b1x, b1y
+        while size > 2:
             evals += 1
-            p, q = dq[0], dq[1]
-            if (q[0] - p[0]) * (vy - p[1]) - (q[1] - p[1]) * (vx - p[0]) > 0:
+            if (qx - px) * (vy - py) > (qy - py) * (vx - px):
                 break
-            dq.popleft()
+            popleft()
+            size -= 1
             removed += 1
-        dq.appendleft(v)
+            px, py = qx, qy
+            qx, qy = dq[1]
+        pushleft(v)
+        size += 1
         placed += 1
-        b0, b1, t1, t0 = dq[0], dq[1], dq[-2], dq[-1]
+        sx, sy = vx, vy
+        b1x, b1y = dq[1]
+        t1x, t1y = dq[-2]
 
     stats.isleft_evals += evals
     stats.deque_ops += placed + removed

@@ -1,10 +1,12 @@
 """End-to-end rank-ordered hull: box, rank, shuffle, scan.
 
-Every step works in the caller's coordinates. The paper's translation
-onto the normalized grid (step 2) is folded into step 3's rank
-arithmetic, and orientation tests are translation-invariant, so the
-pipeline makes no translated copy and translates nothing back. The only
-per-box structure is the m/p-word bit table.
+Steps 3-5 work in offsets from the bounding box's corner. The paper's
+translation onto the normalized grid (step 2) is folded into step 3's
+rank arithmetic, step 5 turns ranks back into offset pairs, not points,
+and orientation tests are translation-invariant, so the scan makes the
+same decisions it would make on the caller's points. Only the hull's
+vertices are translated back. The only per-box structure is the
+m/p-word bit table.
 
 The pipeline stays linear while the point set is dense relative to its
 bounding box; the density thresholds quantify where that regime ends for
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
 from .errors import NonIntegerCoordinateError
-from .geometry import Point, bounding_box, new_point
+from .geometry import BoundingBox, Point, bounding_box, new_point
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
@@ -56,7 +58,8 @@ class PipelineReport:
     elapsed monotonic nanoseconds of the paper's five steps (box,
     translate, rank, shuffle, scan). The translation happens inside the
     rank arithmetic, so its slot is always 0; the scan's slot includes
-    turning the shuffled ranks back into points. When `used_fallback` is
+    turning the shuffled ranks into box offsets and translating the hull's
+    vertices back to the caller's coordinates. When `used_fallback` is
     set the hull came from the sort-based oracle and steps 3-5 and the
     counters are zero.
     """
@@ -87,6 +90,15 @@ def _empty_report(cfg: PipelineConfig) -> PipelineReport:
     )
 
 
+def _translated(hull: HullPolygon, box: BoundingBox) -> HullPolygon:
+    # translation keeps the lexicographic order, so the cycle stays canonical
+    x0, y0 = box.x_min, box.y_min
+    return HullPolygon(
+        tuple(new_point((x0 + dx, y0 + dy)) for dx, dy in hull.vertices),
+        hull.degenerate,
+    )
+
+
 def convex_hull_ranked(
     points: Collection[Point],
     cfg: PipelineConfig | None = None,
@@ -96,13 +108,13 @@ def convex_hull_ranked(
     Step 1 finds the bounding box, step 3 marks each point's rank, taken
     straight from its coordinates relative to the box corner, in the
     blocked bit table, step 4 compacts the table into ascending-rank order,
-    and step 5 unranks that order into a simple chain of the caller's
-    points and runs the single-pass deque scan over it. Step 2, the
-    translation onto the normalized grid, is the subtraction of the box
-    corner inside step 3. A box too large for a table of `MAX_WORDS`
-    words gets its hull from the sort-based oracle. `points` must be a
-    sized collection, such as a list, tuple or set: steps 1 and 3 each
-    iterate over it.
+    and step 5 turns that order into a simple chain of box offsets, runs
+    the single-pass deque scan over it and adds the box corner back to the
+    hull's vertices. Step 2, the translation onto the normalized grid, is
+    the subtraction of the box corner inside step 3. A box too large for a
+    table of `MAX_WORDS` words gets its hull from the sort-based oracle.
+    `points` must be a sized collection, such as a list, tuple or set:
+    steps 1 and 3 each iterate over it.
     """
     if not isinstance(points, Collection):
         raise NonIntegerCoordinateError(
@@ -136,7 +148,7 @@ def convex_hull_ranked(
     shuffled = fast_shuffle(table)
     t4 = clock()
     stats = MelkmanStats()
-    hull = melkman(rf.unrank_all(shuffled.order), stats)
+    hull = _translated(melkman(rf.offsets(shuffled.order), stats), box)
     t5 = clock()
 
     return PipelineReport(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import add
+from operator import floordiv, mod, sub
 from typing import Sequence
 
 from .errors import OutOfGridError, RankOutOfRangeError
@@ -67,18 +67,23 @@ class RankFunction:
         return self.unrank_all((r,))[0]
 
     def unrank_all(self, ranks: Sequence[int]) -> list[Point]:
-        """The point of each rank, in order, one divmod per rank."""
+        """The point of each rank, in order: its offset plus the box corner."""
+        x0, y0 = self.x_min, self.y_min
+        return [new_point((x0 + dx, y0 + dy)) for dx, dy in self.offsets(ranks)]
+
+    def offsets(self, ranks: Sequence[int]) -> list[tuple[int, int]]:
+        """The box-relative (x - x_min, y - y_min) of each rank, in order.
+
+        This is the one rank inverse, a divmod per rank: f1's quotient and
+        remainder are the offsets, f2's are the offsets swapped. The pairs
+        are built by C-level maps, with no Python code run per rank.
+        """
         if ranks and not (1 <= min(ranks) and max(ranks) <= self.m):
             bad = next(r for r in ranks if not 1 <= r <= self.m)
             raise RankOutOfRangeError(f"rank {bad} outside [1, {self.m}]")
-        x0, y0 = self.x_min, self.y_min
-        zero_based = map(add, ranks, repeat(-1))
         if self.variant is RankVariant.COLUMN_MAJOR:
-            return [
-                new_point((x0 + q, y0 + rem))
-                for q, rem in map(divmod, zero_based, repeat(self.m2))
-            ]
-        return [
-            new_point((x0 + rem, y0 + q))
-            for q, rem in map(divmod, zero_based, repeat(self.m1))
-        ]
+            return list(map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2)))
+        return list(zip(
+            map(mod, map(sub, ranks, repeat(1)), repeat(self.m1)),
+            map(floordiv, map(sub, ranks, repeat(1)), repeat(self.m1)),
+        ))

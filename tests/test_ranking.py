@@ -54,6 +54,21 @@ def test_unrank_rejects_out_of_range():
             rf.unrank_all([1, bad, 16])
 
 
+def test_offsets_are_the_points_less_the_box_corner():
+    rng = random.Random(17)
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 9, 7, x_min=-4, y_min=10**9)
+        ranks = rng.sample(range(1, rf.m + 1), 30)
+        offsets = rf.offsets(ranks)
+        assert offsets == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
+        # checked against rank(), not only against the inverse built on offsets
+        assert [rf.rank(Point(dx - 4, dy + 10**9)) for dx, dy in offsets] == ranks
+        assert rf.offsets([]) == []
+        for bad in (0, rf.m + 1):
+            with pytest.raises(RankOutOfRangeError):
+                rf.offsets([1, bad])
+
+
 def test_grid_origin_moves_the_ranked_cells():
     for variant in (F1, F2):
         rf = RankFunction(variant, 5, 3, x_min=-2, y_min=10**12)
