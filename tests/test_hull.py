@@ -109,10 +109,10 @@ def test_melkman_output_is_valid(points):
 
 @st.composite
 def rank_chains(draw):
-    """f1 or f2 rank chains, 0 to 80 points, boxes anywhere within 10^6.
+    """f1 or f2 rank chains of up to about 100 points, at boxes within 10^6.
 
-    Half of them hold a whole first grid line, so they open with a run of
-    collinear points.
+    Some hold a whole first grid line, so they open with a run of collinear
+    points.
     """
     variant = draw(st.sampled_from(tuple(RankVariant)))
     m1 = draw(st.integers(1, 24))
