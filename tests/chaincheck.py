@@ -7,6 +7,9 @@ common endpoint.
 
 `melkman_reference` is the plain deque scan that `rankhull.hull.melkman`
 must match test for test: same hull, same counters.
+
+`is_convex_reference` is the convexity test that `rankhull.hull.is_convex`
+must agree with on every polygon.
 """
 
 from collections import deque
@@ -137,3 +140,42 @@ def melkman_reference(chain, stats=None) -> HullPolygon:
     cycle = list(dq)
     cycle.pop()
     return HullPolygon(_canonical(cycle))
+
+
+def _half_turn_reference(v) -> int:
+    return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+
+def _angle_precedes_reference(u, w) -> bool:
+    hu, hw = _half_turn_reference(u), _half_turn_reference(w)
+    if hu != hw:
+        return hu < hw
+    return u[0] * w[1] - u[1] * w[0] > 0
+
+
+def is_convex_reference(poly) -> bool:
+    """Strict convexity with the winding counted by a full angle comparison.
+
+    Every consecutive triple must turn strictly left, and the edge
+    directions must wrap past angle 0 exactly once.
+    """
+    vs = poly.vertices
+    h = len(vs)
+    if h < 3:
+        return False
+    edges = []
+    for i in range(h):
+        ax, ay = vs[i]
+        bx, by = vs[(i + 1) % h]
+        if (ax, ay) == (bx, by):
+            return False
+        edges.append((bx - ax, by - ay))
+    wraps = 0
+    for i in range(h):
+        e = edges[i]
+        f = edges[(i + 1) % h]
+        if e[0] * f[1] - e[1] * f[0] <= 0:
+            return False
+        if _angle_precedes_reference(f, e):
+            wraps += 1
+    return wraps == 1

@@ -1,9 +1,9 @@
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincheck import melkman_reference
+from chaincheck import is_convex_reference, melkman_reference
 from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
@@ -230,3 +230,33 @@ def test_contains_all_degenerate_polygons():
     assert contains_all(single, [Point(1, 1)])
     assert not contains_all(single, [Point(1, 2)])
     assert contains_all(HullPolygon((), degenerate=True), [])
+
+
+@st.composite
+def small_polygons(draw):
+    # spans this small make repeated and collinear vertices common
+    span = draw(st.integers(0, 4))
+    c = st.integers(-span, span)
+    return HullPolygon(tuple(draw(st.lists(st.builds(Point, c, c), max_size=8))))
+
+
+@settings(max_examples=500)
+@given(small_polygons())
+def test_is_convex_matches_the_reference_on_small_polygons(poly):
+    assert is_convex(poly) == is_convex_reference(poly)
+
+
+@settings(max_examples=200)
+@given(point_lists, st.integers(0, 59), st.booleans(), st.booleans())
+def test_is_convex_matches_the_reference_on_oracle_hulls(points, start, backward, twice):
+    vs = list(hull_oracle(points).vertices)
+    k = start % len(vs) if vs else 0
+    vs = vs[k:] + vs[:k]
+    if backward:
+        vs.reverse()
+    if twice:
+        vs *= 2
+    poly = HullPolygon(tuple(vs))
+    convex = len(vs) >= 3 and not backward and not twice
+    assert is_convex_reference(poly) == convex
+    assert is_convex(poly) == convex

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -229,6 +229,28 @@ def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
     # everything but the wall-clock step times
     assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
     assert all(type(v) is Point for v in as_lists.hull.vertices)
+
+
+_REPORT_FIELDS = [
+    "hull", "n", "m", "m1", "m2", "density", "duplicates_skipped", "counters",
+    "step_ns", "p", "rank_variant", "used_fallback",
+]
+
+
+@pytest.mark.parametrize("pts, n", [
+    ([], 0),
+    ([(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (4, 4)], 4),    # rank path
+    ([(0, 0), (40000, 40000), (0, 40000), (0, 40000)], 3),    # over the cap
+    ([[0, 0], [40000, 40000], [0, 40000], [0, 40000]], 3),    # over the cap, lists
+])
+def test_report_derives_m_density_and_duplicates_from_n_and_the_box(pts, n):
+    report = convex_hull_ranked(pts)
+    assert [f.name for f in fields(report)] == _REPORT_FIELDS
+    assert report.n == n
+    assert report.used_fallback == (report.m > 1 << 30)
+    assert report.m == report.m1 * report.m2
+    assert report.density == (n / report.m if report.m else 0.0)
+    assert report.duplicates_skipped == len(pts) - n
 
 
 def test_simple_threshold_is_reciprocal_block_width():
