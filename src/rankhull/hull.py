@@ -200,13 +200,6 @@ def _half_turn(v: tuple[int, int]) -> int:
     return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
 
-def _angle_precedes(u: tuple[int, int], w: tuple[int, int]) -> bool:
-    hu, hw = _half_turn(u), _half_turn(w)
-    if hu != hw:
-        return hu < hw
-    return u[0] * w[1] - u[1] * w[0] > 0
-
-
 def is_convex(poly: HullPolygon) -> bool:
     """True iff the cycle is a strictly convex simple polygon.
 
@@ -227,15 +220,15 @@ def is_convex(poly: HullPolygon) -> bool:
         if (ax, ay) == (bx, by):
             return False
         edges.append((bx - ax, by - ay))
-    wraps = 0
     for i in range(h):
-        e = edges[i]
-        f = edges[(i + 1) % h]
-        if e[0] * f[1] - e[1] * f[0] <= 0:
+        (ex, ey), (fx, fy) = edges[i - 1], edges[i]
+        if ex * fy - ey * fx <= 0:
             return False
-        if _angle_precedes(f, e):
-            wraps += 1
-    return wraps == 1
+    # Every turn is strictly left, so less than a half turn: the directions
+    # pass angle 0 exactly where an edge of half-plane 1 is followed by one
+    # of half-plane 0.
+    halves = [_half_turn(e) for e in edges]
+    return sum(halves[i - 1] > halves[i] for i in range(h)) == 1
 
 
 def _on_segment(a: Point, b: Point, p: Point) -> bool:

@@ -11,11 +11,11 @@ single-pass hull scan needs, obtained without a comparison sort.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import floordiv, mod, sub
-from typing import Sequence
 
 from .errors import OutOfGridError, RankOutOfRangeError
 from .geometry import Point, new_point
@@ -34,7 +34,9 @@ class RankFunction:
 
     With i = x - x_min + 1 and j = y - y_min + 1, column-major ranks column
     by column, bottom to top: rank = (i - 1) * m2 + j. Row-major is the
-    transpose: rank = (j - 1) * m1 + i. Both invert with one divmod.
+    transpose: rank = (j - 1) * m1 + i. Both invert with one divmod
+    (`offsets`, relative to the grid's corner), and `to_points` is the one
+    translation from those offsets back to the caller's points.
     """
 
     variant: RankVariant
@@ -67,9 +69,17 @@ class RankFunction:
         return self.unrank_all((r,))[0]
 
     def unrank_all(self, ranks: Sequence[int]) -> list[Point]:
-        """The point of each rank, in order: its offset plus the box corner."""
+        """The point of each rank, in order."""
+        return self.to_points(self.offsets(ranks))
+
+    def to_points(self, offsets: Iterable[tuple[int, int]]) -> list[Point]:
+        """The caller's point at each box offset: the offset plus the box corner.
+
+        This is the one translation back from box offsets, used by
+        `unrank_all` and for the vertices of the pipeline's hull.
+        """
         x0, y0 = self.x_min, self.y_min
-        return [new_point((x0 + dx, y0 + dy)) for dx, dy in self.offsets(ranks)]
+        return [new_point((x0 + dx, y0 + dy)) for dx, dy in offsets]
 
     def offsets(self, ranks: Sequence[int]) -> list[tuple[int, int]]:
         """The box-relative (x - x_min, y - y_min) of each rank, in order.
