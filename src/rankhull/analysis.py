@@ -3,10 +3,10 @@
 Operation counters are the primary signal here: they are machine
 independent and reproduce exactly for a given plan and seed. Wall-clock
 medians back them up for trend checks (time vs n at fixed density) but
-carry no absolute meaning across machines. A plan's densities, block
-widths, repetitions and variants are checked before its first cell runs,
-and an error in any cell aborts the sweep, so a plan either yields every
-row or raises.
+carry no absolute meaning across machines. A plan's densities, counts,
+block widths, repetitions and variants are checked before its first cell
+runs, and an error in any cell aborts the sweep, so a plan either yields
+every row or raises.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class BenchmarkPlan:
     """One sweep: box dimensions, sample sizes, block widths, repetitions.
 
     Sample sizes come from `densities` (fractions of the box area) and/or
-    explicit `counts`; cells run in the order given. Each repetition of a
+    explicit `counts` (ints from 0 to the box area); cells run in the
+    order given. Each repetition of a
     cell reuses the same generated point set, and a discarded warm-up run
     precedes the timed repetitions.
     """
@@ -102,6 +103,10 @@ def _validate(plan: BenchmarkPlan) -> None:
     for d in plan.densities:
         if not 0 < d <= 1:
             raise InvalidDensityError(f"plan density {d} outside (0, 1]")
+    m = plan.m1 * plan.m2
+    for c in plan.counts:
+        if type(c) is not int or not 0 <= c <= m:
+            raise InvalidDensityError(f"plan count {c!r} is not an int in [0, {m}]")
     if plan.repetitions < 3:
         raise ValueError("plan needs at least 3 repetitions")
     for v in plan.variants:
@@ -132,7 +137,7 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     # PipelineConfig rejects a block width before any cell runs
     configs = [PipelineConfig(p=p) for p in plan.p_values]
     m = plan.m1 * plan.m2
-    n_values = [round(d * m) for d in plan.densities] + [int(c) for c in plan.counts]
+    n_values = [round(d * m) for d in plan.densities] + list(plan.counts)
     rows: list[BenchmarkRow] = []
     for n in n_values:
         points = generate_dense_set(

@@ -62,6 +62,21 @@ def test_plan_block_widths_are_checked_before_any_cell_runs(monkeypatch):
         run_benchmark(plan)
 
 
+@pytest.mark.parametrize("counts", [(5, 200), (5, 2.7), (5, -1), (5, True)])
+def test_plan_counts_are_checked_before_any_cell_runs(monkeypatch, counts):
+    def generate(*args, **kwargs):
+        raise AssertionError("a cell ran before the plan was validated")
+
+    monkeypatch.setattr(analysis, "generate_dense_set", generate)
+    with pytest.raises(InvalidDensityError, match="count"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, counts=counts))
+
+
+def test_plan_counts_may_run_from_zero_to_the_box_area():
+    rows = run_benchmark(BenchmarkPlan(m1=10, m2=10, counts=(0, 100)))
+    assert [(r.n, r.density) for r in rows] == [(0, 0.0), (100, 1.0)]
+
+
 def test_benchmark_rows_cover_each_cell_in_order():
     plan = BenchmarkPlan(
         m1=40, m2=30,
