@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import repeat
 from operator import floordiv, mod, sub
 
-from .errors import OutOfGridError, RankOutOfRangeError
+from .errors import OutOfGridError, RankHullError, RankOutOfRangeError
 from .geometry import Point, new_point
 
 
@@ -86,8 +86,12 @@ class RankFunction:
 
         This is the one rank inverse, a divmod per rank: f1's quotient and
         remainder are the offsets, f2's are the offsets swapped. The pairs
-        are built by C-level maps, with no Python code run per rank.
+        are built by C-level maps, with no Python code run per rank. `ranks`
+        must be a sequence, such as a list or range: it is read more than
+        once, and is not copied.
         """
+        if not isinstance(ranks, Sequence):
+            raise RankHullError(f"ranks must be a sequence, not {type(ranks).__name__}")
         if ranks and not (1 <= min(ranks) and max(ranks) <= self.m):
             bad = next(r for r in ranks if not 1 <= r <= self.m)
             raise RankOutOfRangeError(f"rank {bad} outside [1, {self.m}]")

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincheck import chain_is_simple
-from rankhull.errors import OutOfGridError, RankOutOfRangeError
+from rankhull.errors import OutOfGridError, RankHullError, RankOutOfRangeError
 from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -67,6 +67,25 @@ def test_offsets_are_the_points_less_the_box_corner():
         for bad in (0, rf.m + 1):
             with pytest.raises(RankOutOfRangeError):
                 rf.offsets([1, bad])
+
+
+# each iterator is used by one call only: a spent one would pass as empty
+@pytest.mark.parametrize("make", [
+    lambda: iter([5]), lambda: (r for r in (5, 6)), lambda: {5, 6},
+])
+def test_ranks_that_are_not_a_sequence_raise_a_library_error(make):
+    rf = RankFunction(F1, 4, 4)
+    with pytest.raises(RankHullError, match="sequence"):
+        rf.offsets(make())
+    with pytest.raises(RankHullError, match="sequence"):
+        rf.unrank_all(make())
+
+
+def test_lists_tuples_and_ranges_are_sequences_of_ranks():
+    rf = RankFunction(F2, 4, 4, x_min=3, y_min=-2)
+    expected = rf.unrank_all(list(range(1, 17)))
+    assert rf.unrank_all(tuple(range(1, 17))) == rf.unrank_all(range(1, 17)) == expected
+    assert rf.to_points(rf.offsets(range(1, 17))) == expected
 
 
 def test_grid_origin_moves_the_ranked_cells():
