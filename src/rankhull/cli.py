@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import RANK_VARIANT, BenchmarkPlan, run_benchmark, write_csv
+from .analysis import BenchmarkPlan, run_benchmark, write_csv
 from .errors import RankHullError
 from .hull import hull_oracle
 from .pipeline import (
@@ -62,7 +62,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         p_values=args.p_list,
         repetitions=args.reps,
         seed=args.seed,
-        variants=(RANK_VARIANT,),
     )
     rows = run_benchmark(plan)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
