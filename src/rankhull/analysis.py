@@ -39,9 +39,8 @@ class BenchmarkPlan:
 
     Sample sizes come from `densities` (fractions of the box area) and/or
     explicit `counts` (ints from 0 to the box area); cells run in the
-    order given. Each repetition of a
-    cell reuses the same generated point set, and a discarded warm-up run
-    precedes the timed repetitions.
+    order given. Each repetition of a cell reuses the same generated point
+    set, and a discarded warm-up run precedes the timed repetitions.
     """
 
     m1: int
