@@ -70,7 +70,7 @@ def test_offsets_are_the_points_less_the_box_corner():
                 rf.offsets([1, bad])
 
 
-# each iterator is used by one call only: a spent one would pass as empty
+# a fresh iterator for each call, so neither call is handed a spent one
 @pytest.mark.parametrize("make", [
     lambda: iter([5]), lambda: (r for r in (5, 6)), lambda: {5, 6},
 ])
