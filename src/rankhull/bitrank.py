@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BoxTooLargeError, NonIntegerCoordinateError, OutOfGridError
+from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import Point
-from .ranking import RankFunction, RankVariant
+from .ranking import RankFunction
 
 # Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
 # and 2^30 cells at p = 64.
@@ -75,10 +75,10 @@ def build_rank_table(
 ) -> RankTable:
     """Rank every point in the grid of `rf` and set its bit in a fresh table.
 
-    Ranks come straight from the points' own coordinates, with the rank
-    arithmetic of :meth:`RankFunction.rank` inlined. Duplicate points hit
-    an already-set bit and are skipped and counted. A box of more than
-    `MAX_WORDS` words raises :class:`BoxTooLargeError`.
+    Ranks come straight from the points' own coordinates, through the one
+    forward rank path of `rf`. Duplicate points hit an already-set bit and
+    are skipped and counted. A box of more than `MAX_WORDS` words raises
+    :class:`BoxTooLargeError`.
     """
     if p < 1:
         raise ValueError("block width must be positive")
@@ -87,21 +87,9 @@ def build_rank_table(
         raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
     r = -(-m // p)
     bloom = [0] * r
-    # Row-major ranks are the column-major ranks of the transposed points:
-    # k = (a - a_min) * nb + (b - b_min) with (a, b) = (x, y) or (y, x).
-    if rf.variant is RankVariant.COLUMN_MAJOR:
-        pairs, a_min, b_min, nb = points, rf.x_min, rf.y_min, rf.m2
-    else:
-        pairs, a_min, b_min, nb = ((y, x) for x, y in points), rf.y_min, rf.x_min, rf.m1
     duplicates = 0
     try:
-        for a, b in pairs:
-            db = b - b_min
-            k0 = (a - a_min) * nb + db
-            # 0 <= db < nb and 0 <= k0 < m together put (a, b) inside the grid
-            if not (0 <= db < nb and 0 <= k0 < m):
-                v = (a, b) if rf.variant is RankVariant.COLUMN_MAJOR else (b, a)
-                raise OutOfGridError(f"{v} outside the grid of {rf}")
+        for k0 in rf._cells(points):
             w, bit = divmod(k0, p)
             mask = 1 << bit
             word = bloom[w]

@@ -11,13 +11,15 @@ single-pass hull scan needs, obtained without a comparison sort.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import floordiv, mod, sub
+from operator import floordiv, index, mod, sub
 
-from .errors import OutOfGridError, RankHullError, RankOutOfRangeError
+from .errors import (
+    NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
+)
 from .geometry import Point, new_point
 
 
@@ -32,11 +34,11 @@ class RankVariant(Enum):
 class RankFunction:
     """A bijection between grid points and ranks 1..m.
 
-    With i = x - x_min + 1 and j = y - y_min + 1, column-major ranks column
-    by column, bottom to top: rank = (i - 1) * m2 + j. Row-major is the
-    transpose: rank = (j - 1) * m1 + i. Both invert with one divmod
-    (`offsets`, relative to the grid's corner), and `to_points` is the one
-    translation from those offsets back to the caller's points.
+    A point at offset (dx, dy) = (x - x_min, y - y_min) has rank
+    dx * sx + dy * sy + 1. The line layout (sx, sy) is (m2, 1) for f1,
+    column by column, and (1, m1) for f2, row by row. Both invert with one
+    divmod (`offsets`), and `to_points` is the one translation from those
+    offsets back to the caller's points.
     """
 
     variant: RankVariant
@@ -46,6 +48,8 @@ class RankFunction:
     y_min: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, RankVariant):
+            raise ValueError(f"rank variant must be a RankVariant, not {self.variant!r}")
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError("grid sides must be at least 1")
 
@@ -53,17 +57,23 @@ class RankFunction:
     def m(self) -> int:
         return self.m1 * self.m2
 
+    def _cells(self, points: Iterable[Point]) -> Iterator[int]:
+        """The 0-based cell of each point: the one forward rank path and bounds test."""
+        x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
+        sx, sy = (m2, 1) if self.variant is RankVariant.COLUMN_MAJOR else (1, m1)
+        for x, y in points:
+            dx, dy = x - x0, y - y0
+            if not (0 <= dx < m1 and 0 <= dy < m2):
+                raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
+            yield dx * sx + dy * sy
+
     def rank(self, v: Point) -> int:
-        dx = v[0] - self.x_min
-        dy = v[1] - self.y_min
-        if not (0 <= dx < self.m1 and 0 <= dy < self.m2):
-            raise OutOfGridError(
-                f"{tuple(v)} outside the {self.m1}x{self.m2} grid "
-                f"from ({self.x_min}, {self.y_min})"
-            )
-        if self.variant is RankVariant.COLUMN_MAJOR:
-            return dx * self.m2 + dy + 1
-        return dy * self.m1 + dx + 1
+        """The rank of one point, which must be an (x, y) pair of ints as in step 3."""
+        try:
+            (cell,) = self._cells((v,))
+            return index(cell) + 1
+        except (TypeError, ValueError, IndexError) as exc:
+            raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair: {exc}") from None
 
     def unrank(self, r: int) -> Point:
         return self.unrank_all((r,))[0]
