@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     hull = sub.add_parser("hull", help="hull of a point file")
     hull.add_argument("points_file")
     hull.add_argument("--p", type=int, default=64, choices=BLOCK_WIDTHS)
-    hull.add_argument("--rank", default="f1", choices=("f1", "f2"))
+    hull.add_argument("--rank", default=RankVariant.COLUMN_MAJOR.value,
+                      choices=tuple(v.value for v in RankVariant))
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")
     hull.set_defaults(func=_cmd_hull)

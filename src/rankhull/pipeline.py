@@ -38,8 +38,11 @@ class PipelineConfig:
     rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
 
     def __post_init__(self) -> None:
-        if self.p not in BLOCK_WIDTHS:
+        # checked here, since the empty and over-cap routes build no RankFunction
+        if type(self.p) is not int or self.p not in BLOCK_WIDTHS:
             raise ValueError(f"block width must be one of {BLOCK_WIDTHS}")
+        if not isinstance(self.rank_variant, RankVariant):
+            raise ValueError(f"rank variant must be a RankVariant, not {self.rank_variant!r}")
 
 
 @dataclass(frozen=True)

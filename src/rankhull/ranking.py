@@ -7,6 +7,10 @@ points in place, with no translated copy. Visiting points by ascending
 rank traces a zig-zag over the grid columns (or rows), which is a simple
 polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
+
+`RankFunction` is the only code that knows the f1/f2 layout: its forward
+rank path serves both `rank` and step 3's bit table, and `offsets` is its
+inverse.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from operator import floordiv, index, mod, sub
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
 )
-from .geometry import Point, new_point
+from .geometry import _INT_ONLY, Point, new_point
 
 
 class RankVariant(Enum):
@@ -97,14 +101,18 @@ class RankFunction:
         This is the one rank inverse, a divmod per rank: f1's quotient and
         remainder are the offsets, f2's are the offsets swapped. The pairs
         are built by C-level maps, with no Python code run per rank. `ranks`
-        must be a sequence, such as a list or range: it is read more than
-        once, and is not copied.
+        must be a sequence of ints, such as a list or range: it is read more
+        than once, and is not copied. A rank that is not an int in [1, m]
+        raises `RankOutOfRangeError`.
         """
         if not isinstance(ranks, Sequence):
             raise RankHullError(f"ranks must be a sequence, not {type(ranks).__name__}")
-        if ranks and not (1 <= min(ranks) and max(ranks) <= self.m):
-            bad = next(r for r in ranks if not 1 <= r <= self.m)
-            raise RankOutOfRangeError(f"rank {bad} outside [1, {self.m}]")
+        m = self.m
+        if ranks and not (
+            _INT_ONLY.issuperset(map(type, ranks)) and 1 <= min(ranks) and max(ranks) <= m
+        ):
+            bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
+            raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
         if self.variant is RankVariant.COLUMN_MAJOR:
             return list(map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2)))
         return list(zip(

@@ -72,6 +72,13 @@ def test_build_skips_and_counts_duplicates():
     assert fast_shuffle(table).order == [rf.rank(Point(2, 2)), rf.rank(Point(3, 1))]
 
 
+def test_build_rejects_a_block_width_that_is_not_a_positive_int():
+    rf = RankFunction(F1, 4, 4)
+    for p in (0, 64.0, 8.5):
+        with pytest.raises(ValueError, match="block width"):
+            build_rank_table([Point(1, 1)], rf, p)
+
+
 def test_build_honors_rank_range_cap():
     # the cap counts words: a box of MAX_WORDS * p cells is the largest at width p
     for p in (8, 64):

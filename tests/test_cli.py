@@ -5,6 +5,7 @@ import pytest
 from rankhull import cli
 from rankhull.geometry import Point
 from rankhull.hull import HullPolygon
+from rankhull.ranking import RankVariant
 
 
 def run_cli(*argv):
@@ -75,6 +76,15 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
     capsys.readouterr()
+
+
+def test_rank_choices_are_the_variant_spellings(tmp_path, capsys):
+    path = tmp_path / "tri.txt"
+    path.write_text("5 7\n9 7\n7 9\n")
+    for variant in RankVariant:
+        assert run_cli("hull", str(path), "--rank", variant.value) == 0
+    assert run_cli("hull", str(path), "--rank", "zz") == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out", "{out}")

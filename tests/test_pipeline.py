@@ -96,6 +96,15 @@ def test_config_validation():
             PipelineConfig(p=p)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"p": 64.0}, {"p": True}, {"rank_variant": "f1"}, {"rank_variant": "zz"},
+])
+def test_config_checks_its_own_field_types(kwargs):
+    # the empty and over-cap routes build no RankFunction to check them later
+    with pytest.raises(ValueError):
+        PipelineConfig(**kwargs)
+
+
 def test_fast_shuffle_counter_is_buckets_plus_points():
     rng = random.Random(21)
     for p in (8, 16, 32, 64):

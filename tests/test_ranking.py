@@ -5,7 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincheck import chain_is_simple
-from rankhull.errors import OutOfGridError, RankHullError, RankOutOfRangeError
+from rankhull.errors import (
+    NonIntegerCoordinateError,
+    OutOfGridError,
+    RankHullError,
+    RankOutOfRangeError,
+)
 from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -39,10 +44,28 @@ def test_unrank_values():
 
 
 def test_rank_rejects_out_of_grid():
-    rf = RankFunction(F1, 4, 4)
-    for bad in (Point(0, 1), Point(1, 0), Point(5, 1), Point(1, 5)):
-        with pytest.raises(OutOfGridError):
-            rf.rank(bad)
+    for variant in (F1, F2):
+        for rf in (RankFunction(variant, 4, 4), RankFunction(variant, 4, 3, -2, 5)):
+            x0, y0 = rf.x_min, rf.y_min
+            x1, y1 = x0 + rf.m1, y0 + rf.m2
+            for bad in (Point(x0 - 1, y0), Point(x0, y0 - 1), Point(x1, y0), Point(x0, y1)):
+                with pytest.raises(OutOfGridError):
+                    rf.rank(bad)
+
+
+def test_rank_rejects_points_that_are_not_pairs_of_ints():
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 4, 5)
+        for bad in ((1.5, 1), (1, 2, 3), None, (1,)):
+            with pytest.raises(NonIntegerCoordinateError):
+                rf.rank(bad)
+
+
+def test_variant_must_be_a_rank_variant():
+    # its CLI spelling is not enough: "f1" used to rank row-major
+    for bad in ("f1", "zz"):
+        with pytest.raises(ValueError, match="RankVariant"):
+            RankFunction(bad, 4, 5)
 
 
 def test_unrank_rejects_out_of_range():
@@ -65,9 +88,11 @@ def test_offsets_are_the_points_less_the_box_corner():
         # checked against rank(), not only against the inverse built on offsets
         assert [rf.rank(Point(dx - 4, dy + 10**9)) for dx, dy in offsets] == ranks
         assert rf.offsets([]) == []
-        for bad in (0, rf.m + 1):
+        for bad in (0, rf.m + 1, 1.5, "a", True):
             with pytest.raises(RankOutOfRangeError):
                 rf.offsets([1, bad])
+            with pytest.raises(RankOutOfRangeError):
+                rf.offsets([bad, 2])
 
 
 # a fresh iterator for each call, so neither call is handed a spent one
@@ -114,6 +139,7 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
 
 
 def test_roundtrip_on_every_grid_up_to_64x64():
+    # one batch pass per grid through the forward path that rank() runs
     for variant in (F1, F2):
         for m1 in range(1, 65):
             for m2 in range(1, 65):
@@ -121,7 +147,7 @@ def test_roundtrip_on_every_grid_up_to_64x64():
                 m = m1 * m2
                 cells = rf.unrank_all(range(1, m + 1))
                 assert len(set(cells)) == m
-                assert [rf.rank(v) for v in cells] == list(range(1, m + 1))
+                assert list(rf._cells(cells)) == list(range(m))
 
 
 @given(st.data())
