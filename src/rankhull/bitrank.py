@@ -1,16 +1,16 @@
 """Blocked occupancy bit table and the shuffles that compact it.
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits: m/8 bytes for a box of m cells, whatever n is. It is the
-only per-box structure. The ranks come from the rank function's forward
-path, so this module does not know the f1/f2 layout. Because rank is a
-bijection, the table needs no record of which input point set a bit; a
-rank turns back into its offset from the box corner with one divmod
-(:meth:`RankFunction.offsets`), and the scan needs nothing more. Compacting the table into ascending-rank
-order ("shuffling") can either scan all m ranks, or walk the words: a
-zero word is skipped in a single compare and a nonzero word yields its
-bit positions in popcount(word) steps via the lowest-set-bit clearing
-trick.
+words of p bits: m/8 bytes for a box of m cells, whatever n is. It is
+the only per-box structure. The ranks come from the rank function's
+forward path, so this module does not know the f1/f2 layout. Because
+rank is a bijection, the table needs no record of which input point set
+a bit; a rank turns back into its offset from the box corner with one
+divmod (:meth:`RankFunction.offsets`), and the scan needs nothing more.
+Compacting the table into ascending-rank order ("shuffling") can either
+scan all m ranks, or walk the words: a zero word is skipped in a single
+compare and a nonzero word yields its bit positions in popcount(word)
+steps via the lowest-set-bit clearing trick.
 """
 
 from __future__ import annotations

@@ -91,18 +91,12 @@ def test_cap_box_stays_on_the_rank_path_at_p64():
 
 
 def test_config_validation():
-    for p in (0, 12, 128):
+    for p in (0, 12, 128, 64.0):
         with pytest.raises(ValueError):
             PipelineConfig(p=p)
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"p": 64.0}, {"p": True}, {"rank_variant": "f1"}, {"rank_variant": "zz"},
-])
-def test_config_checks_its_own_field_types(kwargs):
-    # the empty and over-cap routes build no RankFunction to check them later
-    with pytest.raises(ValueError):
-        PipelineConfig(**kwargs)
+    for variant in ("f1", "zz"):
+        with pytest.raises(ValueError):
+            PipelineConfig(rank_variant=variant)
 
 
 def test_fast_shuffle_counter_is_buckets_plus_points():
