@@ -62,7 +62,7 @@ def test_rank_rejects_points_that_are_not_pairs_of_ints():
 
 
 def test_variant_must_be_a_rank_variant():
-    # its CLI spelling is not enough: "f1" used to rank row-major
+    # a CLI spelling such as "f1" is a str, not a variant
     for bad in ("f1", "zz"):
         with pytest.raises(ValueError, match="RankVariant"):
             RankFunction(bad, 4, 5)
