@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
@@ -76,6 +77,7 @@ def orientation(v0: Point, v1: Point, v2: Point) -> int:
 
 
 _INT_ONLY = frozenset((int,))
+_PAIR = frozenset((2,))
 
 
 def bounding_box(points: Sequence[Point]) -> BoundingBox:
@@ -83,15 +85,21 @@ def bounding_box(points: Sequence[Point]) -> BoundingBox:
 
     Every point must be an (x, y) pair and every coordinate a plain
     ``int``: floats cannot be ranked, and ``bool`` (an ``int`` subclass)
-    would be ranked silently as 0 or 1.
+    would be ranked silently as 0 or 1. The points are read by iterating
+    each one, as step 3 does, into one flat list of coordinates; no object
+    is made per point.
     """
     if not points:
         raise EmptyInputError("cannot bound an empty point set")
     try:
-        xs, ys = zip(*points, strict=True)
-    except (TypeError, ValueError):
-        raise NonIntegerCoordinateError("every point must be an (x, y) pair") from None
-    if not (_INT_ONLY.issuperset(map(type, xs)) and _INT_ONLY.issuperset(map(type, ys))):
-        bad = next(v for v in points if type(v[0]) is not int or type(v[1]) is not int)
+        pairs = _PAIR.issuperset(map(len, points))
+    except TypeError:  # a point with no len(), such as None or an int
+        pairs = False
+    if not pairs:
+        raise NonIntegerCoordinateError("every point must be an (x, y) pair")
+    flat = list(chain.from_iterable(points))
+    if not _INT_ONLY.issuperset(map(type, flat)):
+        bad = next(v for v in points if not _INT_ONLY.issuperset(map(type, v)))
         raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")
+    xs, ys = flat[0::2], flat[1::2]
     return BoundingBox(min(xs), max(xs), min(ys), max(ys))

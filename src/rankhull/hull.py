@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice, repeat
+from operator import itemgetter, mul, sub
+from typing import Iterable
 
 from .geometry import Point, orientation
 
@@ -60,7 +62,7 @@ def _degenerate(points: Iterable[Point]) -> HullPolygon:
     return HullPolygon((uniq[0], uniq[-1]), degenerate=True)
 
 
-def melkman(chain: Sequence[Point], stats: MelkmanStats | None = None) -> HullPolygon:
+def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPolygon:
     """Convex hull of a simple polygonal chain in one pass.
 
     The deque holds the hull of the points scanned so far as a cycle whose
@@ -71,21 +73,21 @@ def melkman(chain: Sequence[Point], stats: MelkmanStats | None = None) -> HullPo
     point becomes the new seam. Pops use non-strict tests so collinear
     vertices never survive.
 
-    The chain may hold any integer (x, y) pairs, such as `Point`s or
-    offsets from a box corner; the hull holds the chain's own objects. The
-    chain must be simple and its points distinct (the rank pipeline
-    guarantees both). Fully collinear chains and chains of fewer than
-    three points produce degenerate polygons.
+    The chain may be any iterable of integer (x, y) pairs, such as a list
+    of `Point`s or a lazy view of offsets from a box corner; it is read
+    once, in order, and only the deque's points are kept. The hull holds
+    the chain's own objects. The chain must be simple and its points
+    distinct (the rank pipeline guarantees both). Fully collinear chains
+    and chains of fewer than three points produce degenerate polygons.
     """
-    pts = chain if isinstance(chain, list) else list(chain)
     if stats is None:
         stats = MelkmanStats()
-    if len(pts) < 3:
-        return _degenerate(pts)
+    it = iter(chain)
+    head = list(islice(it, 2))
+    if len(head) < 2:
+        return _degenerate(head)
 
-    it = iter(pts)
-    a = next(it)
-    b = next(it)
+    a, b = head
     evals = 0
     turn = 0
     for c in it:
@@ -239,7 +241,13 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
 
 
 def contains_all(poly: HullPolygon, points: Iterable[Point]) -> bool:
-    """True iff every point lies inside the polygon or on its boundary."""
+    """True iff every point lies inside the polygon or on its boundary.
+
+    For three or more vertices a point passes when it is on or left of
+    every directed edge a -> b, that is when ex*py - ey*px >= ex*ay - ey*ax
+    with (ex, ey) = b - a. Each edge tests all points at once with C-level
+    maps, in exact integers.
+    """
     vs = poly.vertices
     h = len(vs)
     pts = list(points)
@@ -249,8 +257,12 @@ def contains_all(poly: HullPolygon, points: Iterable[Point]) -> bool:
         return all(tuple(p) == tuple(vs[0]) for p in pts)
     if h == 2:
         return all(_on_segment(vs[0], vs[1], p) for p in pts)
-    for p in pts:
-        for i in range(h):
-            if orientation(vs[i], vs[(i + 1) % h], p) < 0:
-                return False
+    if not pts:
+        return True
+    xs = list(map(itemgetter(0), pts))
+    ys = list(map(itemgetter(1), pts))
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        ex, ey = bx - ax, by - ay
+        if min(map(sub, map(mul, repeat(ex), ys), map(mul, repeat(ey), xs))) < ex * ay - ey * ax:
+            return False
     return True

@@ -4,7 +4,10 @@ Steps 3-5 work in offsets from the bounding box's corner. The paper's
 translation onto the normalized grid (step 2) is folded into step 3's
 rank arithmetic, step 5 turns ranks back into offset pairs, not points,
 and orientation tests are translation-invariant, so the scan makes the
-same decisions it would make on the caller's points. Only the hull's
+same decisions it would make on the caller's points. Step 5 streams: each
+offset pair is made from its rank as the scan reads it, so no per-point
+list is built beyond step 4's rank order, and step 1 reads the points
+into one flat coordinate list with no object per point. Only the hull's
 vertices are translated back, by `RankFunction.to_points`. The only
 per-box structure is the m/p-word bit table.
 
@@ -92,8 +95,8 @@ def convex_hull_ranked(
     Step 1 finds the bounding box, step 3 marks each point's rank, taken
     straight from its coordinates relative to the box corner, in the
     blocked bit table, step 4 compacts the table into ascending-rank order,
-    and step 5 turns that order into a simple chain of box offsets, runs
-    the single-pass deque scan over it and translates the hull's vertices
+    and step 5 streams that order, as a simple chain of box offsets, into
+    the single-pass deque scan and translates the hull's vertices
     back with `RankFunction.to_points`. Step 2, the translation onto the
     normalized grid, is the subtraction of the box corner inside step 3. A
     box too large for a table of `MAX_WORDS` words gets its hull from the

@@ -9,8 +9,8 @@ polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
 
 `RankFunction` is the only code that knows the f1/f2 layout: its forward
-rank path serves both `rank` and step 3's bit table, and `offsets` is its
-inverse.
+rank path serves both `rank` and step 3's bit table, and `offsets` gives
+its inverse as an `OffsetView`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import floordiv, index, mod, sub
+from operator import floordiv, mod, sub
 
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
@@ -72,12 +72,18 @@ class RankFunction:
             yield dx * sx + dy * sy
 
     def rank(self, v: Point) -> int:
-        """The rank of one point, which must be an (x, y) pair of ints as in step 3."""
+        """The rank of one point, an (x, y) pair of ints as `bounding_box` requires.
+
+        A float or ``bool`` coordinate, or a point that is not a pair,
+        raises `NonIntegerCoordinateError`.
+        """
         try:
-            (cell,) = self._cells((v,))
-            return index(cell) + 1
-        except (TypeError, ValueError, IndexError) as exc:
-            raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair: {exc}") from None
+            if _INT_ONLY.issuperset(map(type, v)):
+                (cell,) = self._cells((v,))
+                return cell + 1
+        except (TypeError, ValueError):
+            pass
+        raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair of ints")
 
     def unrank(self, r: int) -> Point:
         return self.unrank_all((r,))[0]
@@ -95,15 +101,15 @@ class RankFunction:
         x0, y0 = self.x_min, self.y_min
         return [new_point((x0 + dx, y0 + dy)) for dx, dy in offsets]
 
-    def offsets(self, ranks: Sequence[int]) -> list[tuple[int, int]]:
+    def offsets(self, ranks: Sequence[int]) -> OffsetView:
         """The box-relative (x - x_min, y - y_min) of each rank, in order.
 
-        This is the one rank inverse, a divmod per rank: f1's quotient and
-        remainder are the offsets, f2's are the offsets swapped. The pairs
-        are built by C-level maps, with no Python code run per rank. `ranks`
-        must be a sequence of ints, such as a list or range: it is read more
-        than once, and is not copied. A rank that is not an int in [1, m]
-        raises `RankOutOfRangeError`.
+        The ranks are checked here: `ranks` must be a sequence of ints, such
+        as a list or range, and a rank that is not an int in [1, m] raises
+        `RankOutOfRangeError`. The offsets themselves are read lazily from
+        the returned `OffsetView`, which has the length of `ranks`, holds
+        no per-rank list and may be iterated more than once. `ranks` is not
+        copied.
         """
         if not isinstance(ranks, Sequence):
             raise RankHullError(f"ranks must be a sequence, not {type(ranks).__name__}")
@@ -113,9 +119,32 @@ class RankFunction:
         ):
             bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
             raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
-        if self.variant is RankVariant.COLUMN_MAJOR:
-            return list(map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2)))
-        return list(zip(
-            map(mod, map(sub, ranks, repeat(1)), repeat(self.m1)),
-            map(floordiv, map(sub, ranks, repeat(1)), repeat(self.m1)),
-        ))
+        return OffsetView(ranks, self)
+
+
+class OffsetView:
+    """The box offsets of checked ranks, computed as they are read.
+
+    This is the one rank inverse, a divmod per rank: f1's quotient and
+    remainder are the offsets, f2's are the offsets swapped. Each iteration
+    runs it afresh over the ranks with C-level maps, so no Python code runs
+    per rank and no offset outlives its turn unless the reader keeps it.
+    `len` is the number of ranks. Made by `RankFunction.offsets`.
+    """
+
+    __slots__ = ("_ranks", "_rf")
+
+    def __init__(self, ranks: Sequence[int], rf: RankFunction) -> None:
+        self._ranks, self._rf = ranks, rf
+
+    def __len__(self) -> int:
+        return len(self._ranks)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        ranks, rf = self._ranks, self._rf
+        if rf.variant is RankVariant.COLUMN_MAJOR:
+            return map(divmod, map(sub, ranks, repeat(1)), repeat(rf.m2))
+        return zip(
+            map(mod, map(sub, ranks, repeat(1)), repeat(rf.m1)),
+            map(floordiv, map(sub, ranks, repeat(1)), repeat(rf.m1)),
+        )

@@ -10,12 +10,16 @@ must match test for test: same hull, same counters.
 
 `is_convex_reference` is the convexity test that `rankhull.hull.is_convex`
 must agree with on every polygon.
+
+`contains_all_reference` is the point-in-polygon test, one orientation
+call per point and edge, that `rankhull.hull.contains_all` must agree
+with on every polygon and point list.
 """
 
 from collections import deque
 
 from rankhull.geometry import orientation
-from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate
+from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment
 
 
 def _orient(ax, ay, bx, by, px, py):
@@ -179,3 +183,21 @@ def is_convex_reference(poly) -> bool:
         if _angle_precedes_reference(f, e):
             wraps += 1
     return wraps == 1
+
+
+def contains_all_reference(poly, points) -> bool:
+    """True iff no point is strictly right of any edge of the cycle."""
+    vs = poly.vertices
+    h = len(vs)
+    pts = list(points)
+    if h == 0:
+        return not pts
+    if h == 1:
+        return all(tuple(p) == tuple(vs[0]) for p in pts)
+    if h == 2:
+        return all(_on_segment(vs[0], vs[1], p) for p in pts)
+    for p in pts:
+        for i in range(h):
+            if orientation(vs[i], vs[(i + 1) % h], p) < 0:
+                return False
+    return True

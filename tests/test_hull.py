@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincheck import is_convex_reference, melkman_reference
+from chaincheck import contains_all_reference, is_convex_reference, melkman_reference
 from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
@@ -145,6 +145,26 @@ def test_melkman_runs_the_reference_scan(chain):
     assert all(type(v) is Point for v in hull.vertices)
 
 
+def test_melkman_reads_any_iterable_once():
+    rng = random.Random(10)
+    chains = [
+        [], [Point(4, 4)], [Point(2, 2), Point(0, 0)], [Point(k, 2 * k) for k in range(6)],
+    ]
+    for _ in range(200):
+        rf = RankFunction(
+            rng.choice(tuple(RankVariant)), rng.randint(1, 24), rng.randint(1, 24),
+            rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6),
+        )
+        ranks = sorted(rng.sample(range(1, rf.m + 1), rng.randint(0, min(rf.m, 80))))
+        chains += [rf.unrank_all(ranks), rf.offsets(ranks)]
+    for chain in chains:
+        runs = []
+        for feed in (list, iter, lambda c: (v for v in c)):
+            stats = MelkmanStats()
+            runs.append((melkman(feed(chain), stats), stats))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_oracle_square_with_center():
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2), Point(1, 1)]
     hull = hull_oracle(pts)
@@ -220,6 +240,10 @@ def test_contains_all_boundary_counts():
     assert contains_all(square, [Point(1, 0), Point(1, 1)])
     assert not contains_all(square, [Point(10, 10)])
     assert not contains_all(square, [Point(1, 1), Point(3, 1)])
+    assert contains_all(square, [])
+    for outside in (Point(1, -1), Point(3, 1), Point(1, 3), Point(-1, 1)):
+        assert not contains_all(square, [outside])
+        assert not contains_all(square, [Point(1, 1), outside, Point(2, 2)])
 
 
 def test_contains_all_degenerate_polygons():
@@ -244,6 +268,13 @@ def small_polygons(draw):
 @given(small_polygons())
 def test_is_convex_matches_the_reference_on_small_polygons(poly):
     assert is_convex(poly) == is_convex_reference(poly)
+
+
+@settings(max_examples=500)
+@given(small_polygons(), st.lists(st.builds(Point, st.integers(-5, 5), st.integers(-5, 5))))
+def test_contains_all_matches_the_reference_on_small_polygons(poly, points):
+    # any polygon, convex or not, and any points, none included
+    assert contains_all(poly, points) == contains_all_reference(poly, points)
 
 
 @settings(max_examples=200)

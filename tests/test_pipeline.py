@@ -1,4 +1,6 @@
+import gc
 import random
+import re
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -191,10 +193,31 @@ def test_sparse_box_memory_is_bit_table_sized():
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("variant", tuple(RankVariant))
+@pytest.mark.parametrize("p", [8, 64])
+def test_dense_memory_holds_no_per_point_temporaries(p, variant):
+    # 17,280 points: a list of one tuple per point, or one iterator per
+    # point, costs over 1 MiB; the rank order and bit table stay under it
+    pts = generate_dense_set(480, 360, count=17280, seed=7)
+    cfg = PipelineConfig(p=p, rank_variant=variant)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        report = convex_hull_ranked(pts, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert not report.used_fallback and report.n == 17280
+    assert peak < 2**20
+
+
 def test_non_integer_coordinates_raise_a_library_error():
     for bad in (Point(0.5, 0), Point(0, 2.0), Point(True, 0), Point(1, False)):
         with pytest.raises(NonIntegerCoordinateError):
             convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
+        with pytest.raises(NonIntegerCoordinateError, match=re.escape(f"point {tuple(bad)!r}")):
+            bounding_box([Point(0, 0), bad, Point(3, 3)])
 
 
 @pytest.mark.parametrize("variant", tuple(RankVariant))
@@ -202,6 +225,8 @@ def test_non_integer_coordinates_raise_a_library_error():
 def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
     with pytest.raises(NonIntegerCoordinateError):
         convex_hull_ranked(points, PipelineConfig(rank_variant=variant))
+    with pytest.raises(NonIntegerCoordinateError, match="pair"):
+        bounding_box(points)
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]

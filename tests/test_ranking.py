@@ -56,7 +56,7 @@ def test_rank_rejects_out_of_grid():
 def test_rank_rejects_points_that_are_not_pairs_of_ints():
     for variant in (F1, F2):
         rf = RankFunction(variant, 4, 5)
-        for bad in ((1.5, 1), (1, 2, 3), None, (1,)):
+        for bad in ((1.5, 1), (1, 2, 3), None, (1,), (True, 1), (1, False)):
             with pytest.raises(NonIntegerCoordinateError):
                 rf.rank(bad)
 
@@ -83,11 +83,11 @@ def test_offsets_are_the_points_less_the_box_corner():
         rf = RankFunction(variant, 9, 7, x_min=-4, y_min=10**9)
         ranks = rng.sample(range(1, rf.m + 1), 30)
         offsets = rf.offsets(ranks)
-        assert offsets == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
+        assert list(offsets) == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
         assert rf.to_points(offsets) == rf.unrank_all(ranks)
         # checked against rank(), not only against the inverse built on offsets
         assert [rf.rank(Point(dx - 4, dy + 10**9)) for dx, dy in offsets] == ranks
-        assert rf.offsets([]) == []
+        assert list(rf.offsets([])) == []
         for bad in (0, rf.m + 1, 1.5, "a", True):
             with pytest.raises(RankOutOfRangeError):
                 rf.offsets([1, bad])
@@ -105,6 +105,18 @@ def test_ranks_that_are_not_a_sequence_raise_a_library_error(make):
         rf.offsets(make())
     with pytest.raises(RankHullError, match="sequence"):
         rf.unrank_all(make())
+
+
+def test_offsets_view_has_the_length_of_its_ranks():
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 6, 5, x_min=3, y_min=-7)
+        for ranks in ([], [4], list(range(30, 0, -3)), range(1, 31)):
+            view = rf.offsets(ranks)
+            assert len(view) == len(ranks)
+            first = list(view)
+            # iterating reads the ranks afresh and leaves the length as it was
+            assert len(view) == len(ranks) and list(view) == first
+            assert len(first) == len(ranks)
 
 
 def test_grid_origin_moves_the_ranked_cells():
