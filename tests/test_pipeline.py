@@ -218,6 +218,10 @@ def test_non_integer_coordinates_raise_a_library_error():
             convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
         with pytest.raises(NonIntegerCoordinateError, match=re.escape(f"point {tuple(bad)!r}")):
             bounding_box([Point(0, 0), bad, Point(3, 3)])
+    # pairs that cannot be indexed are read by iteration, as step 3 reads them
+    for bad in ({1, 2.5}, {1: 2, 3.5: 4}):
+        with pytest.raises(NonIntegerCoordinateError):
+            convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
 
 
 @pytest.mark.parametrize("variant", tuple(RankVariant))
