@@ -6,10 +6,13 @@ else are rejected. One tokenizer reads the header and the ASCII rasters:
 tokens are separated by whitespace, and a ``#`` anywhere, even inside a
 token, starts a comment that runs to the next CR or LF. A binary raster
 starts one whitespace byte after the header. Decoding runs at C speed, per
-row at worst, never per pixel. Pixels are addressed with x rightward and
-y downward from the top-left origin (0, 0), one point per foreground
-pixel. The foreground rule is the same for every format and lives in
-:func:`image_to_points`: a sample at or above the threshold is ink.
+row at worst, never per pixel: a P4 raster unpacks in one conversion of
+the whole raster to a base-2 string, whose digits one translate maps to
+samples. Pixels are addressed with x rightward and y downward from the
+top-left origin (0, 0), one point per foreground pixel. The foreground
+rule is the same for every format and lives in :func:`image_to_points`: a
+sample at or above the threshold is ink. For byte samples it is one
+translate per row through a 256-entry table.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .geometry import Point, new_point
 
 # A comment matches with an empty group, so only tokens come out non-empty.
 _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
-# the 8 samples of each P4 byte, most significant bit first
-_BYTE_BITS = [bytes(b >> k & 1 for k in range(7, -1, -1)) for b in range(256)]
+# a P4 bit, written as a base-2 digit -> sample
+_BITS = bytes.maketrans(b"01", b"\0\1")
 # P1 digit -> sample; any other byte maps to 255, which fails the range check
 _DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
 
@@ -104,15 +107,20 @@ def parse_pnm(data: bytes) -> ImageMask:
     elif data[end:start] == b"#":
         raise MalformedHeaderError("no whitespace byte before the binary raster")
     elif magic == b"P4":
-        row_bytes = (width + 7) // 8
-        stop = start + row_bytes * height
+        row_bits = (width + 7) // 8 * 8
+        stop = start + row_bits // 8 * height
         if len(data) < stop:
             raise ParseError("bitmap data truncated")
-        bits = _BYTE_BITS.__getitem__
-        samples = b"".join(
-            b"".join(map(bits, data[i:i + row_bytes]))[:width]
-            for i in range(start, stop, row_bytes)
-        )
+        nbits = row_bits * height
+        # one expression, so each temporary goes as soon as the next is
+        # made; zero-padded to full length, or leading blank rows would vanish
+        samples = format(
+            int.from_bytes(data[start:stop], "big"), f"0{nbits}b"
+        ).encode("ascii").translate(_BITS)
+        if row_bits != width:  # drop each row's padding bits
+            rows = [samples[i:i + width] for i in range(0, nbits, row_bits)]
+            del samples  # free the padded raster before the join copies
+            samples = b"".join(rows)
     else:
         stop = start + count * (2 if wide else 1)
         if len(data) < stop:
@@ -138,17 +146,24 @@ def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
     """One point per foreground pixel, at the pixel's integer position.
 
     A pixel is foreground when its sample is at least `threshold`, which
-    must lie in [0, maxval]. The default 1 takes a bitmap's set bits and a
-    graymap's nonzero samples; 0 takes every pixel. Points come in
-    row-major order.
+    must be an int (not a bool) in [0, maxval]. The default 1 takes a
+    bitmap's set bits and a graymap's nonzero samples; 0 takes every
+    pixel. Points come in row-major order.
     """
+    if type(threshold) is not int:
+        raise ValueError(f"threshold {threshold!r} is not an int")
     if not 0 <= threshold <= mask.maxval:
         raise ValueError(f"threshold {threshold} outside [0, {mask.maxval}]")
     width, samples = mask.width, mask.samples
-    columns = range(width)
+    starts = range(0, width * mask.height, width)
+    if isinstance(samples, (bytes, bytearray)):
+        ink = bytes(v >= threshold for v in range(256))
+        rows = (samples[i:i + width].translate(ink) for i in starts)
+    else:
+        rows = (map(ge, samples[i:i + width], repeat(threshold)) for i in starts)
+    # compress yields these very ints, so a column's points share one x
+    columns = list(range(width))
     points: list[Point] = []
-    for y in range(mask.height):
-        row = samples[y * width:(y + 1) * width]
-        ink = compress(columns, map(ge, row, repeat(threshold)))
-        points += map(new_point, zip(ink, repeat(y)))
+    for y, row in enumerate(rows):
+        points += map(new_point, zip(compress(columns, row), repeat(y)))
     return points

@@ -1,3 +1,5 @@
+import gc
+import random
 import tracemalloc
 from array import array
 
@@ -52,6 +54,11 @@ def test_threshold_outside_sample_range_is_rejected():
     for mask, bad in ((bitmap, -1), (bitmap, 2), (graymap, -1), (graymap, 10)):
         with pytest.raises(ValueError):
             image_to_points(mask, bad)
+    # only an int is a threshold: not a string, None, a float or a bool
+    for mask in (bitmap, graymap):
+        for bad in ("1", None, 0.5, 1.0, True, False):
+            with pytest.raises(ValueError, match="threshold"):
+                image_to_points(mask, bad)
 
 
 def test_header_comments_are_skipped():
@@ -94,16 +101,46 @@ def test_samples_take_one_byte_below_256_and_two_from_256(data, kind):
     assert list(mask.samples) == [mask.maxval, 0]
 
 
-def test_blank_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
-    # a Python list of 640 * 480 samples alone would take more than 2 MiB
-    data = b"P4\n640 480\n" + bytes(80 * 480)
+def _pack_bits(bits):
+    # P4 bytes of a whole number of padded rows, most significant bit first
+    return int("".join(map(str, bits)), 2).to_bytes(len(bits) // 8, "big")
+
+
+def _scan_peak(data):
+    # tracemalloc peak of decoding and scanning, with the collector off
+    gc.disable()
     tracemalloc.start()
     try:
         points = image_to_points(parse_pnm(data))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
+    return points, peak
+
+
+def test_blank_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
+    # a Python list of 640 * 480 samples alone would take more than 2 MiB
+    points, peak = _scan_peak(b"P4\n640 480\n" + bytes(80 * 480))
     assert points == []
+    assert peak < 1 << 20
+
+
+def test_padded_bitmap_decodes_with_at_most_two_copies_of_the_raster():
+    # 639 wide: the padded raster is freed before the unpadded one is joined
+    points, peak = _scan_peak(b"P4\n639 480\n" + bytes(80 * 480))
+    assert points == []
+    assert peak < 2.5 * 640 * 480
+
+
+def test_three_percent_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
+    # 9,216 points: every point of a column shares that column's x int
+    pixels = generate_dense_set(640, 480, density=0.03, seed=2)
+    bits = [0] * (640 * 480)
+    for x, y in pixels:
+        bits[(y - 1) * 640 + (x - 1)] = 1
+    points, peak = _scan_peak(b"P4\n640 480\n" + _pack_bits(bits))
+    assert len(points) == 9216
     assert peak < 1 << 20
 
 
@@ -200,12 +237,43 @@ def test_packed_bitmap_decodes_to_the_reference(data):
         # the padding bits after the last pixel of a row are random too
         row_bits = row + data.draw(st.lists(
             st.integers(0, 1), min_size=-width % 8, max_size=-width % 8))
-        raster += bytes(int("".join(map(str, row_bits[k:k + 8])), 2)
-                        for k in range(0, len(row_bits), 8))
+        raster += _pack_bits(row_bits)
     threshold = data.draw(st.integers(0, 1))
     mask = parse_pnm(b"P4\n%d %d\n" % (width, height) + bytes(raster))
     expected = _foreground(width, [b for row in rows for b in row], threshold)
     assert image_to_points(mask, threshold) == expected
+
+
+@pytest.mark.parametrize("height", [1, 3])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 639, 640, 641, 1000])
+def test_packed_bitmap_decodes_to_the_reference_at_real_widths(width, height):
+    rng = random.Random(width * 10 + height)
+    padded = width + -width % 8
+    rows = [[rng.getrandbits(1) for _ in range(padded)] for _ in range(height)]
+    if height == 3:
+        rows[0] = [0] * padded  # a leading blank row must not vanish
+    mask = parse_pnm(b"P4\n%d %d\n" % (width, height)
+                     + b"".join(_pack_bits(row) for row in rows))
+    bits = [b for row in rows for b in row[:width]]
+    assert mask.samples == bytes(bits)
+    for threshold in (0, 1):
+        assert image_to_points(mask, threshold) == _foreground(width, bits, threshold)
+
+
+def test_every_sample_type_scans_to_the_reference():
+    # bytes and bytearray take the translate path, the others the per-sample one
+    rng = random.Random(37)
+    width, height = 37, 5
+    small = [rng.randint(0, 255) for _ in range(width * height)]
+    wide = [rng.randint(0, 300) for _ in range(width * height)]
+    cases = [(255, samples) for samples in (
+        bytes(small), bytearray(small), tuple(small), array("B", small))]
+    cases.append((300, array("H", wide)))
+    for maxval, samples in cases:
+        mask = ImageMask(width, height, maxval, samples)
+        for threshold in range(maxval + 1):
+            assert (image_to_points(mask, threshold)
+                    == _foreground(width, samples, threshold)), (type(samples), threshold)
 
 
 @given(st.data())
