@@ -27,6 +27,7 @@ from .geometry import (
     BoundingBox,
     Point,
     bounding_box,
+    coordinates,
     orientation,
 )
 from .hull import (
@@ -71,6 +72,7 @@ __all__ = [
     "bounding_box",
     "build_rank_table",
     "contains_all",
+    "coordinates",
     "convex_hull_ranked",
     "density_threshold_refined",
     "density_threshold_simple",

@@ -1,12 +1,13 @@
 """Blocked occupancy bit table and the shuffles that compact it.
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits: m/8 bytes for a box of m cells, whatever n is. It is
-the only per-box structure. The ranks come from the rank function's
-forward path, so this module does not know the f1/f2 layout. Because
-rank is a bijection, the table needs no record of which input point set
-a bit; a rank turns back into its offset from the box corner with one
-divmod (:meth:`RankFunction.offsets`), and the scan needs nothing more.
+words of p bits: m/8 bytes for a box of m cells, whatever n is. It is the
+only per-box structure. The ranks come from the rank function's forward
+path over step 1's coordinate lists, so this module neither reads the
+caller's points nor knows the f1/f2 layout. Because rank is a bijection,
+the table needs no record of which input point set a bit; a rank turns
+back into its offset from the box corner with one divmod
+(:meth:`RankFunction.offsets`), and the scan needs nothing more.
 Compacting the table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: a zero word is skipped in a single
 compare and a nonzero word yields its bit positions in popcount(word)
@@ -16,10 +17,10 @@ steps via the lowest-set-bit clearing trick.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
-from .errors import BoxTooLargeError, NonIntegerCoordinateError
-from .geometry import Point
+from .errors import BoxTooLargeError
 from .ranking import RankFunction
 
 # Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
@@ -70,37 +71,32 @@ def extract_set_bits(word: int) -> list[int]:
 
 
 def build_rank_table(
-    points: Sequence[Point],
-    rf: RankFunction,
-    p: int,
+    xs: Sequence[int], ys: Sequence[int], rf: RankFunction, p: int
 ) -> RankTable:
-    """Rank every point in the grid of `rf` and set its bit in a fresh table.
+    """Set the bit of the rank of each point (xs[i], ys[i]) in a fresh table.
 
-    Ranks come straight from the points' own coordinates, through the one
-    forward rank path of `rf`. Duplicate points hit an already-set bit and
-    are skipped and counted. A box of more than `MAX_WORDS` words raises
-    :class:`BoxTooLargeError`.
+    `xs` and `ys` are lists such as :func:`~rankhull.geometry.coordinates`
+    returns, ranked by `rf`'s one forward path, which checks them.
+    Duplicate points hit an already-set bit and are skipped and counted. A
+    box of more than `MAX_WORDS` words raises :class:`BoxTooLargeError`.
     """
     if type(p) is not int or p < 1:
         raise ValueError("block width must be a positive int")
     m = rf.m
     if m > MAX_WORDS * p:
         raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
+    cells = rf.cells(xs, ys)  # checked before the table is made
     r = -(-m // p)
     bloom = [0] * r
     duplicates = 0
-    try:
-        for k0 in rf._cells(points):
-            w, bit = divmod(k0, p)
-            mask = 1 << bit
-            word = bloom[w]
-            if word & mask:
-                duplicates += 1
-            else:
-                bloom[w] = word | mask
-    except (TypeError, ValueError, IndexError) as exc:
-        raise NonIntegerCoordinateError(f"a point is not an (x, y) pair: {exc}") from None
-    return RankTable(bloom, len(points) - duplicates, m, p, r, duplicates)
+    for w, bit in map(divmod, cells, repeat(p)):
+        mask = 1 << bit
+        word = bloom[w]
+        if word & mask:
+            duplicates += 1
+        else:
+            bloom[w] = word | mask
+    return RankTable(bloom, len(xs) - duplicates, m, p, r, duplicates)
 
 
 def shuffle_naive(table: RankTable) -> ShuffleResult:

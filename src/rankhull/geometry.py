@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
 
@@ -80,17 +80,14 @@ _INT_ONLY = frozenset((int,))
 _PAIR = frozenset((2,))
 
 
-def bounding_box(points: Sequence[Point]) -> BoundingBox:
-    """Tightest axis-aligned bounding box of a non-empty point sequence.
+def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
+    """The xs and the ys of a collection of (x, y) pairs, in order.
 
-    Every point must be an (x, y) pair and every coordinate a plain
-    ``int``: floats cannot be ranked, and ``bool`` (an ``int`` subclass)
-    would be ranked silently as 0 or 1. The points are read by iterating
-    each one, as step 3 does, into one flat list of coordinates; no object
-    is made per point.
+    Every coordinate must be a plain ``int``: floats cannot be ranked, and
+    ``bool`` (an ``int`` subclass) would be ranked silently as 0 or 1. Each
+    point is read by iterating it, and the collection twice, with no object
+    made per point.
     """
-    if not points:
-        raise EmptyInputError("cannot bound an empty point set")
     try:
         pairs = _PAIR.issuperset(map(len, points))
     except TypeError:  # a point with no len(), such as None or an int
@@ -101,5 +98,12 @@ def bounding_box(points: Sequence[Point]) -> BoundingBox:
     if not _INT_ONLY.issuperset(map(type, flat)):
         bad = next(v for v in points if not _INT_ONLY.issuperset(map(type, v)))
         raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")
-    xs, ys = flat[0::2], flat[1::2]
+    return flat[0::2], flat[1::2]
+
+
+def bounding_box(points: Sequence[Point]) -> BoundingBox:
+    """Tightest axis-aligned bounding box of a non-empty point sequence, by `coordinates`."""
+    if not points:
+        raise EmptyInputError("cannot bound an empty point set")
+    xs, ys = coordinates(points)
     return BoundingBox(min(xs), max(xs), min(ys), max(ys))

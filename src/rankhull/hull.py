@@ -74,7 +74,7 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
     vertices never survive.
 
     The chain may be any iterable of integer (x, y) pairs, such as a list
-    of `Point`s or a lazy view of offsets from a box corner; it is read
+    of `Point`s or the box offsets `RankFunction.offsets` yields; it is read
     once, in order, and only the deque's points are kept. The hull holds
     the chain's own objects. The chain must be simple and its points
     distinct (the rank pipeline guarantees both). Fully collinear chains

@@ -1,15 +1,15 @@
 """End-to-end rank-ordered hull: box, rank, shuffle, scan.
 
-Steps 3-5 work in offsets from the bounding box's corner. The paper's
-translation onto the normalized grid (step 2) is folded into step 3's
-rank arithmetic, step 5 turns ranks back into offset pairs, not points,
-and orientation tests are translation-invariant, so the scan makes the
-same decisions it would make on the caller's points. Step 5 streams: each
-offset pair is made from its rank as the scan reads it, so no per-point
-list is built beyond step 4's rank order, and step 1 reads the points
-into one flat coordinate list with no object per point. Only the hull's
-vertices are translated back, by `RankFunction.to_points`. The only
-per-box structure is the m/p-word bit table.
+Step 1 alone reads the caller's points, into lists of xs and ys that
+step 3 ranks and then releases. Steps 3-5 work in offsets from the box
+corner. The paper's translation onto the normalized grid (step 2) is
+folded into step 3's rank arithmetic, step 5 turns ranks back into offset
+pairs, not points, and orientation tests are translation-invariant, so
+the scan makes the same decisions it would make on the caller's points.
+Step 5 streams: each offset pair is made from its rank as the scan reads
+it, so no per-point list is built beyond step 4's rank order. Only the
+hull's vertices are translated back, by `RankFunction.to_points`. The
+only per-box structure is the m/p-word bit table.
 
 The pipeline stays linear while the point set is dense relative to its
 bounding box; the density thresholds quantify where that regime ends for
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
 from .errors import NonIntegerCoordinateError
-from .geometry import Point, bounding_box, new_point
+from .geometry import BoundingBox, Point, coordinates, new_point
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
@@ -92,16 +92,15 @@ def convex_hull_ranked(
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
-    Step 1 finds the bounding box, step 3 marks each point's rank, taken
-    straight from its coordinates relative to the box corner, in the
-    blocked bit table, step 4 compacts the table into ascending-rank order,
-    and step 5 streams that order, as a simple chain of box offsets, into
-    the single-pass deque scan and translates the hull's vertices
-    back with `RankFunction.to_points`. Step 2, the translation onto the
-    normalized grid, is the subtraction of the box corner inside step 3. A
-    box too large for a table of `MAX_WORDS` words gets its hull from the
+    Step 1 reads the points into coordinate lists and takes their box, step
+    3 marks each point's rank, straight from those lists, in the blocked bit
+    table, step 4 compacts the table into ascending-rank order, and step 5
+    streams that order, as a simple chain of box offsets, into the
+    single-pass deque scan; step 2, the translation onto the normalized
+    grid, is the subtraction of the box corner inside step 3. A box too
+    large for a table of `MAX_WORDS` words gets its hull from the
     sort-based oracle. `points` must be a sized collection, such as a list,
-    tuple or set: steps 1 and 3 each iterate over it.
+    tuple or set: step 1 iterates over it twice, and no other step reads it.
     """
     if not isinstance(points, Collection):
         raise NonIntegerCoordinateError(
@@ -117,18 +116,20 @@ def convex_hull_ranked(
     if points:
         clock = time.perf_counter_ns
         t0 = clock()
-        box = bounding_box(points)
+        xs, ys = coordinates(points)
+        box = BoundingBox(min(xs), max(xs), min(ys), max(ys))
         t1 = clock()
         m1, m2 = box.m1, box.m2
         if box.m > MAX_WORDS * cfg.p:
-            # hashable Points whatever pair type the caller used, deduplicated once
-            distinct = set(map(new_point, points))
+            # Points, deduplicated once
+            distinct = set(map(new_point, zip(xs, ys)))
             hull, n = hull_oracle(distinct), len(distinct)
             step_ns = (t1 - t0, 0, 0, 0, 0)
             used_fallback = True
         else:
             rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
-            table = build_rank_table(points, rf, cfg.p)
+            table = build_rank_table(xs, ys, rf, cfg.p)
+            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             shuffled = fast_shuffle(table)
             t4 = clock()

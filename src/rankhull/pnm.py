@@ -118,9 +118,14 @@ def parse_pnm(data: bytes) -> ImageMask:
             int.from_bytes(data[start:stop], "big"), f"0{nbits}b"
         ).encode("ascii").translate(_BITS)
         if row_bits != width:  # drop each row's padding bits
-            rows = [samples[i:i + width] for i in range(0, nbits, row_bits)]
-            del samples  # free the padded raster before the join copies
-            samples = b"".join(rows)
+            # ~4 KiB of rows per join: a bytes object per row costs ~90 B a pixel
+            starts, rows = range(0, nbits, row_bits), max(1, 4096 // width)
+            chunks = [
+                b"".join([samples[i:i + width] for i in starts[k:k + rows]])
+                for k in range(0, height, rows)
+            ]
+            del samples  # free the padded raster before the last join copies
+            samples = b"".join(chunks)
     else:
         stop = start + count * (2 if wide else 1)
         if len(data) < stop:

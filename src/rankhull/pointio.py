@@ -74,8 +74,8 @@ def generate_dense_set(
     and is reproducible for a given seed. Points come back in sample
     order, not rank order.
     """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("grid sides must be at least 1")
+    if type(m1) is not int or type(m2) is not int or m1 < 1 or m2 < 1:
+        raise ValueError(f"grid sides must be ints of at least 1, not {m1!r} x {m2!r}")
     m = m1 * m2
     # the largest box the rank path takes at p = 64
     if m > MAX_WORDS * 64:
@@ -88,8 +88,8 @@ def generate_dense_set(
         n = round(density * m)
     else:
         n = count
-        if not 0 <= n <= m:
-            raise InvalidDensityError(f"count must be in [0, {m}], got {n}")
+        if type(n) is not int or not 0 <= n <= m:
+            raise InvalidDensityError(f"count must be an int in [0, {m}], got {n!r}")
     rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
     rng = random.Random(seed)
     return rf.unrank_all(rng.sample(range(1, m + 1), n))

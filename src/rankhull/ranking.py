@@ -8,9 +8,9 @@ rank traces a zig-zag over the grid columns (or rows), which is a simple
 polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
 
-`RankFunction` is the only code that knows the f1/f2 layout: its forward
-rank path serves both `rank` and step 3's bit table, and `offsets` gives
-its inverse as an `OffsetView`.
+`RankFunction` is the only code that knows the f1/f2 layout: `cells` is
+its one forward rank path, used by `rank` and step 3, and `offsets` its one
+inverse, each a chain of C-level maps that is read once.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import floordiv, mod, sub
+from itertools import chain, repeat
+from operator import add, itemgetter, mul, sub
 
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
@@ -42,7 +42,7 @@ class RankFunction:
     dx * sx + dy * sy + 1. The line layout (sx, sy) is (m2, 1) for f1,
     column by column, and (1, m1) for f2, row by row. Both invert with one
     divmod (`offsets`), and `to_points` is the one translation from those
-    offsets back to the caller's points.
+    offsets back to the caller's points. The sides and the corner are ints.
     """
 
     variant: RankVariant
@@ -54,36 +54,40 @@ class RankFunction:
     def __post_init__(self) -> None:
         if not isinstance(self.variant, RankVariant):
             raise ValueError(f"rank variant must be a RankVariant, not {self.variant!r}")
-        if self.m1 < 1 or self.m2 < 1:
-            raise ValueError("grid sides must be at least 1")
+        sides_and_corner = (self.m1, self.m2, self.x_min, self.y_min)
+        if not _INT_ONLY.issuperset(map(type, sides_and_corner)) or min(self.m1, self.m2) < 1:
+            raise ValueError("grid sides must be ints of at least 1, and the corner ints")
 
     @property
     def m(self) -> int:
         return self.m1 * self.m2
 
-    def _cells(self, points: Iterable[Point]) -> Iterator[int]:
-        """The 0-based cell of each point: the one forward rank path and bounds test."""
+    def cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
+        """The 0-based cell of each point (xs[i], ys[i]): the one forward rank path.
+
+        The lists are checked first, with C-level passes: a coordinate that
+        is not an int raises `NonIntegerCoordinateError`, and a point
+        outside the grid `OutOfGridError`, which names the first one.
+        """
         x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
         sx, sy = (m2, 1) if self.variant is RankVariant.COLUMN_MAJOR else (1, m1)
-        for x, y in points:
-            dx, dy = x - x0, y - y0
-            if not (0 <= dx < m1 and 0 <= dy < m2):
-                raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
-            yield dx * sx + dy * sy
+        if len(xs) != len(ys) or not _INT_ONLY.issuperset(map(type, chain(xs, ys))):
+            raise NonIntegerCoordinateError("xs and ys must be lists of ints of one length")
+        x1, y1 = x0 + m1, y0 + m2
+        if xs and not (x0 <= min(xs) and max(xs) < x1 and y0 <= min(ys) and max(ys) < y1):
+            x, y = next(v for v in zip(xs, ys) if not (x0 <= v[0] < x1 and y0 <= v[1] < y1))
+            raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
+        scaled = map(add, map(mul, xs, repeat(sx)), map(mul, ys, repeat(sy)))
+        return map(sub, scaled, repeat(x0 * sx + y0 * sy))
 
     def rank(self, v: Point) -> int:
-        """The rank of one point, an (x, y) pair of ints as `bounding_box` requires.
-
-        A float or ``bool`` coordinate, or a point that is not a pair,
-        raises `NonIntegerCoordinateError`.
-        """
+        """The rank of one point, an (x, y) pair of ints as `coordinates` requires."""
         try:
-            if _INT_ONLY.issuperset(map(type, v)):
-                (cell,) = self._cells((v,))
-                return cell + 1
+            x, y = v
         except (TypeError, ValueError):
-            pass
-        raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair of ints")
+            raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair of ints") from None
+        (cell,) = self.cells((x,), (y,))
+        return cell + 1
 
     def unrank(self, r: int) -> Point:
         return self.unrank_all((r,))[0]
@@ -101,15 +105,13 @@ class RankFunction:
         x0, y0 = self.x_min, self.y_min
         return [new_point((x0 + dx, y0 + dy)) for dx, dy in offsets]
 
-    def offsets(self, ranks: Sequence[int]) -> OffsetView:
-        """The box-relative (x - x_min, y - y_min) of each rank, in order.
+    def offsets(self, ranks: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """The box-relative (x - x_min, y - y_min) of each rank: the one rank inverse.
 
-        The ranks are checked here: `ranks` must be a sequence of ints, such
-        as a list or range, and a rank that is not an int in [1, m] raises
-        `RankOutOfRangeError`. The offsets themselves are read lazily from
-        the returned `OffsetView`, which has the length of `ranks`, holds
-        no per-rank list and may be iterated more than once. `ranks` is not
-        copied.
+        `ranks` must be a sequence, such as a list or range, and a rank that
+        is not an int in [1, m] raises `RankOutOfRangeError`. The offsets
+        are then made as the returned iterator is read, one divmod per rank:
+        f1's quotient and remainder, or f2's swapped.
         """
         if not isinstance(ranks, Sequence):
             raise RankHullError(f"ranks must be a sequence, not {type(ranks).__name__}")
@@ -119,32 +121,6 @@ class RankFunction:
         ):
             bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
             raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
-        return OffsetView(ranks, self)
-
-
-class OffsetView:
-    """The box offsets of checked ranks, computed as they are read.
-
-    This is the one rank inverse, a divmod per rank: f1's quotient and
-    remainder are the offsets, f2's are the offsets swapped. Each iteration
-    runs it afresh over the ranks with C-level maps, so no Python code runs
-    per rank and no offset outlives its turn unless the reader keeps it.
-    `len` is the number of ranks. Made by `RankFunction.offsets`.
-    """
-
-    __slots__ = ("_ranks", "_rf")
-
-    def __init__(self, ranks: Sequence[int], rf: RankFunction) -> None:
-        self._ranks, self._rf = ranks, rf
-
-    def __len__(self) -> int:
-        return len(self._ranks)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        ranks, rf = self._ranks, self._rf
-        if rf.variant is RankVariant.COLUMN_MAJOR:
-            return map(divmod, map(sub, ranks, repeat(1)), repeat(rf.m2))
-        return zip(
-            map(mod, map(sub, ranks, repeat(1)), repeat(rf.m1)),
-            map(floordiv, map(sub, ranks, repeat(1)), repeat(rf.m1)),
-        )
+        f1 = self.variant is RankVariant.COLUMN_MAJOR
+        pairs = map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2 if f1 else self.m1))
+        return pairs if f1 else map(itemgetter(1, 0), pairs)

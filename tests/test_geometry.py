@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankhull.errors import EmptyInputError
+from rankhull.errors import EmptyInputError, NonIntegerCoordinateError
 from rankhull.geometry import (
     BoundingBox,
     Point,
     bounding_box,
+    coordinates,
     orientation,
 )
 
@@ -42,6 +43,14 @@ def test_orientation_agrees_with_independent_determinant():
         det = x0 * (y1 - y2) + x1 * (y2 - y0) + x2 * (y0 - y1)
         expect = (det > 0) - (det < 0)
         assert orientation(Point(x0, y0), Point(x1, y1), Point(x2, y2)) == expect
+
+
+def test_coordinates_rejects_points_that_are_not_pairs():
+    assert coordinates([Point(5, 7), (9, 7), [7, 9]]) == ([5, 9, 7], [7, 7, 9])
+    assert coordinates([]) == ([], [])
+    for bad in ((2, 2, 2), (2,), None):
+        with pytest.raises(NonIntegerCoordinateError, match="pair"):
+            coordinates([Point(1, 1), bad])
 
 
 def test_bounding_box_triangle():

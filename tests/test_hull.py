@@ -156,7 +156,7 @@ def test_melkman_reads_any_iterable_once():
             rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6),
         )
         ranks = sorted(rng.sample(range(1, rf.m + 1), rng.randint(0, min(rf.m, 80))))
-        chains += [rf.unrank_all(ranks), rf.offsets(ranks)]
+        chains += [rf.unrank_all(ranks), list(rf.offsets(ranks))]
     for chain in chains:
         runs = []
         for feed in (list, iter, lambda c: (v for v in c)):

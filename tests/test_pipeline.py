@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rankhull.bitrank import build_rank_table, shuffle_naive
 from rankhull.errors import NonIntegerCoordinateError
-from rankhull.geometry import Point, bounding_box
+from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     PipelineConfig,
@@ -116,7 +116,7 @@ def test_naive_and_fast_variants_agree():
     pts = [Point(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(400)]
     box = bounding_box(pts)
     rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
-    naive = shuffle_naive(build_rank_table(pts, rf, 64))
+    naive = shuffle_naive(build_rank_table(*coordinates(pts), rf, 64))
     assert melkman(rf.unrank_all(naive.order)) == convex_hull_ranked(pts).hull
     assert naive.iterations <= box.m
 
@@ -231,6 +231,28 @@ def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
         convex_hull_ranked(points, PipelineConfig(rank_variant=variant))
     with pytest.raises(NonIntegerCoordinateError, match="pair"):
         bounding_box(points)
+
+
+class _CountingList(list):
+    """A list that counts the times it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1)],              # rank path
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over the cap
+])
+def test_only_step_1_reads_the_points(pts):
+    boxed, hulled = _CountingList(pts), _CountingList(pts)
+    bounding_box(boxed)
+    report = convex_hull_ranked(hulled)
+    assert report.hull == hull_oracle(pts)
+    assert hulled.iterations == boxed.iterations == 2
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]

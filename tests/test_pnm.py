@@ -106,17 +106,22 @@ def _pack_bits(bits):
     return int("".join(map(str, bits)), 2).to_bytes(len(bits) // 8, "big")
 
 
-def _scan_peak(data):
-    # tracemalloc peak of decoding and scanning, with the collector off
+def _peak(call):
+    # call's result and tracemalloc peak, with the collector off
     gc.disable()
     tracemalloc.start()
     try:
-        points = image_to_points(parse_pnm(data))
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         gc.enable()
-    return points, peak
+    return result, peak
+
+
+def _scan_peak(data):
+    # of decoding and scanning
+    return _peak(lambda: image_to_points(parse_pnm(data)))
 
 
 def test_blank_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
@@ -131,6 +136,26 @@ def test_padded_bitmap_decodes_with_at_most_two_copies_of_the_raster():
     points, peak = _scan_peak(b"P4\n639 480\n" + bytes(80 * 480))
     assert points == []
     assert peak < 2.5 * 640 * 480
+
+
+def test_narrow_and_wide_padded_bitmaps_decode_without_an_object_per_row():
+    # rows are joined in chunks: tall rasters span several, the last one short
+    rng = random.Random(5)
+    for width, height in ((1, 9000), (7, 1300), (641, 20)):
+        rows = [[rng.getrandbits(1) for _ in range(width + -width % 8)] for _ in range(height)]
+        mask = parse_pnm(b"P4\n%d %d\n" % (width, height)
+                         + b"".join(_pack_bits(row) for row in rows))
+        assert mask.samples == bytes(b for row in rows for b in row[:width])
+    # 1 wide: a bytes object per row took 26 MiB; what is left is the
+    # base-2 text of the padded raster, 8 bytes a row, and its translation
+    data = b"P4\n1 307200\n" + bytes(307200)
+    mask, peak = _peak(lambda: parse_pnm(data))
+    assert mask.samples == bytes(307200)
+    assert peak < 6 * 2**20
+    # 641 wide: the joined chunks add no more than the rows did
+    points, peak = _scan_peak(b"P4\n641 480\n" + bytes(81 * 480))
+    assert points == []
+    assert peak <= 0.65 * 2**20
 
 
 def test_three_percent_vga_bitmap_parses_and_scans_in_under_a_mebibyte():

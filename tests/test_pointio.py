@@ -109,6 +109,15 @@ def test_generate_rejects_bad_density():
         generate_dense_set(8, 8, count=65)
 
 
+def test_generate_rejects_sides_and_counts_that_are_not_ints():
+    for m1, m2 in ((4.5, 4), (4, 4.0), (True, 4), (4, "4")):
+        with pytest.raises(ValueError, match="sides"):
+            generate_dense_set(m1, m2, count=2)
+    for count in (2.5, 2.0, True, "2"):
+        with pytest.raises(InvalidDensityError, match="count"):
+            generate_dense_set(4, 4, count=count)
+
+
 def test_generate_requires_exactly_one_size_argument():
     with pytest.raises(ValueError):
         generate_dense_set(8, 8)

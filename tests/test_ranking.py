@@ -11,7 +11,7 @@ from rankhull.errors import (
     RankHullError,
     RankOutOfRangeError,
 )
-from rankhull.geometry import Point
+from rankhull.geometry import Point, coordinates
 from rankhull.ranking import RankFunction, RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
@@ -82,8 +82,8 @@ def test_offsets_are_the_points_less_the_box_corner():
     for variant in (F1, F2):
         rf = RankFunction(variant, 9, 7, x_min=-4, y_min=10**9)
         ranks = rng.sample(range(1, rf.m + 1), 30)
-        offsets = rf.offsets(ranks)
-        assert list(offsets) == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
+        offsets = list(rf.offsets(ranks))
+        assert offsets == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
         assert rf.to_points(offsets) == rf.unrank_all(ranks)
         # checked against rank(), not only against the inverse built on offsets
         assert [rf.rank(Point(dx - 4, dy + 10**9)) for dx, dy in offsets] == ranks
@@ -107,18 +107,6 @@ def test_ranks_that_are_not_a_sequence_raise_a_library_error(make):
         rf.unrank_all(make())
 
 
-def test_offsets_view_has_the_length_of_its_ranks():
-    for variant in (F1, F2):
-        rf = RankFunction(variant, 6, 5, x_min=3, y_min=-7)
-        for ranks in ([], [4], list(range(30, 0, -3)), range(1, 31)):
-            view = rf.offsets(ranks)
-            assert len(view) == len(ranks)
-            first = list(view)
-            # iterating reads the ranks afresh and leaves the length as it was
-            assert len(view) == len(ranks) and list(view) == first
-            assert len(first) == len(ranks)
-
-
 def test_grid_origin_moves_the_ranked_cells():
     for variant in (F1, F2):
         rf = RankFunction(variant, 5, 3, x_min=-2, y_min=10**12)
@@ -134,6 +122,14 @@ def test_grid_origin_moves_the_ranked_cells():
 def test_grid_sides_must_be_positive():
     with pytest.raises(ValueError):
         RankFunction(F1, 0, 3)
+    # sides and corner are plain ints, so every rank and cell is one
+    for bad in (
+        (4.0, 4, 1, 1), (4, 4.0, 1, 1), (True, 4, 1, 1), (4, True, 1, 1),
+        (4, 4, 0.5, 0), (4, 4, 0, 0.5), (4, 4, 1.0, 1), (4, 4, False, 1), (4, 4, 1, True),
+    ):
+        for variant in (F1, F2):
+            with pytest.raises(ValueError, match="ints"):
+                RankFunction(variant, *bad)
 
 
 def test_roundtrip_is_a_bijection_on_a_7x5_grid():
@@ -151,7 +147,7 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
 
 
 def test_roundtrip_on_every_grid_up_to_64x64():
-    # one batch pass per grid through the forward path that rank() runs
+    # one batch pass per grid through cells, the forward path that rank() runs
     for variant in (F1, F2):
         for m1 in range(1, 65):
             for m2 in range(1, 65):
@@ -159,7 +155,7 @@ def test_roundtrip_on_every_grid_up_to_64x64():
                 m = m1 * m2
                 cells = rf.unrank_all(range(1, m + 1))
                 assert len(set(cells)) == m
-                assert list(rf._cells(cells)) == list(range(m))
+                assert list(rf.cells(*coordinates(cells))) == list(range(m))
 
 
 @given(st.data())
