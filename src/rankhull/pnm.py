@@ -120,10 +120,8 @@ def parse_pnm(data: bytes) -> ImageMask:
         if row_bits != width:  # drop each row's padding bits
             # ~4 KiB of rows per join: a bytes object per row costs ~90 B a pixel
             starts, rows = range(0, nbits, row_bits), max(1, 4096 // width)
-            chunks = [
-                b"".join([samples[i:i + width] for i in starts[k:k + rows]])
-                for k in range(0, height, rows)
-            ]
+            chunks = [b"".join([samples[i:i + width] for i in starts[k:k + rows]])
+                      for k in range(0, height, rows)]
             del samples  # free the padded raster before the last join copies
             samples = b"".join(chunks)
     else:

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, floordiv, mod, mul, sub
 
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
@@ -86,8 +86,7 @@ class RankFunction:
             x, y = v
         except (TypeError, ValueError):
             raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair of ints") from None
-        (cell,) = self.cells((x,), (y,))
-        return cell + 1
+        return next(self.cells((x,), (y,))) + 1
 
     def unrank(self, r: int) -> Point:
         return self.unrank_all((r,))[0]
@@ -121,6 +120,8 @@ class RankFunction:
         ):
             bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
             raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
-        f1 = self.variant is RankVariant.COLUMN_MAJOR
-        pairs = map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2 if f1 else self.m1))
-        return pairs if f1 else map(itemgetter(1, 0), pairs)
+        if self.variant is RankVariant.COLUMN_MAJOR:
+            return map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2))
+        # zip reuses its pair when the reader lets it go; an endless repeat can be shared
+        one, m1 = repeat(1), repeat(self.m1)
+        return zip(map(mod, map(sub, ranks, one), m1), map(floordiv, map(sub, ranks, one), m1))

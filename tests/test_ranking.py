@@ -11,7 +11,7 @@ from rankhull.errors import (
     RankHullError,
     RankOutOfRangeError,
 )
-from rankhull.geometry import Point, coordinates
+from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
@@ -147,15 +147,16 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
 
 
 def test_roundtrip_on_every_grid_up_to_64x64():
-    # one batch pass per grid through cells, the forward path that rank() runs
+    # one batch pass per grid through cells, the forward path that rank()
+    # runs; at corner (0, 0) a cell's offsets are its coordinates
     for variant in (F1, F2):
         for m1 in range(1, 65):
             for m2 in range(1, 65):
-                rf = RankFunction(variant, m1, m2)
+                rf = RankFunction(variant, m1, m2, 0, 0)
                 m = m1 * m2
-                cells = rf.unrank_all(range(1, m + 1))
+                cells = list(rf.offsets(range(1, m + 1)))
                 assert len(set(cells)) == m
-                assert list(rf.cells(*coordinates(cells))) == list(range(m))
+                assert list(rf.cells(*zip(*cells))) == list(range(m))
 
 
 @given(st.data())
