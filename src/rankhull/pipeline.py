@@ -121,7 +121,7 @@ def convex_hull_ranked(
         t1 = clock()
         m1, m2 = box.m1, box.m2
         if box.m > MAX_WORDS * cfg.p:
-            # Points, deduplicated once
+            # deduplicated as Points, so both routes return Point vertices
             distinct = set(map(new_point, zip(xs, ys)))
             hull, n = hull_oracle(distinct), len(distinct)
             step_ns = (t1 - t0, 0, 0, 0, 0)
