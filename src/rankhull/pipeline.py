@@ -20,7 +20,7 @@ a given block width. A box whose bit table would need more than
 from __future__ import annotations
 
 import time
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,6 +86,25 @@ class PipelineReport:
     used_fallback: bool = False
 
 
+class _Chain:
+    """Step 5's one-pass chain of box offsets, with its length.
+
+    `melkman` reads the chain once and never asks its length, but a tracer
+    wrapped round it may: the bench's `hull.chain_len` is `len()` of it.
+    """
+
+    __slots__ = ("_offsets", "_n")
+
+    def __init__(self, offsets: Iterator[tuple[int, int]], n: int) -> None:
+        self._offsets, self._n = offsets, n
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self._offsets
+
+    def __len__(self) -> int:
+        return self._n
+
+
 def convex_hull_ranked(
     points: Collection[Point],
     cfg: PipelineConfig | None = None,
@@ -117,12 +136,13 @@ def convex_hull_ranked(
         clock = time.perf_counter_ns
         t0 = clock()
         xs, ys = coordinates(points)
-        box = BoundingBox(min(xs), max(xs), min(ys), max(ys))
+        box = BoundingBox.of(xs, ys)
         t1 = clock()
         m1, m2 = box.m1, box.m2
         if box.m > MAX_WORDS * cfg.p:
             # deduplicated as Points, so both routes return Point vertices
             distinct = set(map(new_point, zip(xs, ys)))
+            del xs, ys
             hull, n = hull_oracle(distinct), len(distinct)
             step_ns = (t1 - t0, 0, 0, 0, 0)
             used_fallback = True
@@ -134,7 +154,7 @@ def convex_hull_ranked(
             shuffled = fast_shuffle(table)
             t4 = clock()
             stats = MelkmanStats()
-            scanned = melkman(rf.offsets(shuffled.order), stats)
+            scanned = melkman(_Chain(rf.offsets(shuffled.order), len(shuffled.order)), stats)
             # translation keeps the lexicographic order, so the cycle stays canonical
             hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
             t5 = clock()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankhull import pipeline as pipeline_module
 from rankhull.bitrank import build_rank_table, shuffle_naive
 from rankhull.errors import NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
@@ -212,6 +213,29 @@ def test_dense_memory_holds_no_per_point_temporaries(p, variant):
     assert peak < 2**20
 
 
+def _peak(call):
+    """The call's result and its tracemalloc peak in bytes, collector off."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_over_cap_memory_is_the_oracles_on_the_distinct_points():
+    # step 1's coordinate lists take 16 bytes a point, about 0.26 MiB here;
+    # they go once the distinct points are built, so the oracle's peak is all
+    rng = random.Random(5)
+    pts = [Point(rng.randrange(60000), rng.randrange(60000)) for _ in range(17280)]
+    report, peak = _peak(lambda: convex_hull_ranked(pts))
+    hull, oracle_peak = _peak(lambda: hull_oracle(set(map(Point._make, pts))))
+    assert report.used_fallback and report.hull == hull
+    assert peak < oracle_peak + 2**20 // 10
+
+
 def test_non_integer_coordinates_raise_a_library_error():
     for bad in (Point(0.5, 0), Point(0, 2.0), Point(True, 0), Point(1, False)):
         with pytest.raises(NonIntegerCoordinateError):
@@ -253,6 +277,21 @@ def test_only_step_1_reads_the_points(pts):
     report = convex_hull_ranked(hulled)
     assert report.hull == hull_oracle(pts)
     assert hulled.iterations == boxed.iterations == 2
+
+
+def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
+    # a tracer of melkman may count its chain with len(), as the bench does
+    lengths = []
+
+    def counted(chain, stats):
+        lengths.append(len(chain))
+        return melkman(chain, stats)
+
+    monkeypatch.setattr(pipeline_module, "melkman", counted)
+    pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
+    report = convex_hull_ranked(pts)
+    assert report.hull == hull_oracle(pts)
+    assert lengths == [report.n] == [5]
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]
