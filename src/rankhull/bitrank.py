@@ -1,13 +1,11 @@
 """Blocked occupancy bit table and the shuffles that compact it.
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits: m/8 bytes for a box of m cells, whatever n is. It is the
-only per-box structure. The ranks come from the rank function's forward
-path over step 1's coordinate lists, so this module neither reads the
-caller's points nor knows the f1/f2 layout. Because rank is a bijection,
-the table needs no record of which input point set a bit; a rank turns
-back into its offset from the box corner with one divmod
-(:meth:`RankFunction.offsets`), and the scan needs nothing more.
+words of p bits: m/8 bytes for a box of m cells, whatever n is. The ranks
+come from :meth:`RankFunction.cells` over step 1's coordinate lists, so
+this module neither reads the caller's points nor knows the f1/f2 layout.
+Rank is a bijection, so the table needs no record of which point set a
+bit: :meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: a zero word is skipped in a single
 compare and a nonzero word yields its bit positions in popcount(word)
@@ -63,10 +61,9 @@ def extract_set_bits(word: int) -> list[int]:
     if word < 0:
         raise ValueError("extract_set_bits requires a non-negative word")
     positions = []
-    x = word
-    while x:
-        positions.append((x & -x).bit_length() - 1)
-        x &= x - 1
+    while word:
+        positions.append((word & -word).bit_length() - 1)
+        word &= word - 1
     return positions
 
 
@@ -76,9 +73,9 @@ def build_rank_table(
     """Set the bit of the rank of each point (xs[i], ys[i]) in a fresh table.
 
     `xs` and `ys` are lists such as :func:`~rankhull.geometry.coordinates`
-    returns, ranked by `rf`'s one forward path, which checks them.
-    Duplicate points hit an already-set bit and are skipped and counted. A
-    box of more than `MAX_WORDS` words raises :class:`BoxTooLargeError`.
+    returns, checked and ranked by :meth:`RankFunction.cells`. Duplicates hit
+    a set bit and are counted. More than `MAX_WORDS` words raise
+    :class:`BoxTooLargeError`.
     """
     if type(p) is not int or p < 1:
         raise ValueError("block width must be a positive int")
@@ -103,9 +100,7 @@ def shuffle_naive(table: RankTable) -> ShuffleResult:
     """Scan ranks 1..m and collect occupied ones, stopping after n hits."""
     order: list[int] = []
     append = order.append
-    bloom = table.bloom
-    p = table.p
-    n = table.n
+    bloom, p, n = table.bloom, table.p, table.n
     iterations = 0
     for k0 in range(table.m):
         iterations += 1

@@ -89,9 +89,8 @@ def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
     """The xs and the ys of a collection of (x, y) pairs, in order.
 
     Every coordinate must be a plain ``int``: floats cannot be ranked, and
-    ``bool`` (an ``int`` subclass) would be ranked silently as 0 or 1. Each
-    point is read by iterating it, and the collection twice, with no object
-    made per point.
+    ``bool`` would be ranked silently as 0 or 1. The collection is read
+    twice and each point by iterating it, with no object made per point.
     """
     try:
         pairs = _PAIR.issuperset(map(len, points))

@@ -1,15 +1,13 @@
 """End-to-end rank-ordered hull: box, rank, shuffle, scan.
 
 Step 1 alone reads the caller's points, into lists of xs and ys that
-step 3 ranks and then releases. Steps 3-5 work in offsets from the box
-corner. The paper's translation onto the normalized grid (step 2) is
-folded into step 3's rank arithmetic, step 5 turns ranks back into offset
-pairs, not points, and orientation tests are translation-invariant, so
-the scan makes the same decisions it would make on the caller's points.
-Step 5 streams: each offset pair is made from its rank as the scan reads
-it, so no per-point list is built beyond step 4's rank order. Only the
-hull's vertices are translated back, by `RankFunction.to_points`. The
-only per-box structure is the m/p-word bit table.
+step 3 ranks and then releases. The paper's translation onto the
+normalized grid (step 2) is folded into step 3's rank arithmetic, and
+step 5 streams each rank back as an offset pair from the box corner as
+the scan reads it; orientation tests are translation-invariant, so the
+scan decides as it would on the caller's points. Only the hull's
+vertices are translated back, by `RankFunction.to_points`, and the only
+per-box structure is the m/p-word bit table.
 
 The pipeline stays linear while the point set is dense relative to its
 bounding box; the density thresholds quantify where that regime ends for
@@ -65,9 +63,8 @@ class PipelineReport:
     for empty input. `step_ns` holds the elapsed monotonic nanoseconds of
     the paper's five steps (box, translate, rank, shuffle, scan). The
     translation happens inside the rank arithmetic, so its slot is always
-    0; the scan's slot includes turning the shuffled ranks into box
-    offsets and translating the hull's vertices back to the caller's
-    coordinates with `RankFunction.to_points`. When `used_fallback` is
+    0; the scan's slot includes turning ranks into box offsets and the
+    hull's vertices back into the caller's points. When `used_fallback` is
     set the hull came from the sort-based oracle and steps 3-5 and the
     counters are zero.
     """
@@ -86,23 +83,18 @@ class PipelineReport:
     used_fallback: bool = False
 
 
+@dataclass
 class _Chain:
-    """Step 5's one-pass chain of box offsets, with its length.
+    """Step 5's one-pass offsets, sized for tracers of `melkman` such as `hull.chain_len`."""
 
-    `melkman` reads the chain once and never asks its length, but a tracer
-    wrapped round it may: the bench's `hull.chain_len` is `len()` of it.
-    """
-
-    __slots__ = ("_offsets", "_n")
-
-    def __init__(self, offsets: Iterator[tuple[int, int]], n: int) -> None:
-        self._offsets, self._n = offsets, n
+    offsets: Iterator[tuple[int, int]]
+    n: int
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self._offsets
+        return self.offsets
 
     def __len__(self) -> int:
-        return self._n
+        return self.n
 
 
 def convex_hull_ranked(
@@ -111,15 +103,13 @@ def convex_hull_ranked(
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
-    Step 1 reads the points into coordinate lists and takes their box, step
-    3 marks each point's rank, straight from those lists, in the blocked bit
-    table, step 4 compacts the table into ascending-rank order, and step 5
-    streams that order, as a simple chain of box offsets, into the
-    single-pass deque scan; step 2, the translation onto the normalized
-    grid, is the subtraction of the box corner inside step 3. A box too
-    large for a table of `MAX_WORDS` words gets its hull from the
-    sort-based oracle. `points` must be a sized collection, such as a list,
-    tuple or set: step 1 iterates over it twice, and no other step reads it.
+    Step 1 reads the points into coordinate lists and their box, step 3
+    marks each point's rank (step 2's translation included) in the blocked
+    bit table, step 4 compacts it into ascending-rank order, and step 5
+    streams that order, a simple chain of box offsets, into the deque scan.
+    A box too large for `MAX_WORDS` words gets the sort-based oracle's hull.
+    `points` must be a sized collection, such as a list, tuple or set: step
+    1 iterates over it twice, and no other step reads it.
     """
     if not isinstance(points, Collection):
         raise NonIntegerCoordinateError(

@@ -40,9 +40,8 @@ class RankFunction:
 
     A point at offset (dx, dy) = (x - x_min, y - y_min) has rank
     dx * sx + dy * sy + 1. The line layout (sx, sy) is (m2, 1) for f1,
-    column by column, and (1, m1) for f2, row by row. Both invert with one
-    divmod (`offsets`), and `to_points` is the one translation from those
-    offsets back to the caller's points. The sides and the corner are ints.
+    column by column, and (1, m1) for f2, row by row; both invert with one
+    divmod (`offsets`). The sides and the corner are ints.
     """
 
     variant: RankVariant
@@ -65,9 +64,8 @@ class RankFunction:
     def cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
         """The 0-based cell of each point (xs[i], ys[i]): the one forward rank path.
 
-        The lists are checked first, with C-level passes: a coordinate that
-        is not an int raises `NonIntegerCoordinateError`, and a point
-        outside the grid `OutOfGridError`, which names the first one.
+        Checked first, at C speed: a coordinate that is not an int raises
+        `NonIntegerCoordinateError`, and the first point off the grid `OutOfGridError`.
         """
         x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
         sx, sy = (m2, 1) if self.variant is RankVariant.COLUMN_MAJOR else (1, m1)
@@ -96,11 +94,7 @@ class RankFunction:
         return self.to_points(self.offsets(ranks))
 
     def to_points(self, offsets: Iterable[tuple[int, int]]) -> list[Point]:
-        """The caller's point at each box offset: the offset plus the box corner.
-
-        This is the one translation back from box offsets, used by
-        `unrank_all` and for the vertices of the pipeline's hull.
-        """
+        """The caller's point at each box offset: the one translation back from offsets."""
         x0, y0 = self.x_min, self.y_min
         return [new_point((x0 + dx, y0 + dy)) for dx, dy in offsets]
 
@@ -108,9 +102,8 @@ class RankFunction:
         """The box-relative (x - x_min, y - y_min) of each rank: the one rank inverse.
 
         `ranks` must be a sequence, such as a list or range, and a rank that
-        is not an int in [1, m] raises `RankOutOfRangeError`. The offsets
-        are then made as the returned iterator is read, one divmod per rank:
-        f1's quotient and remainder, or f2's swapped.
+        is not an int in [1, m] raises `RankOutOfRangeError`. The returned
+        iterator makes f1's divmod of each rank, or f2's swapped, as it is read.
         """
         if not isinstance(ranks, Sequence):
             raise RankHullError(f"ranks must be a sequence, not {type(ranks).__name__}")
