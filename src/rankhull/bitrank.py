@@ -61,9 +61,10 @@ def extract_set_bits(word: int) -> list[int]:
     if word < 0:
         raise ValueError("extract_set_bits requires a non-negative word")
     positions = []
-    while word:
-        positions.append((word & -word).bit_length() - 1)
-        word &= word - 1
+    x = word
+    while x:
+        positions.append((x & -x).bit_length() - 1)
+        x &= x - 1
     return positions
 
 
@@ -100,7 +101,9 @@ def shuffle_naive(table: RankTable) -> ShuffleResult:
     """Scan ranks 1..m and collect occupied ones, stopping after n hits."""
     order: list[int] = []
     append = order.append
-    bloom, p, n = table.bloom, table.p, table.n
+    bloom = table.bloom
+    p = table.p
+    n = table.n
     iterations = 0
     for k0 in range(table.m):
         iterations += 1

@@ -24,7 +24,7 @@ from operator import add, floordiv, mod, mul, sub
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
 )
-from .geometry import _INT_ONLY, Point, new_point
+from .geometry import _INT_ONLY, Point, coordinates, new_point
 
 
 class RankVariant(Enum):
@@ -80,11 +80,7 @@ class RankFunction:
 
     def rank(self, v: Point) -> int:
         """The rank of one point, an (x, y) pair of ints as `coordinates` requires."""
-        try:
-            x, y = v
-        except (TypeError, ValueError):
-            raise NonIntegerCoordinateError(f"{v!r} is not an (x, y) pair of ints") from None
-        return next(self.cells((x,), (y,))) + 1
+        return next(self.cells(*coordinates((v,)))) + 1
 
     def unrank(self, r: int) -> Point:
         return self.unrank_all((r,))[0]
