@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import IO, Callable, Sequence
 
-from .errors import InsufficientDataError, InvalidDensityError
+from .errors import InsufficientDataError
 from .hull import hull_oracle
 from .pipeline import PipelineConfig, convex_hull_ranked
-from .pointio import generate_dense_set
+from .pointio import generate_dense_set, sample_size
 
 RANK_VARIANT = "rank_pipeline"
 ORACLE_VARIANT = "oracle_sort_hull"
@@ -98,21 +98,6 @@ def _cell_seed(seed: int, n: int) -> int:
     return seed * 2_654_435_761 + n
 
 
-def _validate(plan: BenchmarkPlan) -> None:
-    for d in plan.densities:
-        if not 0 < d <= 1:
-            raise InvalidDensityError(f"plan density {d} outside (0, 1]")
-    m = plan.m1 * plan.m2
-    for c in plan.counts:
-        if type(c) is not int or not 0 <= c <= m:
-            raise InvalidDensityError(f"plan count {c!r} is not an int in [0, {m}]")
-    if plan.repetitions < 3:
-        raise ValueError("plan needs at least 3 repetitions")
-    for v in plan.variants:
-        if v not in (RANK_VARIANT, ORACLE_VARIANT):
-            raise ValueError(f"unknown variant {v!r}")
-
-
 def _time_cell(call: Callable[[], object], repetitions: int) -> tuple[int, list]:
     """Median ns of `repetitions` timed calls after a discarded warm-up call."""
     call()
@@ -129,14 +114,21 @@ def _time_cell(call: Callable[[], object], repetitions: int) -> tuple[int, list]
 def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     """Execute the sweep and return one row per (n, p, variant) cell.
 
+    The whole plan is checked before the first cell runs: the repetitions
+    and variants here, each block width by `PipelineConfig`, and each
+    density and count by `sample_size`, which turns it into the cell's n.
     Cells sharing an n value share the generated point set so block-width
     and variant comparisons see identical inputs.
     """
-    _validate(plan)
-    # PipelineConfig rejects a block width before any cell runs
+    if type(plan.repetitions) is not int or plan.repetitions < 3:
+        raise ValueError(f"plan repetitions {plan.repetitions!r} is not an int of at least 3")
+    for v in plan.variants:
+        if v not in (RANK_VARIANT, ORACLE_VARIANT):
+            raise ValueError(f"unknown variant {v!r}")
     configs = [PipelineConfig(p=p) for p in plan.p_values]
     m = plan.m1 * plan.m2
-    n_values = [round(d * m) for d in plan.densities] + list(plan.counts)
+    n_values = [sample_size(m, d, None) for d in plan.densities]
+    n_values += [sample_size(m, None, c) for c in plan.counts]
     rows: list[BenchmarkRow] = []
     for n in n_values:
         points = generate_dense_set(

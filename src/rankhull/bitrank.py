@@ -51,6 +51,12 @@ class ShuffleResult:
     zero_buckets_skipped: int = 0
 
 
+def check_block_width(p: int) -> None:
+    """The one block-width rule: `p` must be a positive int, and not a bool."""
+    if type(p) is not int or p < 1:
+        raise ValueError(f"block width must be a positive int, not {p!r}")
+
+
 def extract_set_bits(word: int) -> list[int]:
     """Ascending positions of the set bits of a non-negative word.
 
@@ -78,8 +84,7 @@ def build_rank_table(
     a set bit and are counted. More than `MAX_WORDS` words raise
     :class:`BoxTooLargeError`.
     """
-    if type(p) is not int or p < 1:
-        raise ValueError("block width must be a positive int")
+    check_block_width(p)
     m = rf.m
     if m > MAX_WORDS * p:
         raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")

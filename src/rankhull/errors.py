@@ -42,7 +42,7 @@ class ParseError(RankHullError):
 
 
 class CoordinateOverflowError(RankHullError):
-    """A parsed coordinate does not fit the configured bit width."""
+    """A coordinate is wider than a point file's 64 bits (`pointio.MAX_COORDINATE`)."""
 
 
 class UnsupportedFormatError(RankHullError):

@@ -22,7 +22,7 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitrank import MAX_WORDS, build_rank_table, fast_shuffle
+from .bitrank import MAX_WORDS, build_rank_table, check_block_width, fast_shuffle
 from .errors import NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates, new_point
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
@@ -167,8 +167,7 @@ def convex_hull_ranked(
 
 def density_threshold_simple(p: int) -> Fraction:
     """Density 1/p below which the word walk stops being linear in n."""
-    if p < 1:
-        raise ValueError("block width must be positive")
+    check_block_width(p)
     return Fraction(1, p)
 
 
@@ -179,6 +178,5 @@ def density_threshold_refined(p: int) -> Fraction:
     test on p-bit operands, which pushes the linear regime several orders
     of magnitude below 1/p.
     """
-    if p < 1:
-        raise ValueError("block width must be positive")
+    check_block_width(p)
     return Fraction(1, 2 * p * (2 * p * p + 5 * p + 1) + 1)

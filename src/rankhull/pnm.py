@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedHeaderError, ParseError, UnsupportedFormatError
-from .geometry import Point, new_point
+from .geometry import _INT_ONLY, Point, new_point
 
 # A comment matches with an empty group, so only tokens come out non-empty.
 _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
@@ -44,7 +44,8 @@ class ImageMask:
     `samples` is row-major, length width * height. Bitmaps have maxval 1
     with 1 meaning ink (foreground); graymaps hold 0..maxval. A parsed
     mask stores one byte per sample (`bytes`) when maxval < 256 and an
-    `array('H')` otherwise; any sequence of ints works here.
+    `array('H')` otherwise; any sequence of ints works here. The width,
+    height and maxval must be plain ints, not floats, bools or strings.
     """
 
     width: int
@@ -53,6 +54,8 @@ class ImageMask:
     samples: Sequence[int]
 
     def __post_init__(self) -> None:
+        if not _INT_ONLY.issuperset(map(type, (self.width, self.height, self.maxval))):
+            raise ValueError("width, height and maxval must be ints")
         if len(self.samples) != self.width * self.height:
             raise ValueError("sample count does not match dimensions")
 

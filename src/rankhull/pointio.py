@@ -2,14 +2,15 @@
 
 The text format is one point per line, two signed decimal integers
 separated by whitespace; lines starting with '#' and blank lines are
-ignored. There is no header.
+ignored. There is no header, and coordinates are at most 64 bits wide.
+`save_points` writes only what `load_points` reads back.
 """
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 from .bitrank import MAX_WORDS
 from .errors import (
@@ -18,7 +19,7 @@ from .errors import (
     InvalidDensityError,
     ParseError,
 )
-from .geometry import Point
+from .geometry import Point, coordinates
 from .ranking import RankFunction, RankVariant
 
 
@@ -52,10 +53,41 @@ def load_points(path: str | Path) -> list[Point]:
 
 
 def save_points(path: str | Path, points: Iterable[Point]) -> None:
-    """Write points in the text format read back by :func:`load_points`."""
+    """Write points in the one format :func:`load_points` reads back.
+
+    The points are read through :func:`~rankhull.geometry.coordinates`, so
+    each must be a pair of plain ints (`NonIntegerCoordinateError`), and no
+    coordinate may be wider than 64 bits (`CoordinateOverflowError`). Both
+    are checked before the file is opened, so a rejected call leaves any
+    file at `path` as it was. An iterator of points is read once, in full.
+    """
+    xs, ys = coordinates(list(points) if isinstance(points, Iterator) else points)
+    if xs and max(max(xs), -min(xs), max(ys), -min(ys)) > MAX_COORDINATE:
+        raise CoordinateOverflowError(f"{path}: coordinate exceeds 64-bit range")
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y in points:
-            fh.write(f"{x} {y}\n")
+        fh.writelines(map("{} {}\n".format, xs, ys))
+
+
+def sample_size(m: int, density: float | None, count: int | None) -> int:
+    """The number n of points to draw from a box of m cells: the one sample-size rule.
+
+    Exactly one of `density` and `count` must be given (`ValueError`). A
+    density is a number in (0, 1], such as an int, a float or a `Fraction`
+    but not a bool, and gives n = round(density * m); a count is an int in
+    [0, m]. Anything else raises `InvalidDensityError`.
+    """
+    if (density is None) == (count is None):
+        raise ValueError("provide exactly one of density and count")
+    if count is not None:
+        if type(count) is not int or not 0 <= count <= m:
+            raise InvalidDensityError(f"count must be an int in [0, {m}], got {count!r}")
+        return count
+    try:
+        if type(density) is not bool and 0 < density <= 1:
+            return round(density * m)
+    except TypeError:  # not comparable with numbers, such as a str
+        pass
+    raise InvalidDensityError(f"density must be a number in (0, 1], got {density!r}")
 
 
 def generate_dense_set(
@@ -67,29 +99,18 @@ def generate_dense_set(
 ) -> list[Point]:
     """Sample distinct grid points uniformly without replacement.
 
-    Exactly one of `density` and `count` selects the sample size; a
-    density D yields n = round(D * m1 * m2). Cells are identified by their
-    column-major rank and drawn with `random.sample`, a partial shuffle of
-    the index range, so the result is exact even at densities close to 1
-    and is reproducible for a given seed. Points come back in sample
-    order, not rank order.
+    The grid is an m1 x m2 `RankFunction` at corner (1, 1), which checks
+    the sides, and :func:`sample_size` turns exactly one of `density` and
+    `count` into n. Cells are identified by their column-major rank and
+    drawn with `random.sample`, a partial shuffle of the index range, so
+    the result is exact even at densities close to 1 and is reproducible
+    for a given seed. Points come back in sample order, not rank order.
     """
-    if type(m1) is not int or type(m2) is not int or m1 < 1 or m2 < 1:
-        raise ValueError(f"grid sides must be ints of at least 1, not {m1!r} x {m2!r}")
-    m = m1 * m2
+    rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
+    m = rf.m
     # the largest box the rank path takes at p = 64
     if m > MAX_WORDS * 64:
         raise BoxTooLargeError(f"grid of {m} cells exceeds cap {MAX_WORDS * 64}")
-    if (density is None) == (count is None):
-        raise ValueError("provide exactly one of density and count")
-    if density is not None:
-        if not 0 < density <= 1:
-            raise InvalidDensityError(f"density must be in (0, 1], got {density}")
-        n = round(density * m)
-    else:
-        n = count
-        if type(n) is not int or not 0 <= n <= m:
-            raise InvalidDensityError(f"count must be an int in [0, {m}], got {n!r}")
-    rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
+    n = sample_size(m, density, count)
     rng = random.Random(seed)
     return rf.unrank_all(rng.sample(range(1, m + 1), n))

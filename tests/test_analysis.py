@@ -43,11 +43,17 @@ def test_empty_plan_produces_no_rows():
     assert run_benchmark(plan) == []
 
 
-def test_plan_validation():
-    with pytest.raises(InvalidDensityError):
-        run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(1.5,)))
-    with pytest.raises(ValueError):
-        run_benchmark(BenchmarkPlan(m1=10, m2=10, repetitions=2))
+def test_plan_validation(monkeypatch):
+    def generate(*args, **kwargs):
+        raise AssertionError("a cell ran before the plan was validated")
+
+    monkeypatch.setattr(analysis, "generate_dense_set", generate)
+    for densities in ((1.5,), (True,), ("0.5",)):
+        with pytest.raises(InvalidDensityError, match="density"):
+            run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=densities))
+    for repetitions in (2, 3.5):
+        with pytest.raises(ValueError, match="repetitions"):
+            run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), repetitions=repetitions))
     with pytest.raises(ValueError):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, variants=("quickhull",)))
 

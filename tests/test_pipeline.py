@@ -368,3 +368,8 @@ def test_thresholds_reject_nonpositive_width():
         density_threshold_simple(0)
     with pytest.raises(ValueError):
         density_threshold_refined(-1)
+    # the block-width rule of build_rank_table: a positive int, not a bool
+    for threshold in (density_threshold_simple, density_threshold_refined):
+        for p in (2.5, "8", True):
+            with pytest.raises(ValueError, match="block width"):
+                threshold(p)

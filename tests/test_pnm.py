@@ -244,6 +244,10 @@ def test_rejects_truncated_or_invalid_raster():
 def test_mask_invariants():
     with pytest.raises(ValueError):
         ImageMask(2, 2, 1, (0, 1, 0))
+    # width, height and maxval are plain ints: not floats, bools or strings
+    for dims in ((2.0, 1, 1), (2, 1, "1"), (True, 2, 1), (2, True, 1), (2, 1, 1.0), ("2", 1, 1)):
+        with pytest.raises(ValueError, match="ints"):
+            ImageMask(*dims, b"\0\1")
 
 
 def _foreground(width, samples, threshold):

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from rankhull.errors import (
     CoordinateOverflowError,
     InvalidDensityError,
+    NonIntegerCoordinateError,
     ParseError,
 )
 from rankhull.geometry import Point, bounding_box
+from rankhull.pipeline import density_threshold_simple
 from rankhull.pointio import generate_dense_set, load_points, save_points
 
 
@@ -61,6 +63,22 @@ def test_save_load_roundtrip(tmp_path_factory, pairs):
     assert load_points(path) == pts
 
 
+def test_save_writes_only_what_load_reads(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("7 7\n")
+    for points in ([(1.5, 2)], [(True, 3)], [None], [(1, 2), (3,)]):
+        with pytest.raises(NonIntegerCoordinateError):
+            save_points(path, points)
+    for points in ([(2**64, 0)], [(0, -(2**64))]):
+        with pytest.raises(CoordinateOverflowError, match="64-bit"):
+            save_points(path, points)
+    assert path.read_text() == "7 7\n"  # checked before the file is opened
+    save_points(path, (Point(x, -x) for x in range(5)))
+    assert load_points(path) == [Point(x, -x) for x in range(5)]
+    save_points(path, [(2**64 - 1, -(2**64 - 1))])
+    assert load_points(path) == [Point(2**64 - 1, -(2**64 - 1))]
+
+
 def test_generate_full_grid_at_density_one():
     pts = generate_dense_set(6, 5, density=1.0, seed=0)
     assert len(pts) == 30
@@ -99,11 +117,13 @@ def test_generate_count_keyword():
     pts = generate_dense_set(10, 10, count=7, seed=5)
     assert len(pts) == 7 == len(set(pts))
     assert generate_dense_set(10, 10, count=0, seed=5) == []
+    # a threshold's Fraction is a density: 1/32 of 64 x 64 cells
+    assert len(generate_dense_set(64, 64, density=density_threshold_simple(32))) == 128
 
 
 def test_generate_rejects_bad_density():
-    for density in (0.0, -0.5, 1.2):
-        with pytest.raises(InvalidDensityError):
+    for density in (0.0, -0.5, 1.2, True, "0.5"):
+        with pytest.raises(InvalidDensityError, match="density"):
             generate_dense_set(8, 8, density=density)
     with pytest.raises(InvalidDensityError):
         generate_dense_set(8, 8, count=65)
