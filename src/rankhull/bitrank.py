@@ -7,15 +7,16 @@ this module neither reads the caller's points nor knows the f1/f2 layout.
 Rank is a bijection, so the table needs no record of which point set a
 bit: :meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the table into ascending-rank order ("shuffling") can either
-scan all m ranks, or walk the words: a zero word is skipped in a single
-compare and a nonzero word yields its bit positions in popcount(word)
-steps via the lowest-set-bit clearing trick.
+scan all m ranks, or walk the words: each word's zero test runs in C,
+inside `itertools.compress`, so a zero word costs no Python loop pass, and
+a nonzero word yields its bit positions in popcount(word) steps via the
+lowest-set-bit clearing trick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Sequence
 
 from .errors import BoxTooLargeError
@@ -122,22 +123,20 @@ def shuffle_naive(table: RankTable) -> ShuffleResult:
 def fast_shuffle(table: RankTable) -> ShuffleResult:
     """Walk the p-bit words instead of individual ranks.
 
-    Each word costs one zero test; a nonzero word adds one step per set
+    Each word costs one zero test, made in C by `compress`, which yields
+    only the indices of nonzero words; a nonzero word adds one step per set
     bit, so iterations always total r + n. Rank k lives at bit (k-1) % p
     of word (k-1) // p, hence word j, bit s holds rank j*p + s + 1.
     """
     order: list[int] = []
     append = order.append
+    bloom = table.bloom
     p = table.p
-    iterations = 0
-    zero_buckets = 0
-    for j, num in enumerate(table.bloom):
-        iterations += 1
-        if num == 0:
-            zero_buckets += 1
-            continue
+    nonzero = 0
+    for j in compress(count(), bloom):
+        nonzero += 1
         base = j * p + 1
-        for s in extract_set_bits(num):
-            iterations += 1
+        for s in extract_set_bits(bloom[j]):
             append(base + s)
-    return ShuffleResult(order, iterations, zero_buckets)
+    r = len(bloom)
+    return ShuffleResult(order, r + len(order), r - nonzero)

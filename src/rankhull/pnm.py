@@ -37,6 +37,22 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
 
 
+def check_mask_header(
+    width: int, height: int, maxval: int, error: type[Exception]
+) -> None:
+    """The one image-mask rule, raising `error` when it fails.
+
+    The width, height and maxval are plain ints, not floats, bools or
+    strings; the sides are at least 1, and maxval is in [1, 65535].
+    """
+    if not _INT_ONLY.issuperset(map(type, (width, height, maxval))):
+        raise error("width, height and maxval must be ints")
+    if width < 1 or height < 1:
+        raise error(f"bad dimensions {width}x{height}")
+    if not 1 <= maxval <= 65535:
+        raise error(f"maxval {maxval} outside [1, 65535]")
+
+
 @dataclass(frozen=True)
 class ImageMask:
     """Decoded raster.
@@ -45,7 +61,7 @@ class ImageMask:
     with 1 meaning ink (foreground); graymaps hold 0..maxval. A parsed
     mask stores one byte per sample (`bytes`) when maxval < 256 and an
     `array('H')` otherwise; any sequence of ints works here. The width,
-    height and maxval must be plain ints, not floats, bools or strings.
+    height and maxval follow :func:`check_mask_header`.
     """
 
     width: int
@@ -54,8 +70,7 @@ class ImageMask:
     samples: Sequence[int]
 
     def __post_init__(self) -> None:
-        if not _INT_ONLY.issuperset(map(type, (self.width, self.height, self.maxval))):
-            raise ValueError("width, height and maxval must be ints")
+        check_mask_header(self.width, self.height, self.maxval, ValueError)
         if len(self.samples) != self.width * self.height:
             raise ValueError("sample count does not match dimensions")
 
@@ -82,10 +97,7 @@ def parse_pnm(data: bytes) -> ImageMask:
         raise MalformedHeaderError("non-numeric header field") from None
     width, height = values[0], values[1]
     maxval = values[2] if grayscale else 1
-    if width < 1 or height < 1:
-        raise MalformedHeaderError(f"bad dimensions {width}x{height}")
-    if not 1 <= maxval <= 65535:
-        raise MalformedHeaderError(f"maxval {maxval} outside [1, 65535]")
+    check_mask_header(width, height, maxval, MalformedHeaderError)
     count = width * height
     wide = maxval > 255
     end = fields[-1].end()

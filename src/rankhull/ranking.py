@@ -68,15 +68,17 @@ class RankFunction:
         `NonIntegerCoordinateError`, and the first point off the grid `OutOfGridError`.
         """
         x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
-        sx, sy = (m2, 1) if self.variant is RankVariant.COLUMN_MAJOR else (1, m1)
         if len(xs) != len(ys) or not _INT_ONLY.issuperset(map(type, chain(xs, ys))):
             raise NonIntegerCoordinateError("xs and ys must be lists of ints of one length")
         x1, y1 = x0 + m1, y0 + m2
         if xs and not (x0 <= min(xs) and max(xs) < x1 and y0 <= min(ys) and max(ys) < y1):
             x, y = next(v for v in zip(xs, ys) if not (x0 <= v[0] < x1 and y0 <= v[1] < y1))
             raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
-        scaled = map(add, map(mul, xs, repeat(sx)), map(mul, ys, repeat(sy)))
-        return map(sub, scaled, repeat(x0 * sx + y0 * sy))
+        if self.variant is RankVariant.COLUMN_MAJOR:
+            scaled, corner = map(add, map(mul, xs, repeat(m2)), ys), x0 * m2 + y0
+        else:
+            scaled, corner = map(add, xs, map(mul, ys, repeat(m1))), x0 + y0 * m1
+        return map(sub, scaled, repeat(corner))
 
     def rank(self, v: Point) -> int:
         """The rank of one point, an (x, y) pair of ints as `coordinates` requires."""

@@ -1,5 +1,7 @@
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -185,3 +187,44 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
     expected = sorted(ranks)
     assert fast_shuffle(table).order == expected
     assert shuffle_naive(table).order == expected
+
+
+@given(st.data())
+def test_fast_shuffle_on_long_zero_runs(data):
+    # each word gets one zero test whether it is skipped or walked
+    p = data.draw(st.sampled_from((4, 8, 16, 32, 64)))
+    r = data.draw(st.integers(1, 300))
+    m = data.draw(st.integers((r - 1) * p + 1, r * p))
+    shape = data.draw(st.sampled_from(("empty", "first", "last", "full")))
+    if shape == "empty":
+        ranks = []
+    elif shape == "first":
+        ranks = [data.draw(st.integers(1, min(p, m)))]
+    elif shape == "last":
+        ranks = [data.draw(st.integers((r - 1) * p + 1, m))]
+    else:
+        ranks = list(range(1, m + 1))
+    table = _table_from_ranks(ranks, m, p)
+    assert table.r == r
+    result = fast_shuffle(table)
+    assert result.order == shuffle_naive(table).order == sorted(ranks)
+    assert result.iterations == r + len(ranks)
+    assert result.zero_buckets_skipped == table.bloom.count(0)
+
+
+def test_fast_shuffle_holds_nothing_per_word():
+    # 2^20 words with five bits: the walk must not materialise a per-word list
+    r = 1 << 20
+    ranks = [1, 64 * 1000 + 7, 64 * 70000, 64 * (r - 1) + 1, 64 * r]
+    table = _table_from_ranks(ranks, 64 * r, 64)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        result = fast_shuffle(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert result.order == ranks
+    assert result.zero_buckets_skipped == r - 4
+    assert peak < 64 * 1024

@@ -161,6 +161,18 @@ def test_dense_counters_are_pinned(variant, expected):
     assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
 
 
+@pytest.mark.parametrize("variant, expected", [
+    (RankVariant.COLUMN_MAJOR, (5449, 66081, 3053, 16)),
+    (RankVariant.ROW_MAJOR, (5507, 66081, 3053, 16)),
+])
+def test_sparse_counters_are_pinned(variant, expected):
+    # m/p is about 64n, so almost every word the walk tests is zero
+    pts = generate_dense_set(2048, 2048, count=1024, seed=7)
+    report = convex_hull_ranked(pts, PipelineConfig(p=64, rank_variant=variant))
+    c = report.counters
+    assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
+
+
 @settings(max_examples=60)
 @given(point_lists)
 def test_pipeline_equals_oracle(points):

@@ -248,6 +248,19 @@ def test_mask_invariants():
     for dims in ((2.0, 1, 1), (2, 1, "1"), (True, 2, 1), (2, True, 1), (2, 1, 1.0), ("2", 1, 1)):
         with pytest.raises(ValueError, match="ints"):
             ImageMask(*dims, b"\0\1")
+    # sides of at least 1, even when their product matches the samples
+    with pytest.raises(ValueError, match="dimensions"):
+        ImageMask(-2, -1, 1, b"\x01\x01")
+    with pytest.raises(ValueError, match="dimensions"):
+        ImageMask(0, 5, 1, b"")
+    for maxval in (0, -1, 65536):
+        with pytest.raises(ValueError, match="maxval"):
+            ImageMask(2, 1, maxval, b"\0\0")
+    # the same rule guards the header, before any raster is built
+    for header in (b"P5\n-2 -1\n255\n", b"P4\n0 5\n", b"P5\n1 1\n65536\n"):
+        with pytest.raises(MalformedHeaderError):
+            parse_pnm(header + b"\0\0")
+    assert ImageMask(1, 1, 65535, (65535,)).maxval == 65535
 
 
 def _foreground(width, samples, threshold):
