@@ -2,8 +2,9 @@
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
 words of p bits: m/8 bytes for a box of m cells, whatever n is. The ranks
-come from :meth:`RankFunction.cells` over step 1's coordinate lists, so
-this module neither reads the caller's points nor knows the f1/f2 layout.
+come in as the 0-based cells that :class:`RankFunction` makes of step 1's
+coordinate lists, so this module neither reads the caller's points nor
+knows the f1/f2 layout.
 Rank is a bijection, so the table needs no record of which point set a
 bit: :meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the table into ascending-rank order ("shuffling") can either
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from typing import Sequence
+from typing import Iterable
 
 from .errors import BoxTooLargeError
-from .ranking import RankFunction
 
 # Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
 # and 2^30 cells at p = 64.
@@ -75,21 +75,22 @@ def extract_set_bits(word: int) -> list[int]:
     return positions
 
 
-def build_rank_table(
-    xs: Sequence[int], ys: Sequence[int], rf: RankFunction, p: int
-) -> RankTable:
-    """Set the bit of the rank of each point (xs[i], ys[i]) in a fresh table.
+def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTable:
+    """Set the bit of each of `count` 0-based cells in a fresh table of `m` ranks.
 
-    `xs` and `ys` are lists such as :func:`~rankhull.geometry.coordinates`
-    returns, checked and ranked by :meth:`RankFunction.cells`. Duplicates hit
-    a set bit and are counted. More than `MAX_WORDS` words raise
-    :class:`BoxTooLargeError`.
+    `cells` is read once and must yield `count` ints in [0, m), as
+    :meth:`RankFunction.cells` does after checking the caller's lists:
+    ``build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)``. The pipeline
+    passes `RankFunction._cells`, the same chain without the checks, on
+    lists that step 1 has checked. Duplicates hit a set bit and are
+    counted. `m` and `count` must be ints of at least 0 (`ValueError`), and
+    more than `MAX_WORDS` words raise :class:`BoxTooLargeError`.
     """
     check_block_width(p)
-    m = rf.m
+    if type(m) is not int or type(count) is not int or min(m, count) < 0:
+        raise ValueError(f"m and count must be ints of at least 0, not {m!r} and {count!r}")
     if m > MAX_WORDS * p:
         raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
-    cells = rf.cells(xs, ys)  # checked before the table is made
     r = -(-m // p)
     bloom = [0] * r
     duplicates = 0
@@ -100,7 +101,7 @@ def build_rank_table(
             duplicates += 1
         else:
             bloom[w] = word | mask
-    return RankTable(bloom, len(xs) - duplicates, m, p, r, duplicates)
+    return RankTable(bloom, count - duplicates, m, p, r, duplicates)
 
 
 def shuffle_naive(table: RankTable) -> ShuffleResult:

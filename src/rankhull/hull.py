@@ -41,6 +41,14 @@ class MelkmanStats:
     `deque_ops` counts point placements plus copy removals: a placement
     puts the point at both ends of the deque at once, and each of its two
     copies can later be removed at most once, so deque_ops <= 3n + seed.
+
+    :func:`melkman` does not count them test by test. Its loop counts the
+    points it places, the points it skips as interior, the points that
+    pass the first support test and the pop loops that the size guard
+    stops. The removals are then 4 + 2 * placed - len(deque), and the tests
+    are one per point read, one more per point passing the first test, and
+    per placed point one per removal plus one for each of its two pop loops
+    that a test (not the guard) stopped, besides the collinear prefix's.
     """
 
     isleft_evals: int = 0
@@ -102,13 +110,14 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
 
     dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
     pop, push, popleft, pushleft = dq.pop, dq.append, dq.popleft, dq.appendleft
-    size = 4
-    placed = 3
-    removed = 0
+    size = 4  # len(dq), except between the two pop loops (see there)
+    # no test or removal is counted in the loop: these four give the counters
+    placed = passed = skipped = guarded = 0
     # The support edges are seam -> dq[1] and dq[-2] -> seam, where the
     # seam is dq[0] == dq[-1]. Their endpoints are kept as coordinate
-    # locals, so no test indexes a tuple; the deque is read only after a
-    # pop or a placement.
+    # locals, so no test indexes a tuple, and each pop loop leaves the
+    # seam's new neighbour in its locals, so the deque is read only after
+    # a removal.
     # "v strictly left of p -> q" is the cross product (q - p) x (v - p) > 0,
     # written as a comparison of its two products.
     sx, sy = c
@@ -116,47 +125,54 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
     t1x, t1y = dq[-2]
     for v in it:
         vx, vy = v
-        evals += 1
         if (b1x - sx) * (vy - sy) > (b1y - sy) * (vx - sx):
-            evals += 1
+            passed += 1
             if (sx - t1x) * (vy - t1y) > (sy - t1y) * (vx - t1x):
+                skipped += 1
                 continue
-        # top: pop dq[-1] while v is not strictly left of dq[-2] -> dq[-1]
+        # top: pop q = dq[-1] while v is not strictly left of p = dq[-2] -> q.
+        # Each loop starts with at least 3 entries, so the guard, which
+        # keeps 2, is checked only after a removal.
         px, py = t1x, t1y
         qx, qy = sx, sy
-        while size > 2:
-            evals += 1
-            if (qx - px) * (vy - py) > (qy - py) * (vx - px):
-                break
+        while (qx - px) * (vy - py) <= (qy - py) * (vx - px):
             pop()
             size -= 1
-            removed += 1
             qx, qy = px, py
+            if size == 2:
+                guarded += 1
+                break
             px, py = dq[-2]
         push(v)
-        size += 1
-        # bottom: the top pops never reach dq[0] or dq[1], so they still
-        # hold the seam and b1
+        t1x, t1y = qx, qy  # the kept top is v's neighbour there
+        # bottom: pop p = dq[0] while v is not strictly left of p -> q = dq[1].
+        # The top pops never reach dq[0] or dq[1], so they still hold the
+        # seam and b1; `size` leaves out v's new top copy until the end.
         px, py = sx, sy
         qx, qy = b1x, b1y
-        while size > 2:
-            evals += 1
-            if (qx - px) * (vy - py) > (qy - py) * (vx - px):
-                break
+        while (qx - px) * (vy - py) <= (qy - py) * (vx - px):
             popleft()
             size -= 1
-            removed += 1
             px, py = qx, qy
+            if size == 1:
+                guarded += 1
+                break
             qx, qy = dq[1]
         pushleft(v)
-        size += 1
+        size += 2
         placed += 1
         sx, sy = vx, vy
-        b1x, b1y = dq[1]
-        t1x, t1y = dq[-2]
+        b1x, b1y = px, py  # the kept bottom is v's neighbour there
 
-    stats.isleft_evals += evals
-    stats.deque_ops += placed + removed
+    # Each placement adds two entries to the first triangle's 4 and each
+    # removal takes one away, so the final size gives the removals. Every
+    # point read is tested against the first support edge, and the points
+    # that pass it against the second; a placed point's two pop loops test
+    # once per removal, plus once each unless the size guard stopped it.
+    removed = 4 + 2 * placed - size
+    read = placed + skipped
+    stats.isleft_evals += evals + read + passed + removed + 2 * placed - guarded
+    stats.deque_ops += 3 + placed + removed
     cycle = list(dq)
     cycle.pop()  # both ends hold the seam vertex
     return HullPolygon(_canonical(cycle))

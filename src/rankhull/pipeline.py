@@ -1,7 +1,10 @@
 """End-to-end rank-ordered hull: box, rank, shuffle, scan.
 
 Step 1 alone reads the caller's points, into lists of xs and ys that
-step 3 ranks and then releases. The paper's translation onto the
+step 3 ranks and then releases. It is also the pipeline's only input
+check: the grid is the box of those same lists, and step 4's ranks are
+ints in [1, m] by construction, so steps 3 and 5 run the unchecked chains
+of `RankFunction.cells` and `offsets`. The paper's translation onto the
 normalized grid (step 2) is folded into step 3's rank arithmetic, and
 step 5 streams each rank back as an offset pair from the box corner as
 the scan reads it; orientation tests are translation-invariant, so the
@@ -138,13 +141,15 @@ def convex_hull_ranked(
             used_fallback = True
         else:
             rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
-            table = build_rank_table(xs, ys, rf, cfg.p)
+            # step 1 checked the lists and this grid is their box: rank them unchecked
+            table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
             del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             shuffled = fast_shuffle(table)
             t4 = clock()
             stats = MelkmanStats()
-            scanned = melkman(_Chain(rf.offsets(shuffled.order), len(shuffled.order)), stats)
+            # step 4's ranks are ints in [1, m] by construction
+            scanned = melkman(_Chain(rf._offsets(shuffled.order), len(shuffled.order)), stats)
             # translation keeps the lexicographic order, so the cycle stays canonical
             hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
             t5 = clock()

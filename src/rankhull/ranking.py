@@ -10,7 +10,10 @@ single-pass hull scan needs, obtained without a comparison sort.
 
 `RankFunction` is the only code that knows the f1/f2 layout: `cells` is
 its one forward rank path, used by `rank` and step 3, and `offsets` its one
-inverse, each a chain of C-level maps that is read once.
+inverse, each a chain of C-level maps that is read once. Each checks its
+input and then returns the chain of its private body (`_cells`,
+`_offsets`), which the pipeline calls directly on input it has already
+checked: step 1's lists, and step 4's ranks.
 """
 
 from __future__ import annotations
@@ -74,6 +77,14 @@ class RankFunction:
         if xs and not (x0 <= min(xs) and max(xs) < x1 and y0 <= min(ys) and max(ys) < y1):
             x, y = next(v for v in zip(xs, ys) if not (x0 <= v[0] < x1 and y0 <= v[1] < y1))
             raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
+        return self._cells(xs, ys)
+
+    def _cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
+        """`cells` without its checks, for lists of ints already known to lie in the grid.
+
+        The pipeline calls it on step 1's lists, whose box is this grid.
+        """
+        x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
         if self.variant is RankVariant.COLUMN_MAJOR:
             scaled, corner = map(add, map(mul, xs, repeat(m2)), ys), x0 * m2 + y0
         else:
@@ -111,6 +122,13 @@ class RankFunction:
         ):
             bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
             raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
+        return self._offsets(ranks)
+
+    def _offsets(self, ranks: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """`offsets` without its checks, for ints already known to lie in [1, m].
+
+        The pipeline calls it on step 4's ranks, which are in range by construction.
+        """
         if self.variant is RankVariant.COLUMN_MAJOR:
             return map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2))
         # zip reuses its pair when the reader lets it go; an endless repeat can be shared

@@ -16,7 +16,7 @@ call per point and edge, that `rankhull.hull.contains_all` must agree
 with on every polygon and point list.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 from rankhull.geometry import orientation
 from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment
@@ -82,15 +82,21 @@ def chain_is_simple(points) -> bool:
     return True
 
 
-def melkman_reference(chain, stats=None) -> HullPolygon:
+def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
     """Melkman's scan with every support edge read back from the deque.
 
     Runs the same orientation tests in the same order as
-    `rankhull.hull.melkman` and counts them the same way.
+    `rankhull.hull.melkman` and counts them one by one. `events`, a
+    `Counter` if given, counts the rare branches the scan took:
+    "collinear" prefix points, "skip" of an interior point, "second_fails"
+    (a point left of the first support edge but not the second), and
+    "guard_top" / "guard_bottom" for a pop loop stopped by the size guard.
     """
     pts = list(chain)
     if stats is None:
         stats = MelkmanStats()
+    if events is None:
+        events = Counter()
     if len(pts) < 3:
         return _degenerate(pts)
 
@@ -104,6 +110,7 @@ def melkman_reference(chain, stats=None) -> HullPolygon:
         turn = orientation(a, b, c)
         if turn != 0:
             break
+        events["collinear"] += 1
         b = c
     if turn == 0:
         stats.isleft_evals += evals
@@ -119,7 +126,9 @@ def melkman_reference(chain, stats=None) -> HullPolygon:
         if (b1[0] - b0[0]) * (vy - b0[1]) - (b1[1] - b0[1]) * (vx - b0[0]) > 0:
             evals += 1
             if (t0[0] - t1[0]) * (vy - t1[1]) - (t0[1] - t1[1]) * (vx - t1[0]) > 0:
+                events["skip"] += 1
                 continue
+            events["second_fails"] += 1
         while len(dq) > 2:
             evals += 1
             p, q = dq[-2], dq[-1]
@@ -127,6 +136,8 @@ def melkman_reference(chain, stats=None) -> HullPolygon:
                 break
             dq.pop()
             removed += 1
+        else:
+            events["guard_top"] += 1
         dq.append(v)
         while len(dq) > 2:
             evals += 1
@@ -135,6 +146,8 @@ def melkman_reference(chain, stats=None) -> HullPolygon:
                 break
             dq.popleft()
             removed += 1
+        else:
+            events["guard_bottom"] += 1
         dq.appendleft(v)
         placed += 1
         b0, b1, t1, t0 = dq[0], dq[1], dq[-2], dq[-1]

@@ -119,7 +119,8 @@ def test_01_bit_extraction_recovers_tabled_positions():
 def test_02_four_bit_buckets_load_and_shuffle_in_rank_order():
     rf = RankFunction(RankVariant.COLUMN_MAJOR, 4, 4)
     pts = [rf.unrank(5), rf.unrank(8), rf.unrank(2)]
-    table = build_rank_table(*coordinates(pts), rf, 4)
+    xs, ys = coordinates(pts)
+    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 4)
     recovered = fast_shuffle(table).order
     ok = table.bloom[1] == 9 and table.bloom[0] == 2 and recovered == [2, 5, 8]
     _verdict(
@@ -172,7 +173,7 @@ def test_05_shuffles_agree_across_block_widths():
         xs, ys = coordinates([rf.unrank(r) for r in ranks])
         expected = sorted(ranks)
         for p in (8, 16, 32, 64):
-            table = build_rank_table(xs, ys, rf, p)
+            table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
             if not (
                 fast_shuffle(table).order == shuffle_naive(table).order == expected
             ):
@@ -192,7 +193,8 @@ def test_06_rank_chains_are_simple():
         rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
         n = rng.randint(1, min(200, m1 * m2))
         pts = [rf.unrank(r) for r in rng.sample(range(1, m1 * m2 + 1), n)]
-        table = build_rank_table(*coordinates(pts), rf, 64)
+        xs, ys = coordinates(pts)
+        table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 64)
         chain = [rf.unrank(k) for k in fast_shuffle(table).order]
         if not chain_is_simple(chain):
             violations += 1

@@ -15,12 +15,18 @@ from rankhull.bitrank import (
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError, OutOfGridError
+from rankhull.errors import BoxTooLargeError, OutOfGridError
 from rankhull.geometry import Point, coordinates
 from rankhull.ranking import RankFunction, RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
 F2 = RankVariant.ROW_MAJOR
+
+
+def _ranked(pts, rf, p):
+    """The table of `pts`, ranked by the checked entry point `rf.cells`."""
+    xs, ys = coordinates(pts)
+    return build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
 
 
 def _table_from_ranks(ranks, m, p):
@@ -52,15 +58,15 @@ def test_extract_set_bits_matches_popcount_and_order(word):
 
 def test_build_packs_ranks_into_blocked_words():
     rf = RankFunction(F1, 4, 4)
-    table = build_rank_table(*coordinates([rf.unrank(5), rf.unrank(8)]), rf, 4)
+    table = _ranked([rf.unrank(5), rf.unrank(8)], rf, 4)
     assert table.bloom[1] == 0b1001
-    table = build_rank_table(*coordinates([rf.unrank(2)]), rf, 4)
+    table = _ranked([rf.unrank(2)], rf, 4)
     assert table.bloom[0] == 0b0010
     assert table.r == 4
 
 
 def test_build_empty_set():
-    table = build_rank_table(*coordinates([]), RankFunction(F1, 4, 4), 4)
+    table = _ranked([], RankFunction(F1, 4, 4), 4)
     assert table.bloom == [0, 0, 0, 0]
     assert table.n == 0
 
@@ -68,7 +74,7 @@ def test_build_empty_set():
 def test_build_skips_and_counts_duplicates():
     rf = RankFunction(F1, 4, 4)
     pts = [Point(2, 2), Point(2, 2), Point(2, 2), Point(3, 1)]
-    table = build_rank_table(*coordinates(pts), rf, 8)
+    table = _ranked(pts, rf, 8)
     assert table.n == 2
     assert table.duplicates_skipped == 2
     # the repeated point's rank is recorded once
@@ -79,7 +85,7 @@ def test_build_rejects_a_block_width_that_is_not_a_positive_int():
     rf = RankFunction(F1, 4, 4)
     for p in (0, 64.0, 8.5):
         with pytest.raises(ValueError, match="block width"):
-            build_rank_table(*coordinates([Point(1, 1)]), rf, p)
+            _ranked([Point(1, 1)], rf, p)
 
 
 def test_build_honors_rank_range_cap():
@@ -87,29 +93,30 @@ def test_build_honors_rank_range_cap():
     for p in (8, 64):
         rf = RankFunction(F1, MAX_WORDS * p + 1, 1)
         with pytest.raises(BoxTooLargeError):
-            build_rank_table(*coordinates([Point(1, 1)]), rf, p)
+            _ranked([Point(1, 1)], rf, p)
 
 
 def test_build_rejects_points_outside_the_grid():
+    # rf.cells checks the lists before a table is made; the bad-list cases
+    # of a direct call are test_ranking's, since cells owns that check
     for variant in (F1, F2):
         rf = RankFunction(variant, 4, 3, x_min=-2, y_min=5)
         for bad in (Point(-3, 5), Point(2, 5), Point(-2, 4), Point(-2, 8)):
             with pytest.raises(OutOfGridError, match=re.escape(str(tuple(bad)))):
-                build_rank_table(*coordinates([Point(-2, 5), bad]), rf, 8)
-        # a direct call is checked too: step 1's rule is not taken on trust
-        for xs, ys in (
-            ([-2, -1.5], [5, 6]), ([-2, -1], [5.0, 6]), ([-2, 0.0], [5, 5]),
-            ([-2, True], [5, 6]), ([-2, -1], [5, False]), ([-2, -1], [5]),
-        ):
-            with pytest.raises(NonIntegerCoordinateError):
-                build_rank_table(xs, ys, rf, 8)
+                _ranked([Point(-2, 5), bad], rf, 8)
+
+
+def test_build_rejects_a_rank_count_or_point_count_that_is_not_an_int():
+    for m, count in ((16.0, 1), (-1, 0), (16, 1.0), (16, -1), (True, 1), ("16", 1)):
+        with pytest.raises(ValueError, match="m and count"):
+            build_rank_table(iter([0]), count, m, 8)
 
 
 def test_build_population_count_equals_n():
     rng = random.Random(4)
     rf = RankFunction(F1, 20, 20)
     pts = [rf.unrank(r) for r in rng.sample(range(1, 401), 77)]
-    table = build_rank_table(*coordinates(pts), rf, 16)
+    table = _ranked(pts, rf, 16)
     assert sum(bin(w).count("1") for w in table.bloom) == table.n == 77
 
 
@@ -135,7 +142,7 @@ def test_naive_shuffle_full_table():
 def test_fast_shuffle_matches_naive_on_bucket_walkthrough():
     rf = RankFunction(F1, 4, 4)
     pts = [rf.unrank(5), rf.unrank(8), rf.unrank(2)]
-    table = build_rank_table(*coordinates(pts), rf, 4)
+    table = _ranked(pts, rf, 4)
     assert table.bloom == [0b0010, 0b1001, 0, 0]
     fast = fast_shuffle(table)
     assert fast.order == shuffle_naive(table).order == [2, 5, 8]
@@ -183,7 +190,7 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
     y_min = data.draw(st.integers(-10**12, 10**12))
     rf = RankFunction(variant, m1, m2, x_min, y_min)
     pts = [rf.unrank(r) for r in ranks]
-    table = build_rank_table(*coordinates(pts), rf, p)
+    table = _ranked(pts, rf, p)
     expected = sorted(ranks)
     assert fast_shuffle(table).order == expected
     assert shuffle_naive(table).order == expected

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincheck import contains_all_reference, is_convex_reference, melkman_reference
+from chaincheck import (
+    chain_is_simple, contains_all_reference, is_convex_reference, melkman_reference,
+)
 from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
@@ -143,6 +146,35 @@ def test_melkman_runs_the_reference_scan(chain):
     assert hull == melkman_reference(chain, want)
     assert (got.isleft_evals, got.deque_ops) == (want.isleft_evals, want.deque_ops)
     assert all(type(v) is Point for v in hull.vertices)
+
+
+# Simple chains, each taking one of the scan's rare branches at least once.
+# Only the top pop loop's size guard is listed: the bottom loop's can stop
+# a scan only after the top loop's did and the point failed the first
+# support test, which puts it on or right of every edge of the deque's
+# convex polygon, and no point is.
+_RARE_BRANCH_CHAINS = {
+    # (1, 1) is left of both support edges of the triangle before it
+    "skip": [(0, 0), (4, 0), (0, 4), (1, 1)],
+    # (4, 4) is left of (0, 4) -> (0, 0) but right of (4, 0) -> (0, 4)
+    "second_fails": [(0, 0), (4, 0), (0, 4), (4, 4)],
+    # (2, 0) and (3, 0) extend the line through the first two points
+    "collinear": [(0, 0), (1, 0), (2, 0), (3, 0), (1, 3)],
+    # (4, -1) is right of (2, 0) -> (0, 2) and of (0, 0) -> (2, 0): the top
+    # loop pops both, and the deque is down to its two bottom entries
+    "guard_top": [(0, 0), (2, 0), (0, 2), (4, -1)],
+}
+
+
+def test_melkman_rare_branches_match_the_reference_scan():
+    for branch, pts in _RARE_BRANCH_CHAINS.items():
+        chain = [Point(x, y) for x, y in pts]
+        assert chain_is_simple(chain), branch
+        got, want, events = MelkmanStats(), MelkmanStats(), Counter()
+        hull = melkman(chain, got)
+        assert hull == melkman_reference(chain, want, events) == hull_oracle(chain), branch
+        assert events[branch] >= 1, branch
+        assert (got.isleft_evals, got.deque_ops) == (want.isleft_evals, want.deque_ops), branch
 
 
 def test_melkman_reads_any_iterable_once():

@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from rankhull.bitrank import build_rank_table, shuffle_naive
+from chaincheck import melkman_reference
+from rankhull.bitrank import build_rank_table, fast_shuffle, shuffle_naive
 from rankhull.errors import NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
-from rankhull.hull import contains_all, hull_oracle, is_convex, melkman
+from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
+    BLOCK_WIDTHS,
+    OperationCounters,
     PipelineConfig,
     convex_hull_ranked,
     density_threshold_refined,
@@ -117,7 +120,8 @@ def test_naive_and_fast_variants_agree():
     pts = [Point(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(400)]
     box = bounding_box(pts)
     rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
-    naive = shuffle_naive(build_rank_table(*coordinates(pts), rf, 64))
+    xs, ys = coordinates(pts)
+    naive = shuffle_naive(build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 64))
     assert melkman(rf.unrank_all(naive.order)) == convex_hull_ranked(pts).hull
     assert naive.iterations <= box.m
 
@@ -171,6 +175,37 @@ def test_sparse_counters_are_pinned(variant, expected):
     report = convex_hull_ranked(pts, PipelineConfig(p=64, rank_variant=variant))
     c = report.counters
     assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
+
+
+@st.composite
+def offset_point_lists(draw):
+    """1 to 60 points in a box of side up to 40, with repeats, at a corner within 10^6."""
+    x0 = draw(st.integers(-10**6, 10**6))
+    y0 = draw(st.integers(-10**6, 10**6))
+    side = st.integers(0, draw(st.integers(0, 40)))
+    pts = draw(st.lists(st.builds(Point, side, side), min_size=1, max_size=50))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    return [Point(x + x0, y + y0) for x, y in draw(st.permutations(pts))]
+
+
+@settings(max_examples=150)
+@given(offset_point_lists(), st.sampled_from(tuple(RankVariant)), st.sampled_from(BLOCK_WIDTHS))
+def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, variant, p):
+    # the pipeline skips the checks of cells and offsets; rebuilt here with
+    # every check on and the plain reference scan, nothing may change
+    report = convex_hull_ranked(pts, PipelineConfig(p=p, rank_variant=variant))
+    box = bounding_box(pts)
+    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    xs, ys = coordinates(pts)
+    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    shuffled = fast_shuffle(table)
+    stats = MelkmanStats()
+    hull = melkman_reference(rf.unrank_all(shuffled.order), stats)
+    assert report.hull == hull
+    assert (report.n, report.duplicates_skipped) == (table.n, table.duplicates_skipped)
+    assert report.counters == OperationCounters(
+        stats.isleft_evals, shuffled.iterations, stats.deque_ops
+    )
 
 
 @settings(max_examples=60)

@@ -61,6 +61,18 @@ def test_rank_rejects_points_that_are_not_pairs_of_ints():
                 rf.rank(bad)
 
 
+def test_cells_rejects_lists_that_are_not_ints_of_one_length():
+    # the one check of a caller's coordinate lists on the way into step 3
+    for variant in (F1, F2):
+        rf = RankFunction(variant, 4, 3, x_min=-2, y_min=5)
+        for xs, ys in (
+            ([-2, -1.5], [5, 6]), ([-2, -1], [5.0, 6]), ([-2, 0.0], [5, 5]),
+            ([-2, True], [5, 6]), ([-2, -1], [5, False]), ([-2, -1], [5]),
+        ):
+            with pytest.raises(NonIntegerCoordinateError, match="lists of ints"):
+                rf.cells(xs, ys)
+
+
 def test_variant_must_be_a_rank_variant():
     # a CLI spelling such as "f1" is a str, not a variant
     for bad in ("f1", "zz"):
