@@ -10,7 +10,9 @@ from .analysis import (
     BenchmarkPlan,
     BenchmarkRow,
     FitResult,
+    fit_route_costs,
     linear_fit,
+    read_csv,
     run_benchmark,
     write_csv,
 )
@@ -42,6 +44,7 @@ from .pipeline import (
     OperationCounters,
     PipelineConfig,
     PipelineReport,
+    Route,
     convex_hull_ranked,
     density_threshold_refined,
     density_threshold_simple,
@@ -68,6 +71,7 @@ __all__ = [
     "RankHullError",
     "RankTable",
     "RankVariant",
+    "Route",
     "ShuffleResult",
     "bounding_box",
     "build_rank_table",
@@ -78,6 +82,7 @@ __all__ = [
     "density_threshold_simple",
     "extract_set_bits",
     "fast_shuffle",
+    "fit_route_costs",
     "generate_dense_set",
     "hull_oracle",
     "image_to_points",
@@ -88,6 +93,7 @@ __all__ = [
     "melkman",
     "orientation",
     "parse_pnm",
+    "read_csv",
     "run_benchmark",
     "save_points",
     "shuffle_naive",

@@ -1,30 +1,36 @@
-"""Blocked occupancy bit table and the shuffles that compact it.
+"""Occupancy tables over the m ranks of a box, and the passes that read them.
 
-The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits: m/8 bytes for a box of m cells, whatever n is. The ranks
+The blocked bit table marks each occupied rank with one bit, stored as
+r = ceil(m/p) words of p bits: m/8 bytes for a box of m cells, whatever n
+is. The byte table is the paper's base table, one byte per rank. The ranks
 come in as the 0-based cells that :class:`RankFunction` makes of step 1's
 coordinate lists, so this module neither reads the caller's points nor
-knows the f1/f2 layout.
-Rank is a bijection, so the table needs no record of which point set a
-bit: :meth:`RankFunction.offsets` turns each rank back into its offset.
-Compacting the table into ascending-rank order ("shuffling") can either
+knows the f1/f2 layout beyond the length of a line.
+Rank is a bijection, so neither table needs a record of which point set a
+mark: :meth:`RankFunction.offsets` turns each rank back into its offset.
+Compacting the bit table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: each word's zero test runs in C,
 inside `itertools.compress`, so a zero word costs no Python loop pass, and
 a nonzero word yields its bit positions in popcount(word) steps via the
-lowest-set-bit clearing trick.
+lowest-set-bit clearing trick. The byte table is read one line at a time
+instead, for each occupied line's lowest and highest rank only.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count, repeat
 from typing import Iterable
 
-from .errors import BoxTooLargeError
+from .errors import BoxTooLargeError, RankOutOfRangeError
+from .geometry import _INT_ONLY
 
-# Cap on the table's length in words: 128 MiB of 8-byte list slots at any p,
-# and 2^30 cells at p = 64.
+# Cap on the bit table's length in words: 128 MiB of 8-byte list slots at
+# any p, and 2^30 cells at p = 64.
 MAX_WORDS = 1 << 24
+# Cap on the byte table's length: 128 MiB, 2^27 cells.
+MAX_BYTES = 1 << 27
 
 
 @dataclass
@@ -78,19 +84,33 @@ def extract_set_bits(word: int) -> list[int]:
 def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTable:
     """Set the bit of each of `count` 0-based cells in a fresh table of `m` ranks.
 
-    `cells` is read once and must yield `count` ints in [0, m), as
-    :meth:`RankFunction.cells` does after checking the caller's lists:
-    ``build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)``. The pipeline
-    passes `RankFunction._cells`, the same chain without the checks, on
-    lists that step 1 has checked. Duplicates hit a set bit and are
-    counted. `m` and `count` must be ints of at least 0 (`ValueError`), and
-    more than `MAX_WORDS` words raise :class:`BoxTooLargeError`.
+    `cells` is read once, as :meth:`RankFunction.cells` yields them:
+    ``build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)``. Duplicates
+    hit a set bit and are counted. `m` and `count` must be ints of at least
+    0 (`ValueError`), more than `MAX_WORDS` words raise
+    :class:`BoxTooLargeError`, and `cells` must yield exactly `count` ints
+    in [0, m): a cell that is not raises :class:`RankOutOfRangeError`, and
+    another number of cells `ValueError`. The pipeline calls the unchecked
+    body on the cells of step 1's lists, which are in range by construction.
     """
     check_block_width(p)
     if type(m) is not int or type(count) is not int or min(m, count) < 0:
         raise ValueError(f"m and count must be ints of at least 0, not {m!r} and {count!r}")
     if m > MAX_WORDS * p:
         raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
+    cells = list(cells)
+    if cells and not (
+        _INT_ONLY.issuperset(map(type, cells)) and 0 <= min(cells) and max(cells) < m
+    ):
+        bad = next(c for c in cells if type(c) is not int or not 0 <= c < m)
+        raise RankOutOfRangeError(f"cell {bad!r} is not an int in [0, {m})")
+    if len(cells) != count:
+        raise ValueError(f"count is {count}, but cells yields {len(cells)}")
+    return _build_rank_table(cells, count, m, p)
+
+
+def _build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTable:
+    """`build_rank_table` without its checks, for `count` cells known to lie in [0, m)."""
     r = -(-m // p)
     bloom = [0] * r
     duplicates = 0
@@ -141,3 +161,41 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
             append(base + s)
     r = len(bloom)
     return ShuffleResult(order, r + len(order), r - nonzero)
+
+
+def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:
+    """The byte table of `m` ranks with a 1 at each 0-based cell, which must lie in [0, m).
+
+    The marking runs in C, one `bytearray.__setitem__` per cell inside a
+    `map` that a zero-length `deque` drains; a duplicate marks its byte
+    again. The table's count of ones is the number of distinct cells.
+    """
+    occ = bytearray(m)
+    deque(map(occ.__setitem__, cells, repeat(1)), maxlen=0)
+    return occ
+
+
+def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
+    """The 1-based ranks of each occupied line's lowest and highest mark, and the line count.
+
+    The table's ranks run line by line, `width` to a line (a column of m2
+    cells under f1, a row of m1 under f2). Each occupied line gives its
+    lowest rank and then, if it holds more than one mark, its highest, so
+    the ranks come out ascending. `bytearray.find` skips the empty lines in
+    C, so the Python loop runs once per occupied line, and that count is
+    returned with the ranks.
+    """
+    ranks: list[int] = []
+    append = ranks.append
+    find, rfind = occ.find, occ.rfind
+    lines = 0
+    first = find(1)
+    while first >= 0:
+        lines += 1
+        end = first - first % width + width
+        last = rfind(1, first, end)
+        append(first + 1)
+        if last != first:
+            append(last + 1)
+        first = find(1, end)
+    return ranks, lines

@@ -8,12 +8,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import BenchmarkPlan, run_benchmark, write_csv
+from .analysis import RANK_VARIANT, VARIANTS, BenchmarkPlan, run_benchmark, write_csv
 from .errors import RankHullError
 from .hull import hull_oracle
 from .pipeline import (
     BLOCK_WIDTHS,
     PipelineConfig,
+    Route,
     convex_hull_ranked,
     density_threshold_refined,
     density_threshold_simple,
@@ -30,7 +31,7 @@ def _print_hull(hull) -> None:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     points = load_points(args.points_file)
-    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank))
+    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank), route=Route(args.route))
     report = convex_hull_ranked(points, cfg)
     _print_hull(report.hull)
     if args.verify and report.hull != hull_oracle(points):
@@ -62,6 +63,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         p_values=args.p_list,
         repetitions=args.reps,
         seed=args.seed,
+        variants=args.variants,
     )
     rows = run_benchmark(plan)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -88,6 +90,10 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part]
 
 
+def _str_list(text: str) -> list[str]:
+    return [part for part in text.split(",") if part]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankhull",
@@ -100,6 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--p", type=int, default=64, choices=BLOCK_WIDTHS)
     hull.add_argument("--rank", default=RankVariant.COLUMN_MAJOR.value,
                       choices=tuple(v.value for v in RankVariant))
+    hull.add_argument("--route", default=Route.AUTO.value,
+                      choices=tuple(r.value for r in Route),
+                      help="auto picks the cheapest route by the fitted cost model")
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")
     hull.set_defaults(func=_cmd_hull)
@@ -122,6 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--height", type=int, required=True)
     bench.add_argument("--densities", type=_float_list, required=True)
     bench.add_argument("--p-list", type=_int_list, default=[32])
+    bench.add_argument("--variants", type=_str_list, default=[RANK_VARIANT],
+                       help=f"comma-separated, from {','.join(VARIANTS)}")
     bench.add_argument("--reps", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", required=True)

@@ -1,52 +1,110 @@
-"""End-to-end rank-ordered hull: box, rank, shuffle, scan.
+"""End-to-end rank-ordered hull: box, then one of three routes.
 
-Step 1 alone reads the caller's points, into lists of xs and ys that
-step 3 ranks and then releases. It is also the pipeline's only input
-check: the grid is the box of those same lists, and step 4's ranks are
-ints in [1, m] by construction, so steps 3 and 5 run the unchecked chains
-of `RankFunction.cells` and `offsets`. The paper's translation onto the
-normalized grid (step 2) is folded into step 3's rank arithmetic, and
-step 5 streams each rank back as an offset pair from the box corner as
-the scan reads it; orientation tests are translation-invariant, so the
-scan decides as it would on the caller's points. Only the hull's
-vertices are translated back, by `RankFunction.to_points`, and the only
-per-box structure is the m/p-word bit table.
+Step 1 alone reads the caller's points, into lists of xs and ys, and
+takes their box. It is also the pipeline's only input check: the grid is
+the box of those same lists, so the later steps rank them with the
+unchecked chain of `RankFunction.cells` and turn ranks back into offsets
+with the unchecked `offsets`. A small cost model then picks the route
+that finishes the hull (`Route`):
 
-The pipeline stays linear while the point set is dense relative to its
-bounding box; the density thresholds quantify where that regime ends for
-a given block width. A box whose bit table would need more than
-`MAX_WORDS` words is routed to the sort-based oracle instead.
+- byte extremes: step 3 marks each point's rank in a table of one byte
+  per rank (the paper's base O(n + m) table), step 4 reads each occupied
+  line's lowest and highest rank from it, and step 5 scans those, at most
+  two per line. Only a line's two extremes can be hull vertices, and the
+  ranked chain cut down to them is still simple.
+- the paper's p-bit pipeline: step 3 marks each rank in the m/p-word bit
+  table, step 4 compacts the table into ascending-rank order and step 5
+  scans all n distinct points.
+- the sort-based oracle, for boxes too sparse for either table.
+
+The paper's translation onto the normalized grid (step 2) is folded into
+step 3's rank arithmetic, and step 5 streams each rank back as an offset
+pair from the box corner as the scan reads it; orientation tests are
+translation-invariant, so the scan decides as it would on the caller's
+points. Only the hull's vertices are translated back, by
+`RankFunction.to_points`.
+
+The model (`route_estimates`) charges each route its fitted nanoseconds
+per unit of work past step 1: per point, per cell and per line for byte
+extremes, per point and per word for the p-bit pipeline, and per n·log2 n
+for the oracle. The constants come from the sweep in
+`docs/route_sweep.csv` (see README's "Routes"). A table over its cap is
+never built: the bit table holds at most `MAX_WORDS` words, and the byte
+table at most `MAX_BYTES` bytes and, on the default route, at most
+`MAX_BYTES_PER_POINT` bytes a point.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import time
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
+from operator import mul
 
-from .bitrank import MAX_WORDS, build_rank_table, check_block_width, fast_shuffle
-from .errors import NonIntegerCoordinateError
+from .bitrank import (
+    MAX_BYTES, MAX_WORDS, _line_extremes, _mark_bytes, check_block_width, fast_shuffle,
+)
+# Step 3 of the rank route: the unchecked body of `bitrank.build_rank_table`, kept
+# under the public name that tracers of the pipeline's steps wrap.
+from .bitrank import _build_rank_table as build_rank_table
+from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates, new_point
 from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
 BLOCK_WIDTHS = (8, 16, 32, 64)
+# The byte table's budget on the default route, in bytes a point: a density of
+# at least 1/64, the paper's 1/p bound at its widest block.
+MAX_BYTES_PER_POINT = 64
+
+_log = logging.getLogger(__name__)
+
+
+class Route(Enum):
+    """The code that computes a hull. Values double as the CLI spelling.
+
+    `AUTO` asks the cost model; each other value names one route.
+    """
+
+    AUTO = "auto"
+    RANK = "rank"
+    EXTREMES = "extremes"
+    ORACLE = "oracle"
+
+
+@dataclass(frozen=True)
+class RouteCosts:
+    """Nanoseconds per unit of `route_terms`' work, one tuple per route."""
+
+    extremes: tuple[float, float, float]  # per point, per cell, per occupied line
+    rank: tuple[float, float]  # per point, per word
+    oracle: tuple[float]  # per n·log2 n
+
+
+# Fitted to docs/route_sweep.csv by `analysis.fit_route_costs`.
+ROUTE_COSTS = RouteCosts(extremes=(332.6, 0.7324, 3075.0), rank=(2635.0, 38.77), oracle=(431.0,))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The method's two parameters: block width p and rank function f1/f2."""
+    """The method's two parameters, block width p and rank function f1/f2, and the route."""
 
     p: int = 64
     rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
+    route: Route = Route.AUTO
 
     def __post_init__(self) -> None:
-        # checked here, since the empty and over-cap routes build no RankFunction
+        # checked here, since the empty input and the oracle build no table
         if type(self.p) is not int or self.p not in BLOCK_WIDTHS:
             raise ValueError(f"block width must be one of {BLOCK_WIDTHS}")
         if not isinstance(self.rank_variant, RankVariant):
             raise ValueError(f"rank variant must be a RankVariant, not {self.rank_variant!r}")
+        if not isinstance(self.route, Route):
+            raise ValueError(f"route must be a Route, not {self.route!r}")
 
 
 @dataclass(frozen=True)
@@ -63,12 +121,15 @@ class PipelineReport:
     `n` counts distinct points; exact duplicates are absorbed during table
     construction, so `duplicates_skipped` is len(points) - n. `m` is the
     box area m1 * m2 and `density` is n / m, with m = 0 and density 0.0
-    for empty input. `step_ns` holds the elapsed monotonic nanoseconds of
-    the paper's five steps (box, translate, rank, shuffle, scan). The
-    translation happens inside the rank arithmetic, so its slot is always
-    0; the scan's slot includes turning ranks into box offsets and the
-    hull's vertices back into the caller's points. When `used_fallback` is
-    set the hull came from the sort-based oracle and steps 3-5 and the
+    for empty input. `route` is the route that ran, never `Route.AUTO`;
+    empty input runs none and reports the route chosen for it. `step_ns`
+    holds the elapsed monotonic nanoseconds of the paper's five steps
+    (box, translate, rank, shuffle, scan). The translation happens inside
+    the rank arithmetic, so its slot is always 0; the scan's slot includes
+    turning ranks into box offsets and the hull's vertices back into the
+    caller's points. On the byte-extremes route step 3 is the marking,
+    step 4 the pass over the lines, and `shuffle_iterations` counts the
+    occupied lines that pass read. On the oracle route steps 3-5 and the
     counters are zero.
     """
 
@@ -83,7 +144,12 @@ class PipelineReport:
     step_ns: tuple[int, int, int, int, int]
     p: int
     rank_variant: RankVariant
-    used_fallback: bool = False
+    route: Route
+
+    @property
+    def used_fallback(self) -> bool:
+        """True when the hull came from the sort-based oracle."""
+        return self.route is Route.ORACLE
 
 
 @dataclass
@@ -100,17 +166,78 @@ class _Chain:
         return self.n
 
 
+# The routes that `route_terms` and `route_estimates` price, in the order that breaks a tie.
+ROUTES = (Route.EXTREMES, Route.RANK, Route.ORACLE)
+
+
+def route_terms(count: int, m: int, lines: int, p: int) -> tuple[tuple[float, ...], ...]:
+    """The units of work of each of `ROUTES`, past step 1.
+
+    For `count` points in a box of `m` cells made of `lines` lines of
+    consecutive ranks: byte extremes pay per point, per cell and per
+    occupied line (at most one a point), the p-bit pipeline per point and
+    per word of `p` bits, and the oracle per n·log2 n.
+    """
+    return (
+        (count, m, min(lines, count)),
+        (count, -(-m // p)),
+        (count * math.log2(count) if count else 0.0,),
+    )
+
+
+def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, float, float]:
+    """Estimated nanoseconds of each of `ROUTES` past step 1, by `ROUTE_COSTS`.
+
+    The arguments are `route_terms`'. A route whose table would be over
+    its cap reads `math.inf`, and so does the byte table over
+    `MAX_BYTES_PER_POINT` bytes a point.
+    """
+    c = ROUTE_COSTS
+    extremes, rank, oracle = route_terms(count, m, lines, p)
+    fits_bytes = m <= MAX_BYTES and m <= MAX_BYTES_PER_POINT * count
+    return (
+        sum(map(mul, c.extremes, extremes)) if fits_bytes else math.inf,
+        sum(map(mul, c.rank, rank)) if m <= MAX_WORDS * p else math.inf,
+        sum(map(mul, c.oracle, oracle)),
+    )
+
+
+def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
+    """The route `cfg` takes for `count` points in a box of `m` cells over `lines` lines.
+
+    `Route.AUTO` takes the cheapest of `route_estimates`. A route named
+    outright is taken as is, unless its table would be over its cap:
+    :class:`BoxTooLargeError`. The choice and the three estimates are
+    logged at DEBUG level.
+    """
+    estimates = route_estimates(count, m, lines, cfg.p)
+    route = cfg.route
+    if route is Route.AUTO:
+        route = ROUTES[estimates.index(min(estimates))]
+    elif route is Route.EXTREMES and m > MAX_BYTES:
+        raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
+    elif route is Route.RANK and m > MAX_WORDS * cfg.p:
+        raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {cfg.p} bits")
+    _log.debug(
+        "route %s (asked %s) for %d points, %d cells, %d lines: "
+        "estimates extremes %.0f, rank %.0f, oracle %.0f ns",
+        route, cfg.route, count, m, lines, *estimates,
+    )
+    return route
+
+
 def convex_hull_ranked(
     points: Collection[Point],
     cfg: PipelineConfig | None = None,
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
-    Step 1 reads the points into coordinate lists and their box, step 3
-    marks each point's rank (step 2's translation included) in the blocked
-    bit table, step 4 compacts it into ascending-rank order, and step 5
-    streams that order, a simple chain of box offsets, into the deque scan.
-    A box too large for `MAX_WORDS` words gets the sort-based oracle's hull.
+    Step 1 reads the points into coordinate lists and their box, and
+    `choose_route` picks the route for them. On the two table routes step
+    3 marks each point's rank (step 2's translation included) in a table,
+    step 4 reads the ranks to scan from it in ascending order, and step 5
+    streams them, a simple chain of box offsets, into the deque scan. The
+    oracle route hulls the distinct points by sorting.
     `points` must be a sized collection, such as a list, tuple or set: step
     1 iterates over it twice, and no other step reads it.
     """
@@ -124,39 +251,47 @@ def convex_hull_ranked(
     n = m1 = m2 = 0
     counters = OperationCounters(0, 0, 0)
     step_ns = (0, 0, 0, 0, 0)
-    used_fallback = False
-    if points:
+    if not points:
+        route = choose_route(cfg, 0, 0, 0)
+    else:
         clock = time.perf_counter_ns
         t0 = clock()
         xs, ys = coordinates(points)
         box = BoundingBox.of(xs, ys)
         t1 = clock()
         m1, m2 = box.m1, box.m2
-        if box.m > MAX_WORDS * cfg.p:
-            # deduplicated as Points, so both routes return Point vertices
+        rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
+        width = rf.line_length
+        route = choose_route(cfg, len(xs), box.m, box.m // width)
+        if route is Route.ORACLE:
+            # deduplicated as Points, so every route returns Point vertices
             distinct = set(map(new_point, zip(xs, ys)))
             del xs, ys
             hull, n = hull_oracle(distinct), len(distinct)
             step_ns = (t1 - t0, 0, 0, 0, 0)
-            used_fallback = True
         else:
-            rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
             # step 1 checked the lists and this grid is their box: rank them unchecked
-            table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
-            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
-            t3 = clock()
-            shuffled = fast_shuffle(table)
+            if route is Route.RANK:
+                table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
+                del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
+                t3 = clock()
+                shuffled = fast_shuffle(table)
+                ranks, n, iterations = shuffled.order, table.n, shuffled.iterations
+            else:
+                occ = _mark_bytes(rf._cells(xs, ys), box.m)
+                del xs, ys
+                t3 = clock()
+                n = occ.count(1)
+                ranks, iterations = _line_extremes(occ, width)
+                del occ
             t4 = clock()
             stats = MelkmanStats()
             # step 4's ranks are ints in [1, m] by construction
-            scanned = melkman(_Chain(rf._offsets(shuffled.order), len(shuffled.order)), stats)
+            scanned = melkman(_Chain(rf._offsets(ranks), len(ranks)), stats)
             # translation keeps the lexicographic order, so the cycle stays canonical
             hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
             t5 = clock()
-            n = table.n
-            counters = OperationCounters(
-                stats.isleft_evals, shuffled.iterations, stats.deque_ops
-            )
+            counters = OperationCounters(stats.isleft_evals, iterations, stats.deque_ops)
             step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
 
     m = m1 * m2
@@ -165,8 +300,7 @@ def convex_hull_ranked(
         density=n / m if m else 0.0,
         duplicates_skipped=len(points) - n,
         counters=counters, step_ns=step_ns,
-        p=cfg.p, rank_variant=cfg.rank_variant,
-        used_fallback=used_fallback,
+        p=cfg.p, rank_variant=cfg.rank_variant, route=route,
     )
 
 

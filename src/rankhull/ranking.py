@@ -64,6 +64,11 @@ class RankFunction:
     def m(self) -> int:
         return self.m1 * self.m2
 
+    @property
+    def line_length(self) -> int:
+        """Cells in a line of consecutive ranks: a column (m2) under f1, a row (m1) under f2."""
+        return self.m2 if self.variant is RankVariant.COLUMN_MAJOR else self.m1
+
     def cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
         """The 0-based cell of each point (xs[i], ys[i]): the one forward rank path.
 

@@ -26,6 +26,7 @@ from rankhull.geometry import Point, coordinates
 from rankhull.hull import hull_oracle
 from rankhull.pipeline import (
     PipelineConfig,
+    Route,
     convex_hull_ranked,
     density_threshold_refined,
     density_threshold_simple,
@@ -89,17 +90,20 @@ def _random_instance(rng: random.Random) -> list[Point]:
 
 @pytest.fixture(scope="module")
 def oracle_suite() -> SuiteOutcome:
+    # each instance through both table routes; an instance counts once as a
+    # mismatch, and the byte route's chain is at most its n distinct points
     rng = random.Random(0xD15EA5E)
-    cfg = PipelineConfig()
+    configs = [PipelineConfig(route=Route.RANK), PipelineConfig(route=Route.EXTREMES)]
     mismatches = 0
     worst = -(10**9)
     started = time.perf_counter()
     for _ in range(10_000):
         pts = _random_instance(rng)
-        report = convex_hull_ranked(pts, cfg)
-        if report.hull != hull_oracle(pts):
+        expected = hull_oracle(pts)
+        reports = [convex_hull_ranked(pts, cfg) for cfg in configs]
+        if any(report.hull != expected for report in reports):
             mismatches += 1
-        worst = max(worst, report.counters.deque_ops - 3 * report.n)
+        worst = max(worst, *(r.counters.deque_ops - 3 * r.n for r in reports))
     return SuiteOutcome(10_000, mismatches, worst, time.perf_counter() - started)
 
 
@@ -154,7 +158,8 @@ def test_04_ten_thousand_instances_match_the_oracle(oracle_suite):
         and oracle_suite.elapsed_s < 60
     )
     _verdict(
-        "4 oracle equivalence: 10,000 instances, zero mismatches, under 60 s",
+        "4 oracle equivalence: 10,000 instances on the rank and byte routes,"
+        " zero mismatches, under 60 s",
         ok,
         f"{oracle_suite.mismatches} mismatches in {oracle_suite.elapsed_s:.1f} s",
     )
@@ -205,7 +210,7 @@ def test_06_rank_chains_are_simple():
 
 
 def test_07_counters_double_with_point_count():
-    cfg = PipelineConfig()  # p = 64
+    cfg = PipelineConfig(route=Route.RANK)  # p = 64
     base = convex_hull_ranked(generate_dense_set(640, 480, count=9216, seed=7), cfg)
     double = convex_hull_ranked(generate_dense_set(640, 480, count=18432, seed=8), cfg)
 

@@ -1,19 +1,36 @@
 import csv
 import io
+from dataclasses import astuple, replace
+from pathlib import Path
 
 import pytest
 
 from rankhull import analysis
 from rankhull.analysis import (
     CSV_HEADER,
+    EXTREMES_VARIANT,
     ORACLE_VARIANT,
     RANK_VARIANT,
     BenchmarkPlan,
+    BenchmarkRow,
+    fit_route_costs,
     linear_fit,
+    read_csv,
     run_benchmark,
     write_csv,
 )
-from rankhull.errors import InsufficientDataError, InvalidDensityError
+from rankhull.errors import InsufficientDataError, InvalidDensityError, ParseError
+from rankhull.pipeline import (
+    MAX_BYTES_PER_POINT,
+    ROUTE_COSTS,
+    ROUTES,
+    PipelineConfig,
+    RouteCosts,
+    choose_route,
+    route_terms,
+)
+
+SWEEP = Path(__file__).resolve().parent.parent / "docs" / "route_sweep.csv"
 
 
 def test_linear_fit_exact_line():
@@ -135,3 +152,96 @@ def test_csv_schema_is_stable():
     first = parsed[1]
     assert first[0] == "32" and first[6] == RANK_VARIANT
     assert int(first[8]) == rows[0].median_ns
+
+
+def test_byte_extremes_rows_count_the_lines_they_read():
+    plan = BenchmarkPlan(
+        m1=40, m2=30, densities=(0.1, 0.6), p_values=(64,), seed=6,
+        variants=(EXTREMES_VARIANT,),
+    )
+    for row in run_benchmark(plan):
+        assert row.variant == EXTREMES_VARIANT and row.median_ns > 0
+        # f1's lines are the box's columns: at most m1 of them are occupied
+        assert 0 < row.shuffle_iterations <= row.m1
+        assert row.deque_ops <= 3 * 2 * row.shuffle_iterations + 4
+
+
+def test_csv_rows_read_back_as_written():
+    plan = BenchmarkPlan(
+        m1=32, m2=32, densities=(0.2, 0.5), repetitions=3, seed=4,
+        variants=(RANK_VARIANT, EXTREMES_VARIANT, ORACLE_VARIANT),
+    )
+    rows = run_benchmark(plan)
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    back = read_csv(io.StringIO(buf.getvalue()))
+    assert [replace(r, density=0.0) for r in back] == [replace(r, density=0.0) for r in rows]
+    assert [r.density for r in back] == pytest.approx([r.density for r in rows], rel=1e-9)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "m1,m2\n",
+    ",".join(CSV_HEADER) + "\n1,2,3\n",
+    ",".join(CSV_HEADER) + "\n" + ",".join(["1"] * 6 + ["quickhull"] + ["1"] * 10) + "\n",
+    ",".join(CSV_HEADER) + "\n" + ",".join(["x"] * 6 + [RANK_VARIANT] + ["1"] * 10) + "\n",
+])
+def test_read_csv_rejects_what_write_csv_does_not_write(text):
+    with pytest.raises(ParseError):
+        read_csv(io.StringIO(text))
+
+
+def _flat(costs):
+    return [c for per_route in astuple(costs) for c in per_route]
+
+
+def _row(variant, n, m1, m2, ns, step1_ns=0):
+    return BenchmarkRow(
+        m1=m1, m2=m2, m=m1 * m2, n=n, density=n / (m1 * m2), p=64, variant=variant,
+        rep_count=3, median_ns=round(ns) + step1_ns, step_ns=(step1_ns, 0, 0, 0, 0),
+        isleft_evals=0, shuffle_iterations=0, deque_ops=0,
+    )
+
+
+def test_fit_route_costs_recovers_the_costs_of_exact_timings():
+    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), oracle=(380.0,))
+    per_route = {EXTREMES_VARIANT: truth.extremes, RANK_VARIANT: truth.rank,
+                 ORACLE_VARIANT: truth.oracle}
+    index = {EXTREMES_VARIANT: 0, RANK_VARIANT: 1, ORACLE_VARIANT: 2}
+    rows = []
+    for m1, m2, n in ((64, 48, 300), (640, 480, 9000), (2048, 2048, 1000), (100, 3000, 20000),
+                      (4096, 4096, 5000), (320, 240, 25)):
+        for variant, costs in per_route.items():
+            terms = route_terms(n, m1 * m2, m1, 64)[index[variant]]
+            # step 1 is left out of the fit: the router compares what comes after it
+            ns = sum(c * t for c, t in zip(costs, terms))
+            rows.append(_row(variant, n, m1, m2, ns, step1_ns=10**6))
+    fitted = fit_route_costs(rows)
+    assert _flat(fitted) == pytest.approx(_flat(truth), rel=1e-3)
+    with pytest.raises(InsufficientDataError):
+        fit_route_costs(rows[:9])  # three rows a route
+
+
+def _sweep():
+    with open(SWEEP, newline="", encoding="utf-8") as fh:
+        return read_csv(fh)
+
+
+def test_the_route_costs_are_the_fit_of_the_committed_sweep():
+    # the committed constants are the fit rounded to four significant digits
+    assert _flat(ROUTE_COSTS) == pytest.approx(_flat(fit_route_costs(_sweep())), rel=5e-4)
+
+
+def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
+    # every cell of the sweep, with the byte table held to its budget of bytes a point
+    cells = {}
+    for r in _sweep():
+        cells.setdefault((r.m1, r.m2, r.n), {})[r.variant] = r.median_ns - r.step_ns[0]
+    variant_of = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, ORACLE_VARIANT)))
+    worst = 1.0
+    for (m1, m2, n), ns in cells.items():
+        if m1 * m2 > MAX_BYTES_PER_POINT * n:
+            del ns[EXTREMES_VARIANT]
+        picked = ns[variant_of[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
+        worst = max(worst, picked / min(ns.values()))
+    assert worst < 1.5

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from rankhull.bitrank import (
     MAX_WORDS,
     RankTable,
+    _line_extremes,
+    _mark_bytes,
     build_rank_table,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.errors import BoxTooLargeError, OutOfGridError
+from rankhull.errors import BoxTooLargeError, OutOfGridError, RankOutOfRangeError
 from rankhull.geometry import Point, coordinates
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -110,6 +112,21 @@ def test_build_rejects_a_rank_count_or_point_count_that_is_not_an_int():
     for m, count in ((16.0, 1), (-1, 0), (16, 1.0), (16, -1), (True, 1), ("16", 1)):
         with pytest.raises(ValueError, match="m and count"):
             build_rank_table(iter([0]), count, m, 8)
+
+
+@pytest.mark.parametrize("cells, m", [
+    ([-1], 16), ([16], 16), ([13], 13), ([0, 99], 16), ([1.0], 16), ([True], 16), (["3"], 16),
+])
+def test_build_rejects_a_cell_that_is_not_an_int_in_range(cells, m):
+    # -1 once set the top bit of the last word, and fast_shuffle yielded rank 16
+    with pytest.raises(RankOutOfRangeError, match=re.escape(f"cell {cells[-1]!r}")):
+        build_rank_table(iter(cells), len(cells), m, 8)
+
+
+def test_build_rejects_a_count_that_is_not_the_number_of_cells():
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="count"):
+            build_rank_table(iter([3]), count, 16, 8)
 
 
 def test_build_population_count_equals_n():
@@ -235,3 +252,14 @@ def test_fast_shuffle_holds_nothing_per_word():
     assert result.order == ranks
     assert result.zero_buckets_skipped == r - 4
     assert peak < 64 * 1024
+
+
+def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order():
+    # 3 lines of 4 cells: line 0 holds cells 1 and 3, line 1 none, line 2 cell 8 twice
+    occ = _mark_bytes(iter([3, 1, 8, 8]), 12)
+    assert occ == bytearray([0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
+    assert occ.count(1) == 3
+    assert _line_extremes(occ, 4) == ([2, 4, 9], 2)
+    # a full line gives its two ends; an empty table nothing
+    assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([1, 2, 3, 4], 2)
+    assert _line_extremes(bytearray(6), 3) == ([], 0)

@@ -29,7 +29,8 @@ def test_hull_verify_agrees(tmp_path, capsys):
 def test_hull_flags(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n")
-    for flags in ((), ("--p", "16"), ("--rank", "f1"), ("--rank", "f2")):
+    routes = tuple(("--route", r) for r in ("auto", "rank", "extremes", "oracle"))
+    for flags in ((), ("--p", "16"), ("--rank", "f1"), ("--rank", "f2"), *routes):
         assert run_cli("hull", str(path), *flags) == 0
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
 
@@ -75,6 +76,7 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
     assert run_cli("hull", "points.txt", "--rank", "zz") == 1
+    assert run_cli("hull", "points.txt", "--route", "fast") == 1
     capsys.readouterr()
 
 
@@ -89,6 +91,7 @@ _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out
     ("thresholds", "--p-list", "0"),
     ("bench", "--width", "40000", "--height", "40000", "--densities", "0.001",
      "--out", "{out}"),
+    (*_BENCH, "--variants", "rank_pipeline,quickhull"),
 ])
 def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     mask = tmp_path / "mask.pbm"
@@ -155,3 +158,15 @@ def test_bench_writes_csv(tmp_path):
     assert len(rows) == 4
     assert {r["p"] for r in rows} == {"16", "32"}
     assert all(int(r["median_ns"]) > 0 for r in rows)
+
+
+def test_bench_writes_one_row_per_variant(tmp_path):
+    out = tmp_path / "rows.csv"
+    variants = "rank_pipeline,byte_extremes,oracle_sort_hull"
+    assert run_cli(
+        "bench", "--width", "64", "--height", "48", "--densities", "0.1",
+        "--p-list", "64", "--variants", variants, "--out", str(out),
+    ) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["variant"] for r in rows] == variants.split(",")

@@ -1,27 +1,34 @@
 import gc
+import logging
+import math
 import random
 import re
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from chaincheck import melkman_reference
-from rankhull.bitrank import build_rank_table, fast_shuffle, shuffle_naive
-from rankhull.errors import NonIntegerCoordinateError
+from chaincheck import chain_is_simple, melkman_reference
+from rankhull.bitrank import MAX_BYTES, build_rank_table, fast_shuffle, shuffle_naive
+from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     BLOCK_WIDTHS,
+    MAX_BYTES_PER_POINT,
     OperationCounters,
     PipelineConfig,
+    Route,
+    choose_route,
     convex_hull_ranked,
     density_threshold_refined,
     density_threshold_simple,
+    route_estimates,
 )
 from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant
@@ -35,7 +42,8 @@ def test_triangle_report():
     assert set(report.hull.vertices) == {Point(5, 7), Point(9, 7), Point(7, 9)}
     assert (report.n, report.m, report.m1, report.m2) == (3, 15, 5, 3)
     assert report.density == 0.2
-    assert not report.used_fallback
+    # three points: the oracle's n·log2 n is the cheapest route
+    assert report.route is Route.ORACLE
 
 
 def test_generated_low_density_set_matches_oracle():
@@ -90,7 +98,7 @@ def test_cap_counts_words_not_cells():
 
 
 def test_cap_box_stays_on_the_rank_path_at_p64():
-    report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=64))
+    report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=64, route=Route.RANK))
     assert not report.used_fallback
     assert report.hull == hull_oracle(_CAP_BOX)
     assert report.counters.shuffle_iterations == -(-report.m // 64) + 5
@@ -103,13 +111,16 @@ def test_config_validation():
     for variant in ("f1", "zz"):
         with pytest.raises(ValueError):
             PipelineConfig(rank_variant=variant)
+    for route in ("auto", "rank", None):
+        with pytest.raises(ValueError, match="route"):
+            PipelineConfig(route=route)
 
 
 def test_fast_shuffle_counter_is_buckets_plus_points():
     rng = random.Random(21)
     for p in (8, 16, 32, 64):
         pts = [Point(rng.randint(0, 199), rng.randint(0, 149)) for _ in range(500)]
-        report = convex_hull_ranked(pts, PipelineConfig(p=p))
+        report = convex_hull_ranked(pts, PipelineConfig(p=p, route=Route.RANK))
         buckets = -(-report.m // p)
         assert report.counters.shuffle_iterations == buckets + report.n
 
@@ -144,7 +155,7 @@ def test_hull_vertices_come_from_the_input():
 
 def test_counters_scale_linearly_at_fixed_density():
     # doubling n at constant density doubles the box and every counter
-    cfg = PipelineConfig(p=32)
+    cfg = PipelineConfig(p=32, route=Route.RANK)
     small = convex_hull_ranked(generate_dense_set(320, 240, count=3840, seed=2), cfg)
     big = convex_hull_ranked(generate_dense_set(320, 480, count=7680, seed=3), cfg)
     for name in ("isleft_evals", "shuffle_iterations", "deque_ops"):
@@ -160,7 +171,8 @@ def test_counters_scale_linearly_at_fixed_density():
 def test_dense_counters_are_pinned(variant, expected):
     # exact counts, so a rewrite of any step must keep its every decision
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    report = convex_hull_ranked(pts, PipelineConfig(p=64, rank_variant=variant))
+    cfg = PipelineConfig(p=64, rank_variant=variant, route=Route.RANK)
+    report = convex_hull_ranked(pts, cfg)
     c = report.counters
     assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
 
@@ -172,7 +184,8 @@ def test_dense_counters_are_pinned(variant, expected):
 def test_sparse_counters_are_pinned(variant, expected):
     # m/p is about 64n, so almost every word the walk tests is zero
     pts = generate_dense_set(2048, 2048, count=1024, seed=7)
-    report = convex_hull_ranked(pts, PipelineConfig(p=64, rank_variant=variant))
+    cfg = PipelineConfig(p=64, rank_variant=variant, route=Route.RANK)
+    report = convex_hull_ranked(pts, cfg)
     c = report.counters
     assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
 
@@ -193,7 +206,7 @@ def offset_point_lists(draw):
 def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, variant, p):
     # the pipeline skips the checks of cells and offsets; rebuilt here with
     # every check on and the plain reference scan, nothing may change
-    report = convex_hull_ranked(pts, PipelineConfig(p=p, rank_variant=variant))
+    report = convex_hull_ranked(pts, PipelineConfig(p=p, rank_variant=variant, route=Route.RANK))
     box = bounding_box(pts)
     rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
@@ -232,7 +245,7 @@ def test_sparse_box_memory_is_bit_table_sized():
     pts = [Point(0, 0), Point(4000, 0), Point(4000, 4000), Point(0, 4000), Point(7, 9)]
     tracemalloc.start()
     try:
-        report = convex_hull_ranked(pts)
+        report = convex_hull_ranked(pts, PipelineConfig(route=Route.RANK))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,7 +260,7 @@ def test_dense_memory_holds_no_per_point_temporaries(p, variant):
     # 17,280 points: a list of one tuple per point, or one iterator per
     # point, costs over 1 MiB; the rank order and bit table stay under it
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    cfg = PipelineConfig(p=p, rank_variant=variant)
+    cfg = PipelineConfig(p=p, rank_variant=variant, route=Route.RANK)
     gc.disable()
     tracemalloc.start()
     try:
@@ -315,15 +328,20 @@ class _CountingList(list):
 
 
 @pytest.mark.parametrize("pts", [
-    [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1)],              # rank path
-    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over the cap
+    [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1)],              # every route
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over both caps
 ])
 def test_only_step_1_reads_the_points(pts):
-    boxed, hulled = _CountingList(pts), _CountingList(pts)
-    bounding_box(boxed)
-    report = convex_hull_ranked(hulled)
-    assert report.hull == hull_oracle(pts)
-    assert hulled.iterations == boxed.iterations == 2
+    for route in Route:
+        boxed, hulled = _CountingList(pts), _CountingList(pts)
+        bounding_box(boxed)
+        try:
+            report = convex_hull_ranked(hulled, PipelineConfig(route=route))
+        except BoxTooLargeError:  # a table route named outright, over its cap
+            assert route in (Route.RANK, Route.EXTREMES) and hulled.iterations == 2
+            continue
+        assert report.hull == hull_oracle(pts)
+        assert hulled.iterations == boxed.iterations == 2
 
 
 def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
@@ -336,7 +354,7 @@ def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "melkman", counted)
     pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
-    report = convex_hull_ranked(pts)
+    report = convex_hull_ranked(pts, PipelineConfig(route=Route.RANK))
     assert report.hull == hull_oracle(pts)
     assert lengths == [report.n] == [5]
 
@@ -358,22 +376,26 @@ def test_lists_tuples_and_sets_are_collections():
 
 
 @pytest.mark.parametrize("pts", [
-    [(0, 0), (4, 4), (0, 4), (0, 4)],                       # rank path
-    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],       # over the cap
-    [(0, 0), (40000, 40000), (40000, 40000)],               # degenerate, over the cap
+    [(0, 0), (4, 4), (0, 4), (0, 4)],                       # every route
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],       # over both caps
+    [(0, 0), (40000, 40000), (40000, 40000)],               # degenerate, over both caps
 ])
 def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
-    as_tuples = convex_hull_ranked(pts)
-    as_lists = convex_hull_ranked([list(v) for v in pts])
-    assert as_lists.used_fallback == as_tuples.used_fallback == (as_tuples.m > 1 << 30)
-    # everything but the wall-clock step times
-    assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
-    assert all(type(v) is Point for v in as_lists.hull.vertices)
+    over_caps = max(map(max, pts)) >= 40000
+    for route in (Route.AUTO, Route.ORACLE) if over_caps else tuple(Route):
+        cfg = PipelineConfig(route=route)
+        as_tuples = convex_hull_ranked(pts, cfg)
+        as_lists = convex_hull_ranked([list(v) for v in pts], cfg)
+        # four points, or a box over both caps: the cost model picks the oracle
+        assert as_tuples.route is (Route.ORACLE if route is Route.AUTO else route)
+        # everything but the wall-clock step times
+        assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
+        assert all(type(v) is Point for v in as_lists.hull.vertices)
 
 
 _REPORT_FIELDS = [
     "hull", "n", "m", "m1", "m2", "density", "duplicates_skipped", "counters",
-    "step_ns", "p", "rank_variant", "used_fallback",
+    "step_ns", "p", "rank_variant", "route",
 ]
 
 
@@ -387,7 +409,9 @@ def test_report_derives_m_density_and_duplicates_from_n_and_the_box(pts, n):
     report = convex_hull_ranked(pts)
     assert [f.name for f in fields(report)] == _REPORT_FIELDS
     assert report.n == n
-    assert report.used_fallback == (report.m > 1 << 30)
+    # the route the cost model picks for the input's count and f1 box, never AUTO
+    assert report.route is choose_route(PipelineConfig(), len(pts), report.m, report.m1)
+    assert report.used_fallback == (report.route is Route.ORACLE)
     assert report.m == report.m1 * report.m2
     assert report.density == (n / report.m if report.m else 0.0)
     assert report.duplicates_skipped == len(pts) - n
@@ -420,3 +444,142 @@ def test_thresholds_reject_nonpositive_width():
         for p in (2.5, "8", True):
             with pytest.raises(ValueError, match="block width"):
                 threshold(p)
+
+
+# --- the byte-extremes route and the router --------------------------------
+
+@st.composite
+def one_point_lines(draw):
+    """1 to 30 points at a corner within 10^6, no two on one column (or, swapped, one row).
+
+    Most lines then hold a single point, the case where going up one side
+    of the box and back down the other would not be a simple chain.
+    """
+    x0 = draw(st.integers(-10**6, 10**6))
+    y0 = draw(st.integers(-10**6, 10**6))
+    side = draw(st.integers(0, 40))
+    xs = draw(st.lists(st.integers(0, side), min_size=1, max_size=30, unique=True))
+    pts = [(x, draw(st.integers(0, side))) for x in xs]
+    if draw(st.booleans()):
+        pts = [(y, x) for x, y in pts]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=5))
+    return [Point(x + x0, y + y0) for x, y in pts]
+
+
+def _scan_of(pts, cfg):
+    """The report of one call and the chain of offsets its scan read."""
+    chains = []
+
+    def recording(chain, stats):
+        chains.append(list(chain))
+        assert len(chain) == len(chains[-1])  # the chain is sized for tracers
+        return melkman(chains[-1], stats)
+
+    with patch.object(pipeline_module, "melkman", recording):
+        report = convex_hull_ranked(pts, cfg)
+    return report, chains[0]
+
+
+@settings(max_examples=300)
+@given(st.one_of(offset_point_lists(), one_point_lines()), st.sampled_from(tuple(RankVariant)))
+def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts, variant):
+    report, chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.EXTREMES))
+    assert report.route is Route.EXTREMES
+    assert report.hull == hull_oracle(pts)
+    distinct = set(map(tuple, pts))
+    assert (report.n, report.duplicates_skipped) == (len(distinct), len(pts) - len(distinct))
+    # shuffle_iterations counts the occupied lines: columns under f1, rows under f2
+    lines = {v[0] if variant is RankVariant.COLUMN_MAJOR else v[1] for v in distinct}
+    assert report.counters.shuffle_iterations == len(lines)
+    assert chain_is_simple(chain)
+    assert len(chain) <= 2 * len(lines)
+    assert report.counters.deque_ops <= 3 * len(chain) + 4
+
+
+def test_the_byte_route_scans_each_lines_two_extremes():
+    # columns 0 and 4 hold three points each, column 2 one and column 3 two
+    pts = [(0, 0), (0, 2), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4), (4, 2), (4, 2)]
+    report, chain = _scan_of(pts, PipelineConfig(route=Route.EXTREMES))
+    assert chain == [(0, 0), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4)]
+    assert report.hull == hull_oracle(pts)
+    assert (report.n, report.duplicates_skipped, report.counters.shuffle_iterations) == (9, 1, 4)
+
+
+def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
+    pts = generate_dense_set(480, 360, count=17280, seed=7)
+    auto, auto_peak = _peak(lambda: convex_hull_ranked(pts))
+    rank, rank_peak = _peak(lambda: convex_hull_ranked(pts, PipelineConfig(route=Route.RANK)))
+    assert auto.route is Route.EXTREMES and auto.hull == rank.hull
+    assert auto_peak < rank_peak
+
+
+@pytest.mark.parametrize("m1, m2, n, route", [
+    (480, 360, 17280, Route.EXTREMES),  # m/n = 10, the dense_uniform bench box
+    (640, 480, 9216, Route.EXTREMES),   # m/n = 33
+    (2048, 2048, 4096, Route.RANK),     # m/n = 1024: over the byte budget
+    (2048, 2048, 1024, Route.ORACLE),   # m/n = 4096, the sparse_box bench box
+    (64, 48, 8, Route.ORACLE),          # too few points for either table
+])
+def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
+    pts = generate_dense_set(m1, m2, count=n, seed=3)
+    report = convex_hull_ranked(pts)
+    assert report.route is route
+    assert report.hull == hull_oracle(pts)
+
+
+def test_the_byte_table_budget_is_64_bytes_a_point():
+    n, lines, auto = 1000, 100, PipelineConfig()
+    assert MAX_BYTES_PER_POINT == 64
+    assert route_estimates(n, 64 * n, lines, 64)[0] < math.inf
+    assert route_estimates(n, 64 * n + 1, lines, 64)[0] == math.inf
+    assert choose_route(auto, n, 64 * n, lines) is Route.EXTREMES
+    assert choose_route(auto, n, 64 * n + 1, lines) is Route.RANK
+    # named outright, the byte route may exceed the budget, but not MAX_BYTES
+    assert choose_route(replace(auto, route=Route.EXTREMES), 2, 64 * n, 1) is Route.EXTREMES
+
+
+def test_the_byte_table_cap_is_max_bytes():
+    count = MAX_BYTES // MAX_BYTES_PER_POINT
+    assert route_estimates(count, MAX_BYTES, 1, 64)[0] < math.inf
+    assert route_estimates(count + 1, MAX_BYTES + 1, 1, 64)[0] == math.inf
+    extremes = PipelineConfig(route=Route.EXTREMES)
+    assert choose_route(extremes, 2, MAX_BYTES, 1) is Route.EXTREMES
+    # one row of MAX_BYTES + 1 cells: refused before any table is built
+    far = [(0, 0), (MAX_BYTES, 0)]
+    with pytest.raises(BoxTooLargeError, match="bytes"):
+        convex_hull_ranked(far, extremes)
+    assert convex_hull_ranked(far).route is Route.ORACLE
+
+
+def test_the_bit_table_cap_refuses_the_rank_route_named_outright():
+    # 11587^2 cells need more than MAX_WORDS words at p = 8, but not at p = 64
+    with pytest.raises(BoxTooLargeError, match="words"):
+        convex_hull_ranked(_CAP_BOX, PipelineConfig(p=8, route=Route.RANK))
+    assert route_estimates(5, 11587**2, 11587, 8)[1] == math.inf
+    assert route_estimates(5, 11587**2, 11587, 64)[1] < math.inf
+
+
+def test_the_rank_route_gives_way_to_the_oracle_between_m_n_1000_and_4000():
+    # the smallest box, in 64-cell steps, for which 1,024 points go to the oracle
+    n, auto = 1024, PipelineConfig()
+    lo, hi = n, 64 * 10**5 * n
+    while hi - lo > 64:
+        mid = (lo + hi) // 2
+        if choose_route(auto, n, mid, 2048) is Route.ORACLE:
+            hi = mid
+        else:
+            lo = mid
+    assert 1000 * n <= hi <= 4000 * n
+    assert choose_route(auto, n, lo, 2048) is Route.RANK
+    assert choose_route(auto, n, hi + 64, 2048) is Route.ORACLE
+
+
+def test_the_routing_decision_is_logged_with_its_three_estimates(caplog):
+    pts = generate_dense_set(480, 360, count=17280, seed=7)
+    with caplog.at_level(logging.DEBUG, logger="rankhull.pipeline"):
+        report = convex_hull_ranked(pts)
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert "route Route.EXTREMES (asked Route.AUTO)" in message
+    estimates = route_estimates(17280, report.m, report.m1, 64)
+    assert all(f"{e:.0f}" in message for e in estimates)
