@@ -559,6 +559,13 @@ def test_the_bit_table_cap_refuses_the_rank_route_named_outright():
     assert route_estimates(5, 11587**2, 11587, 64)[1] < math.inf
 
 
+def test_a_few_points_go_to_the_oracle_and_more_in_a_dense_box_to_byte_extremes():
+    # m = 4n in a square box: the byte route's per-line cost against n·log2 n
+    auto = PipelineConfig()
+    assert choose_route(auto, 16, 64, 8) is Route.ORACLE
+    assert choose_route(auto, 32, 128, 11) is Route.EXTREMES
+
+
 def test_the_rank_route_gives_way_to_the_oracle_between_m_n_1000_and_4000():
     # the smallest box, in 64-cell steps, for which 1,024 points go to the oracle
     n, auto = 1024, PipelineConfig()
