@@ -10,9 +10,7 @@ from .analysis import (
     BenchmarkPlan,
     BenchmarkRow,
     FitResult,
-    fit_route_costs,
     linear_fit,
-    read_csv,
     run_benchmark,
     write_csv,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "density_threshold_simple",
     "extract_set_bits",
     "fast_shuffle",
-    "fit_route_costs",
     "generate_dense_set",
     "hull_oracle",
     "image_to_points",
@@ -93,7 +90,6 @@ __all__ = [
     "melkman",
     "orientation",
     "parse_pnm",
-    "read_csv",
     "run_benchmark",
     "save_points",
     "shuffle_naive",

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import IO, Callable, Sequence
 
-from .errors import InsufficientDataError, ParseError
+from .errors import InsufficientDataError
 from .hull import hull_oracle
-from .pipeline import ROUTES, PipelineConfig, Route, RouteCosts, convex_hull_ranked, route_terms
+from .pipeline import PipelineConfig, Route, convex_hull_ranked
 from .pointio import generate_dense_set, sample_size
 
 RANK_VARIANT = "rank_pipeline"
@@ -186,83 +186,3 @@ def write_csv(rows: Sequence[BenchmarkRow], fh: IO[str]) -> None:
             r.isleft_evals, r.shuffle_iterations, r.deque_ops,
         ))
 
-
-def read_csv(fh: IO[str]) -> list[BenchmarkRow]:
-    """The rows that `write_csv` wrote to an open text file.
-
-    A header other than `CSV_HEADER`, or a row that is not one cell's
-    values, raises :class:`ParseError`.
-    """
-    reader = csv.reader(fh)
-    if next(reader, None) != list(CSV_HEADER):
-        raise ParseError(f"the header is not {','.join(CSV_HEADER)}")
-    rows = []
-    for rec in reader:
-        try:
-            if len(rec) != len(CSV_HEADER) or rec[6] not in VARIANTS:
-                raise ValueError(f"not a row of {len(CSV_HEADER)} values and a known variant")
-            m1, m2, m, n = map(int, rec[0:4])
-            ints = list(map(int, rec[7:17]))
-            rows.append(BenchmarkRow(
-                m1=m1, m2=m2, m=m, n=n, density=float(rec[4]), p=int(rec[5]),
-                variant=rec[6], rep_count=ints[0], median_ns=ints[1],
-                step_ns=tuple(ints[2:7]), isleft_evals=ints[7],
-                shuffle_iterations=ints[8], deque_ops=ints[9],
-            ))
-        except ValueError as exc:
-            raise ParseError(f"row {reader.line_num}: {exc}") from None
-    return rows
-
-
-def _solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """x with a·x = b, by Gaussian elimination with partial pivoting."""
-    k = len(b)
-    rows = [row + [rhs] for row, rhs in zip(a, b)]
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(col + 1, k):
-            f = rows[r][col] / rows[col][col]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    x = [0.0] * k
-    for r in reversed(range(k)):
-        x[r] = (rows[r][k] - sum(rows[r][c] * x[c] for c in range(r + 1, k))) / rows[r][r]
-    return x
-
-
-def fit_route_costs(rows: Sequence[BenchmarkRow]) -> RouteCosts:
-    """The `RouteCosts` that fit a sweep's rows best in relative error.
-
-    Each route's constants minimise the sum over its rows of
-    ((terms · costs - t) / t)², so a 100 µs cell weighs as much as a
-    100 ms one. For `rank_pipeline` and `byte_extremes` rows t is the time
-    past step 1 (median call less median step 1), which is what the router
-    compares; for `oracle_sort_hull` rows it is `hull_oracle`'s median.
-    The rows must come from f1 runs, whose lines are the box's m1 columns,
-    and every route needs at least 4 rows (:class:`InsufficientDataError`).
-    """
-    samples: dict[str, list[tuple[tuple[float, ...], int]]] = {v: [] for v in VARIANTS}
-    for r in rows:
-        t = r.median_ns - r.step_ns[0]
-        if r.n and t > 0:
-            terms = route_terms(r.n, r.m, r.m1, r.p)[ROUTES.index(_ROUTES[r.variant])]
-            samples[r.variant].append((terms, t))
-    fitted = {}
-    for variant, pairs in samples.items():
-        if len(pairs) < 4:
-            raise InsufficientDataError(f"need at least 4 {variant} rows, got {len(pairs)}")
-        k = len(pairs[0][0])
-        a = [[0.0] * k for _ in range(k)]
-        b = [0.0] * k
-        for terms, t in pairs:
-            x = [u / t for u in terms]
-            for i in range(k):
-                b[i] += x[i]
-                for j in range(k):
-                    a[i][j] += x[i] * x[j]
-        fitted[variant] = tuple(_solve(a, b))
-    return RouteCosts(
-        extremes=fitted[EXTREMES_VARIANT],
-        rank=fitted[RANK_VARIANT],
-        oracle=fitted[ORACLE_VARIANT],
-    )

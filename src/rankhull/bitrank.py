@@ -33,6 +33,19 @@ MAX_WORDS = 1 << 24
 MAX_BYTES = 1 << 27
 
 
+def table_over_cap(m: int, p: int | None) -> str:
+    """Why a table of `m` ranks would be over its cap, or "" when it fits.
+
+    `p` is the bit table's block width (`MAX_WORDS` words of `p` bits);
+    None asks about the byte table (`MAX_BYTES` bytes, one a rank).
+    """
+    if p is None:
+        return f"{m} ranks need more than {MAX_BYTES} bytes" if m > MAX_BYTES else ""
+    if m > MAX_WORDS * p:
+        return f"{m} ranks need more than {MAX_WORDS} words of {p} bits"
+    return ""
+
+
 @dataclass
 class RankTable:
     """Occupancy bits of the distinct ranked points.
@@ -96,8 +109,9 @@ def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTa
     check_block_width(p)
     if type(m) is not int or type(count) is not int or min(m, count) < 0:
         raise ValueError(f"m and count must be ints of at least 0, not {m!r} and {count!r}")
-    if m > MAX_WORDS * p:
-        raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {p} bits")
+    why = table_over_cap(m, p)
+    if why:
+        raise BoxTooLargeError(why)
     cells = list(cells)
     if cells and not (
         _INT_ONLY.issuperset(map(type, cells)) and 0 <= min(cells) and max(cells) < m

@@ -14,7 +14,6 @@ from .hull import hull_oracle
 from .pipeline import (
     BLOCK_WIDTHS,
     PipelineConfig,
-    Route,
     convex_hull_ranked,
     density_threshold_refined,
     density_threshold_simple,
@@ -31,7 +30,7 @@ def _print_hull(hull) -> None:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     points = load_points(args.points_file)
-    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank), route=Route(args.route))
+    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank))
     report = convex_hull_ranked(points, cfg)
     _print_hull(report.hull)
     if args.verify and report.hull != hull_oracle(points):
@@ -106,9 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     hull.add_argument("--p", type=int, default=64, choices=BLOCK_WIDTHS)
     hull.add_argument("--rank", default=RankVariant.COLUMN_MAJOR.value,
                       choices=tuple(v.value for v in RankVariant))
-    hull.add_argument("--route", default=Route.AUTO.value,
-                      choices=tuple(r.value for r in Route),
-                      help="auto picks the cheapest route by the fitted cost model")
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")
     hull.set_defaults(func=_cmd_hull)

@@ -29,9 +29,8 @@ per unit of work past step 1: per point, per cell and per line for byte
 extremes, per point and per word for the p-bit pipeline, and per n·log2 n
 for the oracle. The constants come from the sweep in
 `docs/route_sweep.csv` (see README's "Routes"). A table over its cap is
-never built: the bit table holds at most `MAX_WORDS` words, and the byte
-table at most `MAX_BYTES` bytes and, on the default route, at most
-`MAX_BYTES_PER_POINT` bytes a point.
+never built: the bit table holds at most `MAX_WORDS` words and the byte
+table at most `MAX_BYTES` bytes (`bitrank.table_over_cap`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from fractions import Fraction
 from operator import mul
 
 from .bitrank import (
-    MAX_BYTES, MAX_WORDS, _line_extremes, _mark_bytes, check_block_width, fast_shuffle,
+    _line_extremes, _mark_bytes, check_block_width, fast_shuffle, table_over_cap,
 )
 # Step 3 of the rank route: the unchecked body of `bitrank.build_rank_table`, kept
 # under the public name that tracers of the pipeline's steps wrap.
@@ -57,9 +56,6 @@ from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
 from .ranking import RankFunction, RankVariant
 
 BLOCK_WIDTHS = (8, 16, 32, 64)
-# The byte table's budget on the default route, in bytes a point: a density of
-# at least 1/64, the paper's 1/p bound at its widest block.
-MAX_BYTES_PER_POINT = 64
 
 _log = logging.getLogger(__name__)
 
@@ -85,7 +81,7 @@ class RouteCosts:
     oracle: tuple[float]  # per n·log2 n
 
 
-# Fitted to docs/route_sweep.csv by `analysis.fit_route_costs`.
+# Fitted to docs/route_sweep.csv; tests/test_analysis.py refits and pins them.
 ROUTE_COSTS = RouteCosts(extremes=(332.6, 0.7324, 3075.0), rank=(2635.0, 38.77), oracle=(431.0,))
 
 
@@ -185,20 +181,25 @@ def route_terms(count: int, m: int, lines: int, p: int) -> tuple[tuple[float, ..
     )
 
 
-def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, float, float]:
+def _over_cap(route: Route, m: int, p: int) -> str:
+    """Why `route`'s table of `m` ranks would be over its cap, or "" when it fits."""
+    if route is Route.ORACLE:
+        return ""
+    return table_over_cap(m, p if route is Route.RANK else None)
+
+
+def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, ...]:
     """Estimated nanoseconds of each of `ROUTES` past step 1, by `ROUTE_COSTS`.
 
     The arguments are `route_terms`'. A route whose table would be over
-    its cap reads `math.inf`, and so does the byte table over
-    `MAX_BYTES_PER_POINT` bytes a point.
+    its cap reads `math.inf`.
     """
     c = ROUTE_COSTS
-    extremes, rank, oracle = route_terms(count, m, lines, p)
-    fits_bytes = m <= MAX_BYTES and m <= MAX_BYTES_PER_POINT * count
-    return (
-        sum(map(mul, c.extremes, extremes)) if fits_bytes else math.inf,
-        sum(map(mul, c.rank, rank)) if m <= MAX_WORDS * p else math.inf,
-        sum(map(mul, c.oracle, oracle)),
+    return tuple(
+        math.inf if _over_cap(route, m, p) else sum(map(mul, costs, terms))
+        for route, costs, terms in zip(
+            ROUTES, (c.extremes, c.rank, c.oracle), route_terms(count, m, lines, p)
+        )
     )
 
 
@@ -214,10 +215,8 @@ def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
     route = cfg.route
     if route is Route.AUTO:
         route = ROUTES[estimates.index(min(estimates))]
-    elif route is Route.EXTREMES and m > MAX_BYTES:
-        raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
-    elif route is Route.RANK and m > MAX_WORDS * cfg.p:
-        raise BoxTooLargeError(f"{m} ranks need more than {MAX_WORDS} words of {cfg.p} bits")
+    elif why := _over_cap(route, m, cfg.p):
+        raise BoxTooLargeError(why)
     _log.debug(
         "route %s (asked %s) for %d points, %d cells, %d lines: "
         "estimates extremes %.0f, rank %.0f, oracle %.0f ns",

@@ -1,6 +1,6 @@
 import csv
 import io
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -12,16 +12,12 @@ from rankhull.analysis import (
     ORACLE_VARIANT,
     RANK_VARIANT,
     BenchmarkPlan,
-    BenchmarkRow,
-    fit_route_costs,
     linear_fit,
-    read_csv,
     run_benchmark,
     write_csv,
 )
-from rankhull.errors import InsufficientDataError, InvalidDensityError, ParseError
+from rankhull.errors import InsufficientDataError, InvalidDensityError
 from rankhull.pipeline import (
-    MAX_BYTES_PER_POINT,
     ROUTE_COSTS,
     ROUTES,
     PipelineConfig,
@@ -166,82 +162,91 @@ def test_byte_extremes_rows_count_the_lines_they_read():
         assert row.deque_ops <= 3 * 2 * row.shuffle_iterations + 4
 
 
-def test_csv_rows_read_back_as_written():
-    plan = BenchmarkPlan(
-        m1=32, m2=32, densities=(0.2, 0.5), repetitions=3, seed=4,
-        variants=(RANK_VARIANT, EXTREMES_VARIANT, ORACLE_VARIANT),
-    )
-    rows = run_benchmark(plan)
-    buf = io.StringIO()
-    write_csv(rows, buf)
-    back = read_csv(io.StringIO(buf.getvalue()))
-    assert [replace(r, density=0.0) for r in back] == [replace(r, density=0.0) for r in rows]
-    assert [r.density for r in back] == pytest.approx([r.density for r in rows], rel=1e-9)
+# --- the route costs, fitted to the committed sweep --------------------------
+
+# the variant that times each of ROUTES in a sweep
+_VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, ORACLE_VARIANT)))
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "m1,m2\n",
-    ",".join(CSV_HEADER) + "\n1,2,3\n",
-    ",".join(CSV_HEADER) + "\n" + ",".join(["1"] * 6 + ["quickhull"] + ["1"] * 10) + "\n",
-    ",".join(CSV_HEADER) + "\n" + ",".join(["x"] * 6 + [RANK_VARIANT] + ["1"] * 10) + "\n",
-])
-def test_read_csv_rejects_what_write_csv_does_not_write(text):
-    with pytest.raises(ParseError):
-        read_csv(io.StringIO(text))
+def _det(a):
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)))
+
+
+def _fit(samples):
+    """The costs c that minimise the sum of ((terms · c - t) / t)² over (terms, t) samples.
+
+    Relative error, so a 100 µs cell weighs as much as a 100 ms one: the
+    normal equations of x · c = 1 with x = terms / t, solved by Cramer's rule.
+    """
+    xs = [[u / t for u in terms] for terms, t in samples]
+    k = len(xs[0])
+    a = [[sum(x[i] * x[j] for x in xs) for j in range(k)] for i in range(k)]
+    b = [sum(x[i] for x in xs) for i in range(k)]
+    d = _det(a)
+    return tuple(_det([row[:i] + [bi] + row[i + 1:] for row, bi in zip(a, b)]) / d
+                 for i in range(k))
+
+
+def _fit_route_costs(cells):
+    """`RouteCosts` fitted to {(m1, m2, n): {variant: ns}} of f1 cells at p = 64.
+
+    A table route's ns is its time past step 1, which is what the router
+    compares; the oracle's is `hull_oracle`'s own.
+    """
+    fitted = []
+    for i, route in enumerate(ROUTES):
+        samples = [(route_terms(n, m1 * m2, m1, 64)[i], ns[_VARIANT_OF[route]])
+                   for (m1, m2, n), ns in cells.items()]
+        if len(samples) < 4:
+            raise InsufficientDataError(f"need at least 4 cells, got {len(samples)}")
+        fitted.append(_fit(samples))
+    return RouteCosts(*fitted)
 
 
 def _flat(costs):
     return [c for per_route in astuple(costs) for c in per_route]
 
 
-def _row(variant, n, m1, m2, ns, step1_ns=0):
-    return BenchmarkRow(
-        m1=m1, m2=m2, m=m1 * m2, n=n, density=n / (m1 * m2), p=64, variant=variant,
-        rep_count=3, median_ns=round(ns) + step1_ns, step_ns=(step1_ns, 0, 0, 0, 0),
-        isleft_evals=0, shuffle_iterations=0, deque_ops=0,
-    )
-
-
-def test_fit_route_costs_recovers_the_costs_of_exact_timings():
-    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), oracle=(380.0,))
-    per_route = {EXTREMES_VARIANT: truth.extremes, RANK_VARIANT: truth.rank,
-                 ORACLE_VARIANT: truth.oracle}
-    index = {EXTREMES_VARIANT: 0, RANK_VARIANT: 1, ORACLE_VARIANT: 2}
-    rows = []
-    for m1, m2, n in ((64, 48, 300), (640, 480, 9000), (2048, 2048, 1000), (100, 3000, 20000),
-                      (4096, 4096, 5000), (320, 240, 25)):
-        for variant, costs in per_route.items():
-            terms = route_terms(n, m1 * m2, m1, 64)[index[variant]]
-            # step 1 is left out of the fit: the router compares what comes after it
-            ns = sum(c * t for c, t in zip(costs, terms))
-            rows.append(_row(variant, n, m1, m2, ns, step1_ns=10**6))
-    fitted = fit_route_costs(rows)
-    assert _flat(fitted) == pytest.approx(_flat(truth), rel=1e-3)
-    with pytest.raises(InsufficientDataError):
-        fit_route_costs(rows[:9])  # three rows a route
-
-
-def _sweep():
+def _sweep_cells():
+    """The committed sweep's f1 cells at p = 64, each variant's time past step 1."""
+    cells = {}
     with open(SWEEP, newline="", encoding="utf-8") as fh:
-        return read_csv(fh)
+        for r in csv.DictReader(fh):
+            assert r["p"] == "64"
+            key = (int(r["m1"]), int(r["m2"]), int(r["n"]))
+            cells.setdefault(key, {})[r["variant"]] = int(r["median_ns"]) - int(r["step1_ns"])
+    return cells
+
+
+def test_the_fit_recovers_the_costs_of_exact_timings():
+    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), oracle=(380.0,))
+    boxes = ((64, 48, 300), (640, 480, 9000), (2048, 2048, 1000), (100, 3000, 20000),
+             (4096, 4096, 5000), (320, 240, 25))
+    cells = {
+        (m1, m2, n): {
+            _VARIANT_OF[route]: sum(map(lambda c, t: c * t, costs, terms))
+            for route, costs, terms in zip(ROUTES, astuple(truth), route_terms(n, m1 * m2, m1, 64))
+        }
+        for m1, m2, n in boxes
+    }
+    assert _flat(_fit_route_costs(cells)) == pytest.approx(_flat(truth), rel=1e-6)
+    with pytest.raises(InsufficientDataError):
+        _fit_route_costs(dict(list(cells.items())[:3]))
 
 
 def test_the_route_costs_are_the_fit_of_the_committed_sweep():
+    cells = _sweep_cells()
+    assert len(cells) == 37 and all(len(ns) == 3 and min(ns.values()) > 0 for ns in cells.values())
     # the committed constants are the fit rounded to four significant digits
-    assert _flat(ROUTE_COSTS) == pytest.approx(_flat(fit_route_costs(_sweep())), rel=5e-4)
+    assert _flat(ROUTE_COSTS) == pytest.approx(_flat(_fit_route_costs(cells)), rel=5e-4)
 
 
 def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
-    # every cell of the sweep, with the byte table held to its budget of bytes a point
-    cells = {}
-    for r in _sweep():
-        cells.setdefault((r.m1, r.m2, r.n), {})[r.variant] = r.median_ns - r.step_ns[0]
-    variant_of = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, ORACLE_VARIANT)))
     worst = 1.0
-    for (m1, m2, n), ns in cells.items():
-        if m1 * m2 > MAX_BYTES_PER_POINT * n:
-            del ns[EXTREMES_VARIANT]
-        picked = ns[variant_of[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
+    for (m1, m2, n), ns in _sweep_cells().items():
+        picked = ns[_VARIANT_OF[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
         worst = max(worst, picked / min(ns.values()))
     assert worst < 1.5

@@ -29,8 +29,7 @@ def test_hull_verify_agrees(tmp_path, capsys):
 def test_hull_flags(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n")
-    routes = tuple(("--route", r) for r in ("auto", "rank", "extremes", "oracle"))
-    for flags in ((), ("--p", "16"), ("--rank", "f1"), ("--rank", "f2"), *routes):
+    for flags in ((), ("--p", "16"), ("--rank", "f1"), ("--rank", "f2")):
         assert run_cli("hull", str(path), *flags) == 0
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
 
@@ -76,7 +75,6 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
     assert run_cli("hull", "points.txt", "--rank", "zz") == 1
-    assert run_cli("hull", "points.txt", "--route", "fast") == 1
     capsys.readouterr()
 
 

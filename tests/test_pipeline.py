@@ -20,7 +20,6 @@ from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     BLOCK_WIDTHS,
-    MAX_BYTES_PER_POINT,
     OperationCounters,
     PipelineConfig,
     Route,
@@ -516,7 +515,8 @@ def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
 @pytest.mark.parametrize("m1, m2, n, route", [
     (480, 360, 17280, Route.EXTREMES),  # m/n = 10, the dense_uniform bench box
     (640, 480, 9216, Route.EXTREMES),   # m/n = 33
-    (2048, 2048, 4096, Route.RANK),     # m/n = 1024: over the byte budget
+    (2048, 2048, 4096, Route.EXTREMES), # m/n = 1024, two points a column
+    (4096, 4096, 5033, Route.RANK),     # m/n = 3333, about one point a column
     (2048, 2048, 1024, Route.ORACLE),   # m/n = 4096, the sparse_box bench box
     (64, 48, 8, Route.ORACLE),          # too few points for either table
 ])
@@ -527,21 +527,10 @@ def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
     assert report.hull == hull_oracle(pts)
 
 
-def test_the_byte_table_budget_is_64_bytes_a_point():
-    n, lines, auto = 1000, 100, PipelineConfig()
-    assert MAX_BYTES_PER_POINT == 64
-    assert route_estimates(n, 64 * n, lines, 64)[0] < math.inf
-    assert route_estimates(n, 64 * n + 1, lines, 64)[0] == math.inf
-    assert choose_route(auto, n, 64 * n, lines) is Route.EXTREMES
-    assert choose_route(auto, n, 64 * n + 1, lines) is Route.RANK
-    # named outright, the byte route may exceed the budget, but not MAX_BYTES
-    assert choose_route(replace(auto, route=Route.EXTREMES), 2, 64 * n, 1) is Route.EXTREMES
-
-
 def test_the_byte_table_cap_is_max_bytes():
-    count = MAX_BYTES // MAX_BYTES_PER_POINT
-    assert route_estimates(count, MAX_BYTES, 1, 64)[0] < math.inf
-    assert route_estimates(count + 1, MAX_BYTES + 1, 1, 64)[0] == math.inf
+    # the byte route's own cost, not a cap, decides below MAX_BYTES: a dense million points
+    assert choose_route(PipelineConfig(), 10**6, MAX_BYTES, 8192) is Route.EXTREMES
+    assert route_estimates(10**6, MAX_BYTES + 1, 8192, 64)[0] == math.inf
     extremes = PipelineConfig(route=Route.EXTREMES)
     assert choose_route(extremes, 2, MAX_BYTES, 1) is Route.EXTREMES
     # one row of MAX_BYTES + 1 cells: refused before any table is built
