@@ -7,6 +7,13 @@ carry no absolute meaning across machines. A plan's densities, counts,
 block widths, repetitions and variants are checked before its first cell
 runs, and an error in any cell aborts the sweep, so a plan either yields
 every row or raises.
+
+Each cell times the variants the plan names: `rank_pipeline`,
+`byte_extremes` and `sorted_ranks` run `convex_hull_ranked` on one of its
+three routes named outright, and `oracle_sort_hull` runs the independent
+`hull_oracle` alone. The router's costs are fitted to the three route
+variants of a sweep of all four at p = 64 (`docs/route_sweep.csv`,
+README's "Routes"); the oracle's times are there for comparison.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ from .pointio import generate_dense_set, sample_size
 
 RANK_VARIANT = "rank_pipeline"
 EXTREMES_VARIANT = "byte_extremes"
+SORT_VARIANT = "sorted_ranks"
 ORACLE_VARIANT = "oracle_sort_hull"
-VARIANTS = (RANK_VARIANT, EXTREMES_VARIANT, ORACLE_VARIANT)
+VARIANTS = (RANK_VARIANT, EXTREMES_VARIANT, SORT_VARIANT, ORACLE_VARIANT)
 # The route whose costs each variant's timings measure. The oracle variant
-# calls hull_oracle itself; the other two run convex_hull_ranked on their route.
+# is no route: it calls hull_oracle itself, the independent reference.
 _ROUTES = {
-    RANK_VARIANT: Route.RANK, EXTREMES_VARIANT: Route.EXTREMES, ORACLE_VARIANT: Route.ORACLE,
+    RANK_VARIANT: Route.RANK, EXTREMES_VARIANT: Route.EXTREMES, SORT_VARIANT: Route.SORT,
 }
 
 CSV_HEADER = (
@@ -125,9 +133,10 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     and variants here, each block width by `PipelineConfig`, and each
     density and count by `sample_size`, which turns it into the cell's n.
     Cells sharing an n value share the generated point set so block-width
-    and variant comparisons see identical inputs. The `rank_pipeline` and
-    `byte_extremes` variants time `convex_hull_ranked` on `Route.RANK` and
-    `Route.EXTREMES`, and `oracle_sort_hull` times `hull_oracle` alone.
+    and variant comparisons see identical inputs. The `rank_pipeline`,
+    `byte_extremes` and `sorted_ranks` variants time `convex_hull_ranked`
+    on `Route.RANK`, `Route.EXTREMES` and `Route.SORT`, and
+    `oracle_sort_hull` times `hull_oracle` alone.
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
         raise ValueError(f"plan repetitions {plan.repetitions!r} is not an int of at least 3")

@@ -5,7 +5,8 @@ takes their box. It is also the pipeline's only input check: the grid is
 the box of those same lists, so the later steps rank them with the
 unchecked chain of `RankFunction.cells` and turn ranks back into offsets
 with the unchecked `offsets`. A small cost model then picks the route
-that finishes the hull (`Route`):
+that finishes the hull (`Route`). Every route scans a chain of box
+offsets in ascending rank order with the same deque scan (step 5):
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
   per rank (the paper's base O(n + m) table), step 4 reads each occupied
@@ -15,7 +16,10 @@ that finishes the hull (`Route`):
 - the paper's p-bit pipeline: step 3 marks each rank in the m/p-word bit
   table, step 4 compacts the table into ascending-rank order and step 5
   scans all n distinct points.
-- the sort-based oracle, for boxes too sparse for either table.
+- sorted ranks, for boxes too sparse for either table: step 3 ranks the
+  points and drops duplicates with a `set`, step 4 sorts the n distinct
+  ranks (ints, in C) and step 5 scans them. That is the p-bit pipeline's
+  chain, got by a comparison sort of ints rather than by a table.
 
 The paper's translation onto the normalized grid (step 2) is folded into
 step 3's rank arithmetic, and step 5 streams each rank back as an offset
@@ -25,12 +29,13 @@ points. Only the hull's vertices are translated back, by
 `RankFunction.to_points`.
 
 The model (`route_estimates`) charges each route its fitted nanoseconds
-per unit of work past step 1: per point, per cell and per line for byte
-extremes, per point and per word for the p-bit pipeline, and per n·log2 n
-for the oracle. The constants come from the sweep in
-`docs/route_sweep.csv` (see README's "Routes"). A table over its cap is
-never built: the bit table holds at most `MAX_WORDS` words and the byte
-table at most `MAX_BYTES` bytes (`bitrank.table_over_cap`).
+per unit of work past step 1: per point, per cell and per expected
+occupied line for byte extremes, per point and per word for the p-bit
+pipeline, and per point and per n·log2 n for sorted ranks. The constants
+come from the sweep in `docs/route_sweep.csv` (see README's "Routes"). A
+table over its cap is never built: the bit table holds at most
+`MAX_WORDS` words and the byte table at most `MAX_BYTES` bytes
+(`bitrank.table_over_cap`); sorted ranks need no table and have no cap.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .bitrank import (
     _line_extremes, _mark_bytes, check_block_width, fast_shuffle, table_over_cap,
@@ -51,8 +57,8 @@ from .bitrank import (
 # under the public name that tracers of the pipeline's steps wrap.
 from .bitrank import _build_rank_table as build_rank_table
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
-from .geometry import BoundingBox, Point, coordinates, new_point
-from .hull import HullPolygon, MelkmanStats, hull_oracle, melkman
+from .geometry import BoundingBox, Point, coordinates
+from .hull import HullPolygon, MelkmanStats, melkman
 from .ranking import RankFunction, RankVariant
 
 BLOCK_WIDTHS = (8, 16, 32, 64)
@@ -69,7 +75,7 @@ class Route(Enum):
     AUTO = "auto"
     RANK = "rank"
     EXTREMES = "extremes"
-    ORACLE = "oracle"
+    SORT = "sort"
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,13 @@ class RouteCosts:
 
     extremes: tuple[float, float, float]  # per point, per cell, per occupied line
     rank: tuple[float, float]  # per point, per word
-    oracle: tuple[float]  # per n·log2 n
+    sort: tuple[float, float]  # per point, per n·log2 n
 
 
 # Fitted to docs/route_sweep.csv; tests/test_analysis.py refits and pins them.
-ROUTE_COSTS = RouteCosts(extremes=(332.6, 0.7324, 3075.0), rank=(2635.0, 38.77), oracle=(431.0,))
+ROUTE_COSTS = RouteCosts(
+    extremes=(244.8, 0.5294, 2142.0), rank=(1706.0, 30.89), sort=(1190.0, 6.978),
+)
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class PipelineConfig:
     route: Route = Route.AUTO
 
     def __post_init__(self) -> None:
-        # checked here, since the empty input and the oracle build no table
+        # checked here, since the empty input and sorted ranks build no table
         if type(self.p) is not int or self.p not in BLOCK_WIDTHS:
             raise ValueError(f"block width must be one of {BLOCK_WIDTHS}")
         if not isinstance(self.rank_variant, RankVariant):
@@ -114,19 +122,20 @@ class OperationCounters:
 class PipelineReport:
     """Hull in the caller's coordinates plus instrumentation.
 
-    `n` counts distinct points; exact duplicates are absorbed during table
-    construction, so `duplicates_skipped` is len(points) - n. `m` is the
-    box area m1 * m2 and `density` is n / m, with m = 0 and density 0.0
-    for empty input. `route` is the route that ran, never `Route.AUTO`;
-    empty input runs none and reports the route chosen for it. `step_ns`
-    holds the elapsed monotonic nanoseconds of the paper's five steps
-    (box, translate, rank, shuffle, scan). The translation happens inside
+    `n` counts distinct points; exact duplicates are absorbed in step 3, by
+    the table or the `set` of ranks, so `duplicates_skipped` is
+    len(points) - n. `m` is the box area m1 * m2 and `density` is n / m,
+    with m = 0 and density 0.0 for empty input. `route` is the route that
+    ran, never `Route.AUTO`; empty input runs none and reports the route
+    chosen for it. `step_ns` holds the elapsed monotonic nanoseconds of the
+    paper's five steps (box, translate, rank, shuffle, scan). The translation happens inside
     the rank arithmetic, so its slot is always 0; the scan's slot includes
     turning ranks into box offsets and the hull's vertices back into the
     caller's points. On the byte-extremes route step 3 is the marking,
     step 4 the pass over the lines, and `shuffle_iterations` counts the
-    occupied lines that pass read. On the oracle route steps 3-5 and the
-    counters are zero.
+    occupied lines that pass read. On the sorted-ranks route step 3 is
+    the ranking and the `set` that drops duplicates, step 4 the sort, and
+    `shuffle_iterations` is n, the ranks sorted.
     """
 
     hull: HullPolygon
@@ -144,8 +153,8 @@ class PipelineReport:
 
     @property
     def used_fallback(self) -> bool:
-        """True when the hull came from the sort-based oracle."""
-        return self.route is Route.ORACLE
+        """True when no table was built: the hull came from sorted ranks."""
+        return self.route is Route.SORT
 
 
 @dataclass
@@ -163,7 +172,7 @@ class _Chain:
 
 
 # The routes that `route_terms` and `route_estimates` price, in the order that breaks a tie.
-ROUTES = (Route.EXTREMES, Route.RANK, Route.ORACLE)
+ROUTES = (Route.EXTREMES, Route.RANK, Route.SORT)
 
 
 def route_terms(count: int, m: int, lines: int, p: int) -> tuple[tuple[float, ...], ...]:
@@ -171,19 +180,25 @@ def route_terms(count: int, m: int, lines: int, p: int) -> tuple[tuple[float, ..
 
     For `count` points in a box of `m` cells made of `lines` lines of
     consecutive ranks: byte extremes pay per point, per cell and per
-    occupied line (at most one a point), the p-bit pipeline per point and
-    per word of `p` bits, and the oracle per n·log2 n.
+    occupied line, the p-bit pipeline per point and per word of `p` bits,
+    and sorted ranks per point and per n·log2 n. The occupied lines are
+    their expected count for `count` points uniform on `lines` lines,
+    lines·(1 − (1 − 1/lines)^count), taken through `expm1` and `log1p` to
+    keep its precision where 1/lines is tiny.
     """
+    occupied = (
+        -lines * math.expm1(count * math.log1p(-1 / lines)) if lines > 1 else min(lines, count)
+    )
     return (
-        (count, m, min(lines, count)),
+        (count, m, occupied),
         (count, -(-m // p)),
-        (count * math.log2(count) if count else 0.0,),
+        (count, count * math.log2(count) if count else 0.0),
     )
 
 
 def _over_cap(route: Route, m: int, p: int) -> str:
     """Why `route`'s table of `m` ranks would be over its cap, or "" when it fits."""
-    if route is Route.ORACLE:
+    if route is Route.SORT:
         return ""
     return table_over_cap(m, p if route is Route.RANK else None)
 
@@ -198,7 +213,7 @@ def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, ...]
     return tuple(
         math.inf if _over_cap(route, m, p) else sum(map(mul, costs, terms))
         for route, costs, terms in zip(
-            ROUTES, (c.extremes, c.rank, c.oracle), route_terms(count, m, lines, p)
+            ROUTES, (c.extremes, c.rank, c.sort), route_terms(count, m, lines, p)
         )
     )
 
@@ -208,8 +223,8 @@ def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
 
     `Route.AUTO` takes the cheapest of `route_estimates`. A route named
     outright is taken as is, unless its table would be over its cap:
-    :class:`BoxTooLargeError`. The choice and the three estimates are
-    logged at DEBUG level.
+    :class:`BoxTooLargeError`; sorted ranks have no cap. The choice and the
+    three estimates are logged at DEBUG level.
     """
     estimates = route_estimates(count, m, lines, cfg.p)
     route = cfg.route
@@ -219,7 +234,7 @@ def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
         raise BoxTooLargeError(why)
     _log.debug(
         "route %s (asked %s) for %d points, %d cells, %d lines: "
-        "estimates extremes %.0f, rank %.0f, oracle %.0f ns",
+        "estimates extremes %.0f, rank %.0f, sort %.0f ns",
         route, cfg.route, count, m, lines, *estimates,
     )
     return route
@@ -232,11 +247,12 @@ def convex_hull_ranked(
     """Convex hull via rank ordering instead of a comparison sort.
 
     Step 1 reads the points into coordinate lists and their box, and
-    `choose_route` picks the route for them. On the two table routes step
-    3 marks each point's rank (step 2's translation included) in a table,
-    step 4 reads the ranks to scan from it in ascending order, and step 5
-    streams them, a simple chain of box offsets, into the deque scan. The
-    oracle route hulls the distinct points by sorting.
+    `choose_route` picks the route for them. Step 3 ranks the points (step
+    2's translation included): the two table routes mark each rank in a
+    table, and sorted ranks gather the distinct ranks in a `set`. Step 4
+    puts the ranks to scan in ascending order: read from the table, or
+    sorted. Step 5 streams them, a simple chain of box offsets, into the
+    deque scan.
     `points` must be a sized collection, such as a list, tuple or set: step
     1 iterates over it twice, and no other step reads it.
     """
@@ -262,36 +278,36 @@ def convex_hull_ranked(
         rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
         width = rf.line_length
         route = choose_route(cfg, len(xs), box.m, box.m // width)
-        if route is Route.ORACLE:
-            # deduplicated as Points, so every route returns Point vertices
-            distinct = set(map(new_point, zip(xs, ys)))
+        # step 1 checked the lists and this grid is their box: rank them unchecked
+        if route is Route.RANK:
+            table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
+            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
+            t3 = clock()
+            shuffled = fast_shuffle(table)
+            ranks, n, iterations = shuffled.order, table.n, shuffled.iterations
+        elif route is Route.EXTREMES:
+            occ = _mark_bytes(rf._cells(xs, ys), box.m)
             del xs, ys
-            hull, n = hull_oracle(distinct), len(distinct)
-            step_ns = (t1 - t0, 0, 0, 0, 0)
+            t3 = clock()
+            n = occ.count(1)
+            ranks, iterations = _line_extremes(occ, width)
+            del occ
         else:
-            # step 1 checked the lists and this grid is their box: rank them unchecked
-            if route is Route.RANK:
-                table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
-                del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
-                t3 = clock()
-                shuffled = fast_shuffle(table)
-                ranks, n, iterations = shuffled.order, table.n, shuffled.iterations
-            else:
-                occ = _mark_bytes(rf._cells(xs, ys), box.m)
-                del xs, ys
-                t3 = clock()
-                n = occ.count(1)
-                ranks, iterations = _line_extremes(occ, width)
-                del occ
-            t4 = clock()
-            stats = MelkmanStats()
-            # step 4's ranks are ints in [1, m] by construction
-            scanned = melkman(_Chain(rf._offsets(ranks), len(ranks)), stats)
-            # translation keeps the lexicographic order, so the cycle stays canonical
-            hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
-            t5 = clock()
-            counters = OperationCounters(stats.isleft_evals, iterations, stats.deque_ops)
-            step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
+            distinct = set(map(add, rf._cells(xs, ys), repeat(1)))
+            del xs, ys
+            t3 = clock()
+            ranks = sorted(distinct)
+            del distinct
+            n = iterations = len(ranks)
+        t4 = clock()
+        stats = MelkmanStats()
+        # step 4's ranks are ints in [1, m] by construction
+        scanned = melkman(_Chain(rf._offsets(ranks), len(ranks)), stats)
+        # translation keeps the lexicographic order, so the cycle stays canonical
+        hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
+        t5 = clock()
+        counters = OperationCounters(stats.isleft_evals, iterations, stats.deque_ops)
+        step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
 
     m = m1 * m2
     return PipelineReport(

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from dataclasses import astuple
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from rankhull.analysis import (
     EXTREMES_VARIANT,
     ORACLE_VARIANT,
     RANK_VARIANT,
+    SORT_VARIANT,
+    VARIANTS,
     BenchmarkPlan,
     linear_fit,
     run_benchmark,
@@ -21,6 +24,7 @@ from rankhull.pipeline import (
     ROUTE_COSTS,
     ROUTES,
     PipelineConfig,
+    Route,
     RouteCosts,
     choose_route,
     route_terms,
@@ -162,10 +166,26 @@ def test_byte_extremes_rows_count_the_lines_they_read():
         assert row.deque_ops <= 3 * 2 * row.shuffle_iterations + 4
 
 
+def test_sorted_ranks_rows_count_the_ranks_they_sort():
+    plan = BenchmarkPlan(
+        m1=40, m2=30, densities=(0.1, 0.6), p_values=(64,), seed=6,
+        variants=(SORT_VARIANT, RANK_VARIANT),
+    )
+    rows = run_benchmark(plan)
+    for sort, rank in zip(rows[0::2], rows[1::2]):
+        assert sort.variant == SORT_VARIANT and sort.median_ns > 0
+        # the points are distinct: every one is a rank to sort
+        assert sort.shuffle_iterations == sort.n
+        # the rank route's chain, so the scan decides the same
+        assert (sort.isleft_evals, sort.deque_ops) == (rank.isleft_evals, rank.deque_ops)
+
+
 # --- the route costs, fitted to the committed sweep --------------------------
 
 # the variant that times each of ROUTES in a sweep
-_VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, ORACLE_VARIANT)))
+_VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, SORT_VARIANT)))
+# the sort route's step 4, the sort alone, kept beside the cell's times
+_SORT_STEP = "sorted_ranks step 4"
 
 
 def _det(a):
@@ -193,16 +213,27 @@ def _fit(samples):
 def _fit_route_costs(cells):
     """`RouteCosts` fitted to {(m1, m2, n): {variant: ns}} of f1 cells at p = 64.
 
-    A table route's ns is its time past step 1, which is what the router
-    compares; the oracle's is `hull_oracle`'s own.
+    A route's ns is its time past step 1, which is what the router compares.
+    The sort route's two terms are fitted one at a time: its per-n·log2 n
+    cost to its step 4 (`_SORT_STEP`), the sort alone, and its per-point
+    cost to the rest. Fitted jointly, the sort's cost comes out negative:
+    each call's fixed cost, which no term prices, weighs most in the
+    smallest cells, and a negative n·log2 n cost, which lowers the cost
+    per point as n grows, absorbs it.
     """
+    if len(cells) < 4:
+        raise InsufficientDataError(f"need at least 4 cells, got {len(cells)}")
     fitted = []
     for i, route in enumerate(ROUTES):
         samples = [(route_terms(n, m1 * m2, m1, 64)[i], ns[_VARIANT_OF[route]])
                    for (m1, m2, n), ns in cells.items()]
-        if len(samples) < 4:
-            raise InsufficientDataError(f"need at least 4 cells, got {len(samples)}")
-        fitted.append(_fit(samples))
+        if route is Route.SORT:
+            sorts = [ns[_SORT_STEP] for ns in cells.values()]
+            rest = [((points,), t - sort) for ((points, _), t), sort in zip(samples, sorts)]
+            sort = [((nlogn,), sort) for ((_, nlogn), _), sort in zip(samples, sorts)]
+            fitted.append(_fit(rest) + _fit(sort))
+        else:
+            fitted.append(_fit(samples))
     return RouteCosts(*fitted)
 
 
@@ -211,18 +242,24 @@ def _flat(costs):
 
 
 def _sweep_cells():
-    """The committed sweep's f1 cells at p = 64, each variant's time past step 1."""
+    """The committed sweep's f1 cells at p = 64, each variant's time past step 1.
+
+    The oracle variant has no step 1 (its step times are zero): its ns is
+    `hull_oracle`'s own. Each cell also holds the sort route's step 4.
+    """
     cells = {}
     with open(SWEEP, newline="", encoding="utf-8") as fh:
         for r in csv.DictReader(fh):
             assert r["p"] == "64"
-            key = (int(r["m1"]), int(r["m2"]), int(r["n"]))
-            cells.setdefault(key, {})[r["variant"]] = int(r["median_ns"]) - int(r["step1_ns"])
+            ns = cells.setdefault((int(r["m1"]), int(r["m2"]), int(r["n"])), {})
+            ns[r["variant"]] = int(r["median_ns"]) - int(r["step1_ns"])
+            if r["variant"] == SORT_VARIANT:
+                ns[_SORT_STEP] = int(r["step4_ns"])
     return cells
 
 
 def test_the_fit_recovers_the_costs_of_exact_timings():
-    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), oracle=(380.0,))
+    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), sort=(1500.0, 25.0))
     boxes = ((64, 48, 300), (640, 480, 9000), (2048, 2048, 1000), (100, 3000, 20000),
              (4096, 4096, 5000), (320, 240, 25))
     cells = {
@@ -232,6 +269,8 @@ def test_the_fit_recovers_the_costs_of_exact_timings():
         }
         for m1, m2, n in boxes
     }
+    for (_, _, n), ns in cells.items():
+        ns[_SORT_STEP] = truth.sort[1] * n * math.log2(n)
     assert _flat(_fit_route_costs(cells)) == pytest.approx(_flat(truth), rel=1e-6)
     with pytest.raises(InsufficientDataError):
         _fit_route_costs(dict(list(cells.items())[:3]))
@@ -239,7 +278,9 @@ def test_the_fit_recovers_the_costs_of_exact_timings():
 
 def test_the_route_costs_are_the_fit_of_the_committed_sweep():
     cells = _sweep_cells()
-    assert len(cells) == 37 and all(len(ns) == 3 and min(ns.values()) > 0 for ns in cells.values())
+    assert len(cells) == 37
+    assert all(sorted(ns) == sorted((*VARIANTS, _SORT_STEP)) and min(ns.values()) > 0
+               for ns in cells.values())
     # the committed constants are the fit rounded to four significant digits
     assert _flat(ROUTE_COSTS) == pytest.approx(_flat(_fit_route_costs(cells)), rel=5e-4)
 
@@ -248,5 +289,5 @@ def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
     worst = 1.0
     for (m1, m2, n), ns in _sweep_cells().items():
         picked = ns[_VARIANT_OF[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
-        worst = max(worst, picked / min(ns.values()))
+        worst = max(worst, picked / min(ns[v] for v in _VARIANT_OF.values()))
     assert worst < 1.5

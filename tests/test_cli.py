@@ -160,11 +160,14 @@ def test_bench_writes_csv(tmp_path):
 
 def test_bench_writes_one_row_per_variant(tmp_path):
     out = tmp_path / "rows.csv"
-    variants = "rank_pipeline,byte_extremes,oracle_sort_hull"
+    variants = "rank_pipeline,byte_extremes,sorted_ranks,oracle_sort_hull"
     assert run_cli(
-        "bench", "--width", "64", "--height", "48", "--densities", "0.1",
+        "bench", "--width", "64", "--height", "48", "--densities", "0.1,0.3",
         "--p-list", "64", "--variants", variants, "--out", str(out),
     ) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert [r["variant"] for r in rows] == variants.split(",")
+    # one row per cell for each of the four variants, in the order asked
+    assert [(r["n"], r["variant"]) for r in rows] == [
+        (n, v) for n in ("307", "922") for v in variants.split(",")
+    ]

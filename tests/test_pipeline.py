@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
 from chaincheck import chain_is_simple, melkman_reference
-from rankhull.bitrank import MAX_BYTES, build_rank_table, fast_shuffle, shuffle_naive
+from rankhull.bitrank import (
+    MAX_BYTES, build_rank_table, fast_shuffle, shuffle_naive, table_over_cap,
+)
 from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
@@ -28,6 +30,7 @@ from rankhull.pipeline import (
     density_threshold_refined,
     density_threshold_simple,
     route_estimates,
+    route_terms,
 )
 from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant
@@ -41,8 +44,8 @@ def test_triangle_report():
     assert set(report.hull.vertices) == {Point(5, 7), Point(9, 7), Point(7, 9)}
     assert (report.n, report.m, report.m1, report.m2) == (3, 15, 5, 3)
     assert report.density == 0.2
-    # three points: the oracle's n·log2 n is the cheapest route
-    assert report.route is Route.ORACLE
+    # three points: sorting their ranks is the cheapest route
+    assert report.route is Route.SORT
 
 
 def test_generated_low_density_set_matches_oracle():
@@ -72,9 +75,9 @@ def test_fallback_routes_to_oracle_when_box_exceeds_cap():
     # 40001^2 cells is over 2^30: more than 2^24 words even at p = 64
     pts = [Point(0, 0), Point(40000, 1), Point(20000, 40000), Point(17, 33)] * 2
     report = convex_hull_ranked(pts)
-    assert report.used_fallback
+    assert report.used_fallback and report.route is Route.SORT
     assert report.hull == hull_oracle(pts)
-    assert report.counters.shuffle_iterations == 0
+    assert report.counters.shuffle_iterations == report.n
     assert (report.n, report.duplicates_skipped, report.m) == (4, 4, 40001 * 40001)
 
 
@@ -285,8 +288,9 @@ def _peak(call):
 
 
 def test_over_cap_memory_is_the_oracles_on_the_distinct_points():
-    # step 1's coordinate lists take 16 bytes a point, about 0.26 MiB here;
-    # they go once the distinct points are built, so the oracle's peak is all
+    # sorted ranks hold step 1's coordinate lists (16 bytes a point, about
+    # 0.26 MiB here) until the ranks' set is built, then the set and its
+    # sorted list: one int a distinct point, where the oracle holds a Point
     rng = random.Random(5)
     pts = [Point(rng.randrange(60000), rng.randrange(60000)) for _ in range(17280)]
     report, peak = _peak(lambda: convex_hull_ranked(pts))
@@ -353,9 +357,11 @@ def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "melkman", counted)
     pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
-    report = convex_hull_ranked(pts, PipelineConfig(route=Route.RANK))
-    assert report.hull == hull_oracle(pts)
-    assert lengths == [report.n] == [5]
+    for route in (Route.RANK, Route.SORT):
+        lengths.clear()
+        report = convex_hull_ranked(pts, PipelineConfig(route=route))
+        assert report.hull == hull_oracle(pts)
+        assert lengths == [report.n] == [5]
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]
@@ -381,12 +387,12 @@ def test_lists_tuples_and_sets_are_collections():
 ])
 def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
     over_caps = max(map(max, pts)) >= 40000
-    for route in (Route.AUTO, Route.ORACLE) if over_caps else tuple(Route):
+    for route in (Route.AUTO, Route.SORT) if over_caps else tuple(Route):
         cfg = PipelineConfig(route=route)
         as_tuples = convex_hull_ranked(pts, cfg)
         as_lists = convex_hull_ranked([list(v) for v in pts], cfg)
-        # four points, or a box over both caps: the cost model picks the oracle
-        assert as_tuples.route is (Route.ORACLE if route is Route.AUTO else route)
+        # four points, or a box over both caps: the cost model picks sorted ranks
+        assert as_tuples.route is (Route.SORT if route is Route.AUTO else route)
         # everything but the wall-clock step times
         assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
         assert all(type(v) is Point for v in as_lists.hull.vertices)
@@ -410,7 +416,7 @@ def test_report_derives_m_density_and_duplicates_from_n_and_the_box(pts, n):
     assert report.n == n
     # the route the cost model picks for the input's count and f1 box, never AUTO
     assert report.route is choose_route(PipelineConfig(), len(pts), report.m, report.m1)
-    assert report.used_fallback == (report.route is Route.ORACLE)
+    assert report.used_fallback == (report.route is Route.SORT)
     assert report.m == report.m1 * report.m2
     assert report.density == (n / report.m if report.m else 0.0)
     assert report.duplicates_skipped == len(pts) - n
@@ -514,11 +520,12 @@ def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
 
 @pytest.mark.parametrize("m1, m2, n, route", [
     (480, 360, 17280, Route.EXTREMES),  # m/n = 10, the dense_uniform bench box
-    (640, 480, 9216, Route.EXTREMES),   # m/n = 33
-    (2048, 2048, 4096, Route.EXTREMES), # m/n = 1024, two points a column
-    (4096, 4096, 5033, Route.RANK),     # m/n = 3333, about one point a column
-    (2048, 2048, 1024, Route.ORACLE),   # m/n = 4096, the sparse_box bench box
-    (64, 48, 8, Route.ORACLE),          # too few points for either table
+    (640, 480, 9216, Route.EXTREMES),   # m/n = 33, the image_mask bench box
+    (1024, 1024, 10486, Route.EXTREMES),  # m/n = 100
+    (2048, 2048, 4096, Route.SORT),     # m/n = 1024, two points a column
+    (4096, 4096, 5033, Route.SORT),     # m/n = 3333, about one point a column
+    (2048, 2048, 1024, Route.SORT),     # m/n = 4096, the sparse_box bench box
+    (64, 48, 8, Route.SORT),            # too few points for a table to pay
 ])
 def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
     pts = generate_dense_set(m1, m2, count=n, seed=3)
@@ -537,7 +544,18 @@ def test_the_byte_table_cap_is_max_bytes():
     far = [(0, 0), (MAX_BYTES, 0)]
     with pytest.raises(BoxTooLargeError, match="bytes"):
         convex_hull_ranked(far, extremes)
-    assert convex_hull_ranked(far).route is Route.ORACLE
+    assert convex_hull_ranked(far).route is Route.SORT
+
+
+def test_byte_extremes_are_priced_per_expected_occupied_line():
+    # lines·(1 − (1 − 1/lines)^n): two points on two lines share one half the time
+    assert route_terms(2, 8, 2, 64)[0][2] == pytest.approx(1.5)
+    # the sparse_box box: 1,024 points occupy about 806 of its 2,048 columns, not 1,024
+    assert route_terms(1024, 2048**2, 2048, 64)[0][2] == pytest.approx(
+        2048 * (1 - (1 - 1 / 2048) ** 1024), rel=1e-12
+    )
+    # one line or none, and no points
+    assert [route_terms(n, 3 * k, k, 64)[0][2] for n, k in ((5, 1), (0, 0), (0, 3))] == [1, 0, 0]
 
 
 def test_the_bit_table_cap_refuses_the_rank_route_named_outright():
@@ -548,26 +566,26 @@ def test_the_bit_table_cap_refuses_the_rank_route_named_outright():
     assert route_estimates(5, 11587**2, 11587, 64)[1] < math.inf
 
 
-def test_a_few_points_go_to_the_oracle_and_more_in_a_dense_box_to_byte_extremes():
-    # m = 4n in a square box: the byte route's per-line cost against n·log2 n
+def test_a_few_points_go_to_sorted_ranks_and_more_in_a_dense_box_to_byte_extremes():
+    # m = 4n in a square box: the byte route's per-line cost against the sort's per point
     auto = PipelineConfig()
-    assert choose_route(auto, 16, 64, 8) is Route.ORACLE
+    assert choose_route(auto, 12, 48, 7) is Route.SORT
     assert choose_route(auto, 32, 128, 11) is Route.EXTREMES
 
 
-def test_the_rank_route_gives_way_to_the_oracle_between_m_n_1000_and_4000():
-    # the smallest box, in 64-cell steps, for which 1,024 points go to the oracle
+def test_byte_extremes_give_way_to_sorted_ranks_between_m_n_100_and_1000():
+    # the smallest square box, in 64-cell steps, for which 1,024 points go to sorted ranks
     n, auto = 1024, PipelineConfig()
     lo, hi = n, 64 * 10**5 * n
     while hi - lo > 64:
         mid = (lo + hi) // 2
-        if choose_route(auto, n, mid, 2048) is Route.ORACLE:
+        if choose_route(auto, n, mid, math.isqrt(mid)) is Route.SORT:
             hi = mid
         else:
             lo = mid
-    assert 1000 * n <= hi <= 4000 * n
-    assert choose_route(auto, n, lo, 2048) is Route.RANK
-    assert choose_route(auto, n, hi + 64, 2048) is Route.ORACLE
+    assert 100 * n <= hi <= 1000 * n
+    assert choose_route(auto, n, lo, math.isqrt(lo)) is Route.EXTREMES
+    assert choose_route(auto, n, hi + 64, math.isqrt(hi + 64)) is Route.SORT
 
 
 def test_the_routing_decision_is_logged_with_its_three_estimates(caplog):
@@ -577,5 +595,63 @@ def test_the_routing_decision_is_logged_with_its_three_estimates(caplog):
     (record,) = caplog.records
     message = record.getMessage()
     assert "route Route.EXTREMES (asked Route.AUTO)" in message
-    estimates = route_estimates(17280, report.m, report.m1, 64)
-    assert all(f"{e:.0f}" in message for e in estimates)
+    extremes, rank, sort = route_estimates(17280, report.m, report.m1, 64)
+    assert f"extremes {extremes:.0f}, rank {rank:.0f}, sort {sort:.0f} ns" in message
+
+
+# --- the sorted-ranks route --------------------------------------------------
+
+def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
+    sort, sort_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
+    rank, rank_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.RANK))
+    assert sort_chain == rank_chain
+    assert sort.route is Route.SORT and sort.counters.shuffle_iterations == sort.n
+    # the same chain, so the same scan: the reports differ only in the route,
+    # the step times and step 4's count (n sorted ranks, against r words + n)
+    same = replace(sort.counters, shuffle_iterations=rank.counters.shuffle_iterations)
+    assert replace(sort, route=rank.route, step_ns=rank.step_ns, counters=same) == rank
+    assert sort.hull == hull_oracle(pts)
+
+
+@pytest.mark.parametrize("variant", tuple(RankVariant))
+@pytest.mark.parametrize("pts", [
+    [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (4, 4)],                     # duplicates
+    [(-7, 3), (-2, -9), (5, -1), (-7, 3), (0, 0), (3, 8), (-5, -5)],     # negative coordinates
+    [(-1, -1), (2, 2), (5, 5), (2, 2)],                                  # collinear
+    [(3, -4)] * 3,                                                       # one distinct point
+    generate_dense_set(200, 150, count=3000, seed=4),
+])
+def test_sorted_ranks_give_the_rank_routes_report(pts, variant):
+    _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant)
+
+
+@settings(max_examples=150)
+@given(st.one_of(offset_point_lists(), one_point_lines()), st.sampled_from(tuple(RankVariant)))
+def test_sorted_ranks_give_the_rank_routes_report_on_any_set(pts, variant):
+    _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant)
+
+
+_LO, _HI = -(2**63), 2**63 - 1  # the 64-bit corners
+
+
+def _spread_over_64_bits(count, seed):
+    rng = random.Random(seed)
+    return [(rng.randint(_LO, _HI), rng.randint(_LO, _HI)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("variant", tuple(RankVariant))
+@pytest.mark.parametrize("pts", [
+    # uniform over the 64-bit square, every point twice, then its corners
+    _spread_over_64_bits(400, 17) * 2 + [(_LO, _LO), (_HI, _HI), (_LO, _HI), (_HI, _LO)],
+    _spread_over_64_bits(60, 18),
+    # two clusters at opposite corners: many points share a line
+    [(_LO + i % 7, _LO + i // 7) for i in range(60)] + [(_HI - i // 5, _HI - i % 5) for i in range(40)],
+    [(_LO + i * 2**58, _HI - i * 2**58) for i in range(50)] * 2,          # collinear
+    [(0, 0), (40000, 1), (20000, 40000), (17, 33)],                      # just over both caps
+])
+def test_sorted_ranks_match_the_oracle_on_boxes_over_both_caps(pts, variant):
+    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant))
+    assert table_over_cap(report.m, None) and table_over_cap(report.m, 64)
+    assert report.route is Route.SORT and report.used_fallback
+    assert report.hull == hull_oracle(pts)
+    assert report.n == len(set(pts)) == report.counters.shuffle_iterations
