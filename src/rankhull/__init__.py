@@ -1,9 +1,14 @@
 """Rank-ordered 2-D convex hulls for dense integer point sets.
 
-Points are ordered into a simple polygonal chain by a grid rank function
-and a blocked bit table instead of a comparison sort, then consumed by a
-single-pass deque hull scan. Dense inputs (density above roughly 1/p for
-block width p) make the whole pipeline linear in the number of points.
+Points are ranked by a grid rank function over their bounding box, and
+the ranks are put in ascending order, a simple polygonal chain, for a
+single-pass deque hull scan. `convex_hull_ranked` takes one of two routes
+by a fitted cost model: on dense boxes a one-byte-per-rank table gives
+each grid line's two extreme points, in O(n + m) for m box cells, and on
+sparse boxes the distinct ranks are sorted. The paper's p-bit table and
+its wordwise walk (`build_rank_table`, `fast_shuffle`) are kept in
+`bitrank` as a checked reproduction of the method; they measured slower
+than sorted ranks on every swept box, so no route runs them.
 """
 
 from .analysis import (

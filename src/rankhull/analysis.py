@@ -4,16 +4,18 @@ Operation counters are the primary signal here: they are machine
 independent and reproduce exactly for a given plan and seed. Wall-clock
 medians back them up for trend checks (time vs n at fixed density) but
 carry no absolute meaning across machines. A plan's densities, counts,
-block widths, repetitions and variants are checked before its first cell
-runs, and an error in any cell aborts the sweep, so a plan either yields
-every row or raises.
+repetitions and variants are checked before its first cell runs, and an
+error in any cell aborts the sweep, so a plan either yields every row or
+raises.
 
-Each cell times the variants the plan names: `rank_pipeline`,
-`byte_extremes` and `sorted_ranks` run `convex_hull_ranked` on one of its
-three routes named outright, and `oracle_sort_hull` runs the independent
-`hull_oracle` alone. The router's costs are fitted to the three route
-variants of a sweep of all four at p = 64 (`docs/route_sweep.csv`,
-README's "Routes"); the oracle's times are there for comparison.
+Each cell times the variants the plan names, all of `VARIANTS` by
+default: `byte_extremes` and `sorted_ranks` run `convex_hull_ranked` on
+one of its two routes named outright, and `oracle_sort_hull` runs the
+independent `hull_oracle` alone. The router's costs are fitted to the two
+route variants of the committed sweep (`docs/route_sweep.csv`, README's
+"Routes"); the oracle's times are there for comparison. That sweep also
+holds a `p` column and a `rank_pipeline` variant, the paper's p-bit
+pipeline at p = 64, recorded before the pipeline dropped that route.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import IO, Callable, Sequence
 
@@ -30,19 +32,16 @@ from .hull import hull_oracle
 from .pipeline import PipelineConfig, Route, convex_hull_ranked
 from .pointio import generate_dense_set, sample_size
 
-RANK_VARIANT = "rank_pipeline"
 EXTREMES_VARIANT = "byte_extremes"
 SORT_VARIANT = "sorted_ranks"
 ORACLE_VARIANT = "oracle_sort_hull"
-VARIANTS = (RANK_VARIANT, EXTREMES_VARIANT, SORT_VARIANT, ORACLE_VARIANT)
+VARIANTS = (EXTREMES_VARIANT, SORT_VARIANT, ORACLE_VARIANT)
 # The route whose costs each variant's timings measure. The oracle variant
 # is no route: it calls hull_oracle itself, the independent reference.
-_ROUTES = {
-    RANK_VARIANT: Route.RANK, EXTREMES_VARIANT: Route.EXTREMES, SORT_VARIANT: Route.SORT,
-}
+_ROUTES = {EXTREMES_VARIANT: Route.EXTREMES, SORT_VARIANT: Route.SORT}
 
 CSV_HEADER = (
-    "m1", "m2", "m", "n", "density", "p", "variant", "rep_count", "median_ns",
+    "m1", "m2", "m", "n", "density", "variant", "rep_count", "median_ns",
     "step1_ns", "step2_ns", "step3_ns", "step4_ns", "step5_ns",
     "isleft_evals", "shuffle_iterations", "deque_ops",
 )
@@ -50,7 +49,7 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class BenchmarkPlan:
-    """One sweep: box dimensions, sample sizes, block widths, repetitions.
+    """One sweep: box dimensions, sample sizes, repetitions and variants.
 
     Sample sizes come from `densities` (fractions of the box area) and/or
     explicit `counts` (ints from 0 to the box area); cells run in the
@@ -62,10 +61,9 @@ class BenchmarkPlan:
     m2: int
     densities: Sequence[float] = ()
     counts: Sequence[int] = ()
-    p_values: Sequence[int] = (32,)
     repetitions: int = 3
     seed: int = 0
-    variants: Sequence[str] = (RANK_VARIANT,)
+    variants: Sequence[str] = VARIANTS
 
 
 @dataclass
@@ -75,7 +73,6 @@ class BenchmarkRow:
     m: int
     n: int
     density: float
-    p: int
     variant: str
     rep_count: int
     median_ns: int
@@ -127,23 +124,21 @@ def _time_cell(call: Callable[[], object], repetitions: int) -> tuple[int, list]
 
 
 def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
-    """Execute the sweep and return one row per (n, p, variant) cell.
+    """Execute the sweep and return one row per (n, variant) cell.
 
     The whole plan is checked before the first cell runs: the repetitions
-    and variants here, each block width by `PipelineConfig`, and each
-    density and count by `sample_size`, which turns it into the cell's n.
-    Cells sharing an n value share the generated point set so block-width
-    and variant comparisons see identical inputs. The `rank_pipeline`,
+    and variants here, and each density and count by `sample_size`, which
+    turns it into the cell's n. Cells sharing an n value share the
+    generated point set so variant comparisons see identical inputs. The
     `byte_extremes` and `sorted_ranks` variants time `convex_hull_ranked`
-    on `Route.RANK`, `Route.EXTREMES` and `Route.SORT`, and
-    `oracle_sort_hull` times `hull_oracle` alone.
+    on `Route.EXTREMES` and `Route.SORT`, and `oracle_sort_hull` times
+    `hull_oracle` alone.
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
         raise ValueError(f"plan repetitions {plan.repetitions!r} is not an int of at least 3")
     for v in plan.variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
-    configs = [PipelineConfig(p=p) for p in plan.p_values]
     m = plan.m1 * plan.m2
     n_values = [sample_size(m, d, None) for d in plan.densities]
     n_values += [sample_size(m, None, c) for c in plan.counts]
@@ -152,31 +147,27 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
         points = generate_dense_set(
             plan.m1, plan.m2, count=n, seed=_cell_seed(plan.seed, n)
         )
-        for cfg in configs:
-            for variant in plan.variants:
-                if variant != ORACLE_VARIANT:
-                    routed = replace(cfg, route=_ROUTES[variant])
-                    median_ns, reports = _time_cell(
-                        partial(convex_hull_ranked, points, routed), plan.repetitions
-                    )
-                    steps = tuple(
-                        int(statistics.median(r.step_ns[i] for r in reports))
-                        for i in range(5)
-                    )
-                    c = reports[-1].counters
-                    counters = (c.isleft_evals, c.shuffle_iterations, c.deque_ops)
-                else:
-                    median_ns, _ = _time_cell(
-                        partial(hull_oracle, points), plan.repetitions
-                    )
-                    steps, counters = (0, 0, 0, 0, 0), (0, 0, 0)
-                rows.append(BenchmarkRow(
-                    m1=plan.m1, m2=plan.m2, m=m, n=n, density=n / m,
-                    p=cfg.p, variant=variant, rep_count=plan.repetitions,
-                    median_ns=median_ns, step_ns=steps,
-                    isleft_evals=counters[0], shuffle_iterations=counters[1],
-                    deque_ops=counters[2],
-                ))
+        for variant in plan.variants:
+            if variant != ORACLE_VARIANT:
+                routed = PipelineConfig(route=_ROUTES[variant])
+                median_ns, reports = _time_cell(
+                    partial(convex_hull_ranked, points, routed), plan.repetitions
+                )
+                steps = tuple(
+                    int(statistics.median(r.step_ns[i] for r in reports)) for i in range(5)
+                )
+                c = reports[-1].counters
+                counters = (c.isleft_evals, c.shuffle_iterations, c.deque_ops)
+            else:
+                median_ns, _ = _time_cell(partial(hull_oracle, points), plan.repetitions)
+                steps, counters = (0, 0, 0, 0, 0), (0, 0, 0)
+            rows.append(BenchmarkRow(
+                m1=plan.m1, m2=plan.m2, m=m, n=n, density=n / m,
+                variant=variant, rep_count=plan.repetitions,
+                median_ns=median_ns, step_ns=steps,
+                isleft_evals=counters[0], shuffle_iterations=counters[1],
+                deque_ops=counters[2],
+            ))
     return rows
 
 
@@ -190,7 +181,7 @@ def write_csv(rows: Sequence[BenchmarkRow], fh: IO[str]) -> None:
     writer.writerow(CSV_HEADER)
     for r in rows:
         writer.writerow((
-            r.m1, r.m2, r.m, r.n, f"{r.density:.10g}", r.p, r.variant,
+            r.m1, r.m2, r.m, r.n, f"{r.density:.10g}", r.variant,
             r.rep_count, r.median_ns, *r.step_ns,
             r.isleft_evals, r.shuffle_iterations, r.deque_ops,
         ))

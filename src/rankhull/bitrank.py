@@ -2,7 +2,11 @@
 
 The blocked bit table marks each occupied rank with one bit, stored as
 r = ceil(m/p) words of p bits: m/8 bytes for a box of m cells, whatever n
-is. The byte table is the paper's base table, one byte per rank. The ranks
+is. It and its walk are the paper's p-bit steps 3–4, kept as the
+library's checked reproduction of them; the pipeline does not run them,
+since they measured slower than sorting the ranks in every cell of the
+route sweep (README's "Routes"). The byte table is the paper's base
+table, one byte per rank, and the pipeline's dense route. The ranks
 come in as the 0-based cells that :class:`RankFunction` makes of step 1's
 coordinate lists, so this module neither reads the caller's points nor
 knows the f1/f2 layout beyond the length of a line.
@@ -103,8 +107,7 @@ def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTa
     0 (`ValueError`), more than `MAX_WORDS` words raise
     :class:`BoxTooLargeError`, and `cells` must yield exactly `count` ints
     in [0, m): a cell that is not raises :class:`RankOutOfRangeError`, and
-    another number of cells `ValueError`. The pipeline calls the unchecked
-    body on the cells of step 1's lists, which are in range by construction.
+    another number of cells `ValueError`.
     """
     check_block_width(p)
     if type(m) is not int or type(count) is not int or min(m, count) < 0:
@@ -120,11 +123,6 @@ def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTa
         raise RankOutOfRangeError(f"cell {bad!r} is not an int in [0, {m})")
     if len(cells) != count:
         raise ValueError(f"count is {count}, but cells yields {len(cells)}")
-    return _build_rank_table(cells, count, m, p)
-
-
-def _build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTable:
-    """`build_rank_table` without its checks, for `count` cells known to lie in [0, m)."""
     r = -(-m // p)
     bloom = [0] * r
     duplicates = 0

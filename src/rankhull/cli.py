@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import RANK_VARIANT, VARIANTS, BenchmarkPlan, run_benchmark, write_csv
+from .analysis import VARIANTS, BenchmarkPlan, run_benchmark, write_csv
 from .errors import RankHullError
 from .hull import hull_oracle
 from .pipeline import (
-    BLOCK_WIDTHS,
     PipelineConfig,
     convex_hull_ranked,
     density_threshold_refined,
@@ -30,7 +29,7 @@ def _print_hull(hull) -> None:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     points = load_points(args.points_file)
-    cfg = PipelineConfig(p=args.p, rank_variant=RankVariant(args.rank))
+    cfg = PipelineConfig(rank_variant=RankVariant(args.rank))
     report = convex_hull_ranked(points, cfg)
     _print_hull(report.hull)
     if args.verify and report.hull != hull_oracle(points):
@@ -59,7 +58,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         m1=args.width,
         m2=args.height,
         densities=args.densities,
-        p_values=args.p_list,
         repetitions=args.reps,
         seed=args.seed,
         variants=args.variants,
@@ -102,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     hull = sub.add_parser("hull", help="hull of a point file")
     hull.add_argument("points_file")
-    hull.add_argument("--p", type=int, default=64, choices=BLOCK_WIDTHS)
     hull.add_argument("--rank", default=RankVariant.COLUMN_MAJOR.value,
                       choices=tuple(v.value for v in RankVariant))
     hull.add_argument("--verify", action="store_true",
@@ -126,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--width", type=int, required=True)
     bench.add_argument("--height", type=int, required=True)
     bench.add_argument("--densities", type=_float_list, required=True)
-    bench.add_argument("--p-list", type=_int_list, default=[32])
-    bench.add_argument("--variants", type=_str_list, default=[RANK_VARIANT],
+    bench.add_argument("--variants", type=_str_list, default=list(VARIANTS),
                        help=f"comma-separated, from {','.join(VARIANTS)}")
     bench.add_argument("--reps", type=int, default=3)
     bench.add_argument("--seed", type=int, default=0)

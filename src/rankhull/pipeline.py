@@ -1,4 +1,4 @@
-"""End-to-end rank-ordered hull: box, then one of three routes.
+"""End-to-end rank-ordered hull: box, then one of two routes.
 
 Step 1 alone reads the caller's points, into lists of xs and ys, and
 takes their box. It is also the pipeline's only input check: the grid is
@@ -13,13 +13,13 @@ offsets in ascending rank order with the same deque scan (step 5):
   line's lowest and highest rank from it, and step 5 scans those, at most
   two per line. Only a line's two extremes can be hull vertices, and the
   ranked chain cut down to them is still simple.
-- the paper's p-bit pipeline: step 3 marks each rank in the m/p-word bit
-  table, step 4 compacts the table into ascending-rank order and step 5
-  scans all n distinct points.
-- sorted ranks, for boxes too sparse for either table: step 3 ranks the
+- sorted ranks, for boxes too sparse for the table: step 3 ranks the
   points and drops duplicates with a `set`, step 4 sorts the n distinct
-  ranks (ints, in C) and step 5 scans them. That is the p-bit pipeline's
-  chain, got by a comparison sort of ints rather than by a table.
+  ranks (ints, in C) and step 5 scans them. That is the chain the paper's
+  p-bit steps 3–4 (`bitrank.build_rank_table` and `fast_shuffle`) yield,
+  got by a comparison sort of ints rather than by a table; those steps
+  measured slower than the sort in every cell of the route sweep, so no
+  route runs them.
 
 The paper's translation onto the normalized grid (step 2) is folded into
 step 3's rank arithmetic, and step 5 streams each rank back as an offset
@@ -30,12 +30,11 @@ points. Only the hull's vertices are translated back, by
 
 The model (`route_estimates`) charges each route its fitted nanoseconds
 per unit of work past step 1: per point, per cell and per expected
-occupied line for byte extremes, per point and per word for the p-bit
-pipeline, and per point and per n·log2 n for sorted ranks. The constants
-come from the sweep in `docs/route_sweep.csv` (see README's "Routes"). A
-table over its cap is never built: the bit table holds at most
-`MAX_WORDS` words and the byte table at most `MAX_BYTES` bytes
-(`bitrank.table_over_cap`); sorted ranks need no table and have no cap.
+occupied line for byte extremes, and per point and per n·log2 n for
+sorted ranks. The constants come from the sweep in `docs/route_sweep.csv`
+(see README's "Routes"). The byte table is never built over its cap of
+`MAX_BYTES` bytes (`bitrank.table_over_cap`); sorted ranks need no table
+and have no cap.
 """
 
 from __future__ import annotations
@@ -50,18 +49,11 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .bitrank import (
-    _line_extremes, _mark_bytes, check_block_width, fast_shuffle, table_over_cap,
-)
-# Step 3 of the rank route: the unchecked body of `bitrank.build_rank_table`, kept
-# under the public name that tracers of the pipeline's steps wrap.
-from .bitrank import _build_rank_table as build_rank_table
+from .bitrank import _line_extremes, _mark_bytes, check_block_width, table_over_cap
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates
 from .hull import HullPolygon, MelkmanStats, melkman
 from .ranking import RankFunction, RankVariant
-
-BLOCK_WIDTHS = (8, 16, 32, 64)
 
 _log = logging.getLogger(__name__)
 
@@ -73,7 +65,6 @@ class Route(Enum):
     """
 
     AUTO = "auto"
-    RANK = "rank"
     EXTREMES = "extremes"
     SORT = "sort"
 
@@ -83,28 +74,21 @@ class RouteCosts:
     """Nanoseconds per unit of `route_terms`' work, one tuple per route."""
 
     extremes: tuple[float, float, float]  # per point, per cell, per occupied line
-    rank: tuple[float, float]  # per point, per word
     sort: tuple[float, float]  # per point, per n·log2 n
 
 
 # Fitted to docs/route_sweep.csv; tests/test_analysis.py refits and pins them.
-ROUTE_COSTS = RouteCosts(
-    extremes=(244.8, 0.5294, 2142.0), rank=(1706.0, 30.89), sort=(1190.0, 6.978),
-)
+ROUTE_COSTS = RouteCosts(extremes=(244.8, 0.5294, 2142.0), sort=(1190.0, 6.978))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The method's two parameters, block width p and rank function f1/f2, and the route."""
+    """The rank function f1/f2 and the route."""
 
-    p: int = 64
     rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
     route: Route = Route.AUTO
 
     def __post_init__(self) -> None:
-        # checked here, since the empty input and sorted ranks build no table
-        if type(self.p) is not int or self.p not in BLOCK_WIDTHS:
-            raise ValueError(f"block width must be one of {BLOCK_WIDTHS}")
         if not isinstance(self.rank_variant, RankVariant):
             raise ValueError(f"rank variant must be a RankVariant, not {self.rank_variant!r}")
         if not isinstance(self.route, Route):
@@ -147,7 +131,6 @@ class PipelineReport:
     duplicates_skipped: int
     counters: OperationCounters
     step_ns: tuple[int, int, int, int, int]
-    p: int
     rank_variant: RankVariant
     route: Route
 
@@ -172,38 +155,31 @@ class _Chain:
 
 
 # The routes that `route_terms` and `route_estimates` price, in the order that breaks a tie.
-ROUTES = (Route.EXTREMES, Route.RANK, Route.SORT)
+ROUTES = (Route.EXTREMES, Route.SORT)
 
 
-def route_terms(count: int, m: int, lines: int, p: int) -> tuple[tuple[float, ...], ...]:
+def route_terms(count: int, m: int, lines: int) -> tuple[tuple[float, ...], ...]:
     """The units of work of each of `ROUTES`, past step 1.
 
     For `count` points in a box of `m` cells made of `lines` lines of
     consecutive ranks: byte extremes pay per point, per cell and per
-    occupied line, the p-bit pipeline per point and per word of `p` bits,
-    and sorted ranks per point and per n·log2 n. The occupied lines are
-    their expected count for `count` points uniform on `lines` lines,
-    lines·(1 − (1 − 1/lines)^count), taken through `expm1` and `log1p` to
-    keep its precision where 1/lines is tiny.
+    occupied line, and sorted ranks per point and per n·log2 n. The
+    occupied lines are their expected count for `count` points uniform on
+    `lines` lines, lines·(1 − (1 − 1/lines)^count), taken through `expm1`
+    and `log1p` to keep its precision where 1/lines is tiny.
     """
     occupied = (
         -lines * math.expm1(count * math.log1p(-1 / lines)) if lines > 1 else min(lines, count)
     )
-    return (
-        (count, m, occupied),
-        (count, -(-m // p)),
-        (count, count * math.log2(count) if count else 0.0),
-    )
+    return (count, m, occupied), (count, count * math.log2(count) if count else 0.0)
 
 
-def _over_cap(route: Route, m: int, p: int) -> str:
+def _over_cap(route: Route, m: int) -> str:
     """Why `route`'s table of `m` ranks would be over its cap, or "" when it fits."""
-    if route is Route.SORT:
-        return ""
-    return table_over_cap(m, p if route is Route.RANK else None)
+    return table_over_cap(m, None) if route is Route.EXTREMES else ""
 
 
-def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, ...]:
+def route_estimates(count: int, m: int, lines: int) -> tuple[float, ...]:
     """Estimated nanoseconds of each of `ROUTES` past step 1, by `ROUTE_COSTS`.
 
     The arguments are `route_terms`'. A route whose table would be over
@@ -211,10 +187,8 @@ def route_estimates(count: int, m: int, lines: int, p: int) -> tuple[float, ...]
     """
     c = ROUTE_COSTS
     return tuple(
-        math.inf if _over_cap(route, m, p) else sum(map(mul, costs, terms))
-        for route, costs, terms in zip(
-            ROUTES, (c.extremes, c.rank, c.sort), route_terms(count, m, lines, p)
-        )
+        math.inf if _over_cap(route, m) else sum(map(mul, costs, terms))
+        for route, costs, terms in zip(ROUTES, (c.extremes, c.sort), route_terms(count, m, lines))
     )
 
 
@@ -224,17 +198,17 @@ def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
     `Route.AUTO` takes the cheapest of `route_estimates`. A route named
     outright is taken as is, unless its table would be over its cap:
     :class:`BoxTooLargeError`; sorted ranks have no cap. The choice and the
-    three estimates are logged at DEBUG level.
+    two estimates are logged at DEBUG level.
     """
-    estimates = route_estimates(count, m, lines, cfg.p)
+    estimates = route_estimates(count, m, lines)
     route = cfg.route
     if route is Route.AUTO:
         route = ROUTES[estimates.index(min(estimates))]
-    elif why := _over_cap(route, m, cfg.p):
+    elif why := _over_cap(route, m):
         raise BoxTooLargeError(why)
     _log.debug(
         "route %s (asked %s) for %d points, %d cells, %d lines: "
-        "estimates extremes %.0f, rank %.0f, sort %.0f ns",
+        "estimates extremes %.0f, sort %.0f ns",
         route, cfg.route, count, m, lines, *estimates,
     )
     return route
@@ -248,8 +222,8 @@ def convex_hull_ranked(
 
     Step 1 reads the points into coordinate lists and their box, and
     `choose_route` picks the route for them. Step 3 ranks the points (step
-    2's translation included): the two table routes mark each rank in a
-    table, and sorted ranks gather the distinct ranks in a `set`. Step 4
+    2's translation included): byte extremes mark each rank in a table,
+    and sorted ranks gather the distinct ranks in a `set`. Step 4
     puts the ranks to scan in ascending order: read from the table, or
     sorted. Step 5 streams them, a simple chain of box offsets, into the
     deque scan.
@@ -279,15 +253,9 @@ def convex_hull_ranked(
         width = rf.line_length
         route = choose_route(cfg, len(xs), box.m, box.m // width)
         # step 1 checked the lists and this grid is their box: rank them unchecked
-        if route is Route.RANK:
-            table = build_rank_table(rf._cells(xs, ys), len(xs), box.m, cfg.p)
-            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
-            t3 = clock()
-            shuffled = fast_shuffle(table)
-            ranks, n, iterations = shuffled.order, table.n, shuffled.iterations
-        elif route is Route.EXTREMES:
+        if route is Route.EXTREMES:
             occ = _mark_bytes(rf._cells(xs, ys), box.m)
-            del xs, ys
+            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)
             ranks, iterations = _line_extremes(occ, width)
@@ -315,7 +283,7 @@ def convex_hull_ranked(
         density=n / m if m else 0.0,
         duplicates_skipped=len(points) - n,
         counters=counters, step_ns=step_ns,
-        p=cfg.p, rank_variant=cfg.rank_variant, route=route,
+        rank_variant=cfg.rank_variant, route=route,
     )
 
 

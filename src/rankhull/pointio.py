@@ -12,7 +12,6 @@ import random
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .bitrank import MAX_WORDS
 from .errors import (
     BoxTooLargeError,
     CoordinateOverflowError,
@@ -25,6 +24,8 @@ from .ranking import RankFunction, RankVariant
 
 # Largest coordinate magnitude a point file may hold: 64 bits.
 MAX_COORDINATE = (1 << 64) - 1
+# Largest grid `generate_dense_set` samples from: 2^30 cells.
+MAX_GRID_CELLS = 1 << 30
 
 
 def load_points(path: str | Path) -> list[Point]:
@@ -100,17 +101,17 @@ def generate_dense_set(
     """Sample distinct grid points uniformly without replacement.
 
     The grid is an m1 x m2 `RankFunction` at corner (1, 1), which checks
-    the sides, and :func:`sample_size` turns exactly one of `density` and
-    `count` into n. Cells are identified by their column-major rank and
-    drawn with `random.sample`, a partial shuffle of the index range, so
-    the result is exact even at densities close to 1 and is reproducible
-    for a given seed. Points come back in sample order, not rank order.
+    the sides, of at most `MAX_GRID_CELLS` cells (:class:`BoxTooLargeError`),
+    and :func:`sample_size` turns exactly one of `density` and `count`
+    into n. Cells are identified by their column-major rank and drawn with
+    `random.sample`, a partial shuffle of the index range, so the result
+    is exact even at densities close to 1 and is reproducible for a given
+    seed. Points come back in sample order, not rank order.
     """
     rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
     m = rf.m
-    # the largest box the rank path takes at p = 64
-    if m > MAX_WORDS * 64:
-        raise BoxTooLargeError(f"grid of {m} cells exceeds cap {MAX_WORDS * 64}")
+    if m > MAX_GRID_CELLS:
+        raise BoxTooLargeError(f"grid of {m} cells exceeds cap {MAX_GRID_CELLS}")
     n = sample_size(m, density, count)
     rng = random.Random(seed)
     return rf.unrank_all(rng.sample(range(1, m + 1), n))

@@ -14,12 +14,18 @@ must agree with on every polygon.
 `contains_all_reference` is the point-in-polygon test, one orientation
 call per point and edge, that `rankhull.hull.contains_all` must agree
 with on every polygon and point list.
+
+`paper_steps` runs the paper's p-bit steps 3–5 (`build_rank_table`,
+`fast_shuffle`, `melkman`) through their checked entry points, for the
+checks of bit-table counts and widths that no pipeline route makes.
 """
 
 from collections import Counter, deque
 
-from rankhull.geometry import orientation
-from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment
+from rankhull.bitrank import build_rank_table, fast_shuffle
+from rankhull.geometry import bounding_box, coordinates, orientation
+from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment, melkman
+from rankhull.ranking import RankFunction, RankVariant
 
 
 def _orient(ax, ay, bx, by, px, py):
@@ -214,3 +220,20 @@ def contains_all_reference(poly, points) -> bool:
             if orientation(vs[i], vs[(i + 1) % h], p) < 0:
                 return False
     return True
+
+
+def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR):
+    """The paper's steps on the points' tight box, at block width `p`.
+
+    Returns the hull, the bit table, the shuffle's result and the scan's
+    counters. The scan reads the caller's points, not box offsets, and so
+    makes the same decisions (orientation is translation-invariant).
+    """
+    box = bounding_box(points)
+    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    xs, ys = coordinates(points)
+    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    shuffled = fast_shuffle(table)
+    stats = MelkmanStats()
+    hull = melkman(rf.unrank_all(shuffled.order), stats)
+    return hull, table, shuffled, stats

@@ -9,21 +9,28 @@ linearity and block-width trends.
 
 import math
 import random
+import statistics
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from chaincheck import chain_is_simple
-from rankhull.analysis import BenchmarkPlan, linear_fit, run_benchmark
+from chaincheck import chain_is_simple, paper_steps
+from rankhull.analysis import (
+    EXTREMES_VARIANT,
+    BenchmarkPlan,
+    _cell_seed,
+    linear_fit,
+    run_benchmark,
+)
 from rankhull.bitrank import (
     build_rank_table,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.geometry import Point, coordinates
-from rankhull.hull import hull_oracle
+from rankhull.geometry import Point, bounding_box, coordinates
+from rankhull.hull import hull_oracle, melkman
 from rankhull.pipeline import (
     PipelineConfig,
     Route,
@@ -90,10 +97,10 @@ def _random_instance(rng: random.Random) -> list[Point]:
 
 @pytest.fixture(scope="module")
 def oracle_suite() -> SuiteOutcome:
-    # each instance through both table routes; an instance counts once as a
+    # each instance through both routes; an instance counts once as a
     # mismatch, and the byte route's chain is at most its n distinct points
     rng = random.Random(0xD15EA5E)
-    configs = [PipelineConfig(route=Route.RANK), PipelineConfig(route=Route.EXTREMES)]
+    configs = [PipelineConfig(route=Route.EXTREMES), PipelineConfig(route=Route.SORT)]
     mismatches = 0
     worst = -(10**9)
     started = time.perf_counter()
@@ -158,7 +165,7 @@ def test_04_ten_thousand_instances_match_the_oracle(oracle_suite):
         and oracle_suite.elapsed_s < 60
     )
     _verdict(
-        "4 oracle equivalence: 10,000 instances on the rank and byte routes,"
+        "4 oracle equivalence: 10,000 instances on the byte and sort routes,"
         " zero mismatches, under 60 s",
         ok,
         f"{oracle_suite.mismatches} mismatches in {oracle_suite.elapsed_s:.1f} s",
@@ -210,17 +217,17 @@ def test_06_rank_chains_are_simple():
 
 
 def test_07_counters_double_with_point_count():
-    cfg = PipelineConfig(route=Route.RANK)  # p = 64
-    base = convex_hull_ranked(generate_dense_set(640, 480, count=9216, seed=7), cfg)
-    double = convex_hull_ranked(generate_dense_set(640, 480, count=18432, seed=8), cfg)
+    # the paper's steps at p = 64: bit table, word walk, deque scan
+    base = paper_steps(generate_dense_set(640, 480, count=9216, seed=7), 64)
+    double = paper_steps(generate_dense_set(640, 480, count=18432, seed=8), 64)
 
-    def total(report):
-        c = report.counters
-        return c.isleft_evals + c.shuffle_iterations + c.deque_ops
+    def total(steps):
+        _, _, shuffled, stats = steps
+        return stats.isleft_evals + shuffled.iterations + stats.deque_ops
 
     ratio = total(double) / total(base)
     exact = all(
-        r.counters.shuffle_iterations == -(-r.m // r.p) + r.n for r in (base, double)
+        shuffled.iterations == table.r + table.n for _, table, shuffled, _ in (base, double)
     )
     ok = 1.9 <= ratio <= 2.1 and exact
     _verdict(
@@ -234,9 +241,9 @@ def linearity_rows():
     plan = BenchmarkPlan(
         m1=640, m2=480,
         counts=(256, 1024, 4096, 16384, 65536, 261120),  # up to 85% occupancy
-        p_values=(32,),
         repetitions=3,
         seed=2024,
+        variants=(EXTREMES_VARIANT,),  # the paper's O(n + m) base table
     )
     return run_benchmark(plan)
 
@@ -247,21 +254,41 @@ def test_08_time_grows_linearly_with_n(linearity_rows):
     )
     ok = fit.r_squared >= 0.95
     _verdict(
-        "8 wall-clock linearity: R^2 >= 0.95 for time vs n at 640x480, p=32",
+        "8 wall-clock linearity: R^2 >= 0.95 for byte_extremes time vs n at 640x480",
         ok, f"R^2={fit.r_squared:.4f} slope={fit.slope:.0f} ns/point",
     )
 
 
+def _shuffle_ns(pts, p):
+    """Wall-clock ns of step 4 in one run of the paper's steps on `pts` at block width `p`.
+
+    Step 3 tables the points on their tight box just before the timed walk,
+    and step 5 scans the walk's ranks after it, so the walk runs amid the
+    allocations of a whole run rather than on a table left warm by the
+    previous timing.
+    """
+    box = bounding_box(pts)
+    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
+    xs, ys = coordinates(pts)
+    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    del xs, ys
+    t0 = time.perf_counter_ns()
+    shuffled = fast_shuffle(table)
+    elapsed = time.perf_counter_ns() - t0
+    melkman(rf.offsets(shuffled.order))
+    return elapsed
+
+
 def test_09_wider_blocks_do_not_slow_the_shuffle():
-    plan = BenchmarkPlan(
-        m1=640, m2=480,
-        densities=(0.01, 0.03, 0.10, 0.42),
-        p_values=(32, 64),
-        repetitions=5,
-        seed=77,
-    )
-    rows = run_benchmark(plan)
-    shuffle_ns = {(r.n, r.p): r.step_ns[3] for r in rows}
+    # each cell's points are the ones `run_benchmark` draws for seed 77;
+    # a discarded warm-up run, then the median of 5
+    shuffle_ns = {}
+    for d in (0.01, 0.03, 0.10, 0.42):
+        n = round(d * 640 * 480)
+        pts = generate_dense_set(640, 480, count=n, seed=_cell_seed(77, n))
+        for p in (32, 64):
+            _shuffle_ns(pts, p)
+            shuffle_ns[(n, p)] = statistics.median(_shuffle_ns(pts, p) for _ in range(5))
     cells = sorted({n for n, _ in shuffle_ns})
     wins = sum(shuffle_ns[(n, 64)] <= shuffle_ns[(n, 32)] for n in cells)
     ok = len(cells) == 4 and wins >= 3

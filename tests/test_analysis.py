@@ -10,8 +10,6 @@ from rankhull import analysis
 from rankhull.analysis import (
     CSV_HEADER,
     EXTREMES_VARIANT,
-    ORACLE_VARIANT,
-    RANK_VARIANT,
     SORT_VARIANT,
     VARIANTS,
     BenchmarkPlan,
@@ -75,16 +73,6 @@ def test_plan_validation(monkeypatch):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, variants=("quickhull",)))
 
 
-def test_plan_block_widths_are_checked_before_any_cell_runs(monkeypatch):
-    def generate(*args, **kwargs):
-        raise AssertionError("a cell ran before the plan was validated")
-
-    monkeypatch.setattr(analysis, "generate_dense_set", generate)
-    plan = BenchmarkPlan(m1=640, m2=480, densities=(0.1,), p_values=(32, 12))
-    with pytest.raises(ValueError, match="block width"):
-        run_benchmark(plan)
-
-
 @pytest.mark.parametrize("counts", [(5, 200), (5, 2.7), (5, -1), (5, True)])
 def test_plan_counts_are_checked_before_any_cell_runs(monkeypatch, counts):
     def generate(*args, **kwargs):
@@ -96,47 +84,34 @@ def test_plan_counts_are_checked_before_any_cell_runs(monkeypatch, counts):
 
 
 def test_plan_counts_may_run_from_zero_to_the_box_area():
-    rows = run_benchmark(BenchmarkPlan(m1=10, m2=10, counts=(0, 100)))
+    rows = run_benchmark(BenchmarkPlan(m1=10, m2=10, counts=(0, 100), variants=(SORT_VARIANT,)))
     assert [(r.n, r.density) for r in rows] == [(0, 0.0), (100, 1.0)]
 
 
 def test_benchmark_rows_cover_each_cell_in_order():
-    plan = BenchmarkPlan(
-        m1=40, m2=30,
-        densities=(0.1, 0.4),
-        p_values=(16, 32),
-        repetitions=3,
-        seed=6,
-        variants=(RANK_VARIANT, ORACLE_VARIANT),
-    )
+    plan = BenchmarkPlan(m1=40, m2=30, densities=(0.1, 0.4), repetitions=3, seed=6)
     rows = run_benchmark(plan)
-    assert [(r.n, r.p, r.variant) for r in rows] == [
-        (n, p, v)
-        for n in (120, 480)
-        for p in (16, 32)
-        for v in (RANK_VARIANT, ORACLE_VARIANT)
-    ]
+    # every variant by default, in the order of VARIANTS
+    assert [(r.n, r.variant) for r in rows] == [(n, v) for n in (120, 480) for v in VARIANTS]
     for row in rows:
         assert row.m == 1200
         assert row.median_ns > 0
-        if row.variant == RANK_VARIANT:
-            # bucket count comes from the sample's tight box, at most the plan box
-            assert row.n < row.shuffle_iterations <= -(-row.m // row.p) + row.n
+        if row.variant == SORT_VARIANT:
+            assert row.shuffle_iterations == row.n
+        elif row.variant == EXTREMES_VARIANT:
+            # the occupied lines of the sample's tight box, at most the plan box's
+            assert 0 < row.shuffle_iterations <= row.m1
         else:
             assert row.step_ns == (0, 0, 0, 0, 0)
             assert row.shuffle_iterations == 0
 
 
 def test_benchmark_counters_are_deterministic():
-    plan = BenchmarkPlan(
-        m1=50, m2=50, densities=(0.05, 0.2, 0.5), p_values=(32,),
-        repetitions=3, seed=123,
-    )
+    plan = BenchmarkPlan(m1=50, m2=50, densities=(0.05, 0.2, 0.5), repetitions=3, seed=123)
     a = run_benchmark(plan)
     b = run_benchmark(plan)
     keyed = lambda rows: [
-        (r.n, r.p, r.variant, r.isleft_evals, r.shuffle_iterations, r.deque_ops)
-        for r in rows
+        (r.n, r.variant, r.isleft_evals, r.shuffle_iterations, r.deque_ops) for r in rows
     ]
     assert keyed(a) == keyed(b)
 
@@ -150,15 +125,12 @@ def test_csv_schema_is_stable():
     assert parsed[0] == list(CSV_HEADER)
     assert len(parsed) == len(rows) + 1
     first = parsed[1]
-    assert first[0] == "32" and first[6] == RANK_VARIANT
-    assert int(first[8]) == rows[0].median_ns
+    assert first[0] == "32" and first[5] == EXTREMES_VARIANT
+    assert int(first[7]) == rows[0].median_ns
 
 
 def test_byte_extremes_rows_count_the_lines_they_read():
-    plan = BenchmarkPlan(
-        m1=40, m2=30, densities=(0.1, 0.6), p_values=(64,), seed=6,
-        variants=(EXTREMES_VARIANT,),
-    )
+    plan = BenchmarkPlan(m1=40, m2=30, densities=(0.1, 0.6), seed=6, variants=(EXTREMES_VARIANT,))
     for row in run_benchmark(plan):
         assert row.variant == EXTREMES_VARIANT and row.median_ns > 0
         # f1's lines are the box's columns: at most m1 of them are occupied
@@ -167,23 +139,22 @@ def test_byte_extremes_rows_count_the_lines_they_read():
 
 
 def test_sorted_ranks_rows_count_the_ranks_they_sort():
-    plan = BenchmarkPlan(
-        m1=40, m2=30, densities=(0.1, 0.6), p_values=(64,), seed=6,
-        variants=(SORT_VARIANT, RANK_VARIANT),
-    )
-    rows = run_benchmark(plan)
-    for sort, rank in zip(rows[0::2], rows[1::2]):
-        assert sort.variant == SORT_VARIANT and sort.median_ns > 0
+    plan = BenchmarkPlan(m1=40, m2=30, densities=(0.1, 0.6), seed=6, variants=(SORT_VARIANT,))
+    for row in run_benchmark(plan):
+        assert row.variant == SORT_VARIANT and row.median_ns > 0
         # the points are distinct: every one is a rank to sort
-        assert sort.shuffle_iterations == sort.n
-        # the rank route's chain, so the scan decides the same
-        assert (sort.isleft_evals, sort.deque_ops) == (rank.isleft_evals, rank.deque_ops)
+        assert row.shuffle_iterations == row.n
+        # a chain of n points: at most three deque operations a point, plus four
+        assert 0 < row.deque_ops <= 3 * row.n + 4
 
 
 # --- the route costs, fitted to the committed sweep --------------------------
 
 # the variant that times each of ROUTES in a sweep
-_VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, RANK_VARIANT, SORT_VARIANT)))
+_VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, SORT_VARIANT)))
+# the paper's p-bit pipeline at p = 64, a variant of the committed sweep
+# recorded while the pipeline still had that route
+_RANK_PIPELINE = "rank_pipeline"
 # the sort route's step 4, the sort alone, kept beside the cell's times
 _SORT_STEP = "sorted_ranks step 4"
 
@@ -225,7 +196,7 @@ def _fit_route_costs(cells):
         raise InsufficientDataError(f"need at least 4 cells, got {len(cells)}")
     fitted = []
     for i, route in enumerate(ROUTES):
-        samples = [(route_terms(n, m1 * m2, m1, 64)[i], ns[_VARIANT_OF[route]])
+        samples = [(route_terms(n, m1 * m2, m1)[i], ns[_VARIANT_OF[route]])
                    for (m1, m2, n), ns in cells.items()]
         if route is Route.SORT:
             sorts = [ns[_SORT_STEP] for ns in cells.values()]
@@ -259,13 +230,13 @@ def _sweep_cells():
 
 
 def test_the_fit_recovers_the_costs_of_exact_timings():
-    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), rank=(2500.0, 40.0), sort=(1500.0, 25.0))
+    truth = RouteCosts(extremes=(400.0, 1.0, 2000.0), sort=(1500.0, 25.0))
     boxes = ((64, 48, 300), (640, 480, 9000), (2048, 2048, 1000), (100, 3000, 20000),
              (4096, 4096, 5000), (320, 240, 25))
     cells = {
         (m1, m2, n): {
             _VARIANT_OF[route]: sum(map(lambda c, t: c * t, costs, terms))
-            for route, costs, terms in zip(ROUTES, astuple(truth), route_terms(n, m1 * m2, m1, 64))
+            for route, costs, terms in zip(ROUTES, astuple(truth), route_terms(n, m1 * m2, m1))
         }
         for m1, m2, n in boxes
     }
@@ -279,7 +250,8 @@ def test_the_fit_recovers_the_costs_of_exact_timings():
 def test_the_route_costs_are_the_fit_of_the_committed_sweep():
     cells = _sweep_cells()
     assert len(cells) == 37
-    assert all(sorted(ns) == sorted((*VARIANTS, _SORT_STEP)) and min(ns.values()) > 0
+    assert all(sorted(ns) == sorted((*VARIANTS, _RANK_PIPELINE, _SORT_STEP))
+               and min(ns.values()) > 0
                for ns in cells.values())
     # the committed constants are the fit rounded to four significant digits
     assert _flat(ROUTE_COSTS) == pytest.approx(_flat(_fit_route_costs(cells)), rel=5e-4)
@@ -291,3 +263,19 @@ def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
         picked = ns[_VARIANT_OF[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
         worst = max(worst, picked / min(ns[v] for v in _VARIANT_OF.values()))
     assert worst < 1.5
+
+
+def test_sorted_ranks_beat_the_p_bit_pipeline_in_every_cell_of_the_sweep():
+    # the committed sweep is why the pipeline has no p-bit route: in each
+    # cell sorting the ranks was faster, and its scan made the same decisions
+    rows = {}
+    with open(SWEEP, newline="", encoding="utf-8") as fh:
+        for r in csv.DictReader(fh):
+            rows[(r["m1"], r["m2"], r["n"], r["variant"])] = r
+    cells = {key[:3] for key in rows}
+    assert len(cells) == 37
+    for cell in cells:
+        sort, rank = rows[(*cell, SORT_VARIANT)], rows[(*cell, _RANK_PIPELINE)]
+        assert int(sort["median_ns"]) < int(rank["median_ns"]), cell
+        for counter in ("isleft_evals", "deque_ops"):
+            assert sort[counter] == rank[counter], (cell, counter)

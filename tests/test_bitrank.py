@@ -13,6 +13,7 @@ from rankhull.bitrank import (
     _line_extremes,
     _mark_bytes,
     build_rank_table,
+    check_block_width,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
@@ -85,9 +86,13 @@ def test_build_skips_and_counts_duplicates():
 
 def test_build_rejects_a_block_width_that_is_not_a_positive_int():
     rf = RankFunction(F1, 4, 4)
-    for p in (0, 64.0, 8.5):
+    for p in (0, 64.0, 8.5, True):
+        with pytest.raises(ValueError, match="block width"):
+            check_block_width(p)
         with pytest.raises(ValueError, match="block width"):
             _ranked([Point(1, 1)], rf, p)
+    for p in (1, 12, 64, 128):
+        check_block_width(p)
 
 
 def test_build_honors_rank_range_cap():

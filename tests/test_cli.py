@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from rankhull import cli
+from rankhull.analysis import VARIANTS
 from rankhull.geometry import Point
 from rankhull.hull import HullPolygon
 
@@ -29,16 +30,9 @@ def test_hull_verify_agrees(tmp_path, capsys):
 def test_hull_flags(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n")
-    for flags in ((), ("--p", "16"), ("--rank", "f1"), ("--rank", "f2")):
+    for flags in ((), ("--rank", "f1"), ("--rank", "f2")):
         assert run_cli("hull", str(path), *flags) == 0
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
-
-
-def test_hull_block_width_does_not_limit_coordinates(tmp_path, capsys):
-    path = tmp_path / "wide.txt"
-    path.write_text("0 0\n300 0\n0 70000\n")
-    assert run_cli("hull", str(path), "--p", "8", "--verify") == 0
-    assert capsys.readouterr().out == "0 0\n300 0\n0 70000\n"
 
 
 def test_hull_output_is_stable(tmp_path, capsys):
@@ -75,6 +69,10 @@ def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
     assert run_cli("hull", "points.txt", "--rank", "zz") == 1
+    # no route has a block width, so no command but thresholds takes one
+    assert run_cli("hull", "points.txt", "--p", "8") == 1
+    assert run_cli("bench", "--width", "8", "--height", "8", "--densities", "0.5",
+                   "--out", "unwritten.csv", "--p-list", "32") == 1
     capsys.readouterr()
 
 
@@ -85,11 +83,11 @@ _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out
     ("image-hull", "{mask}", "--threshold", "5"),
     ("gen", "--width", "0", "--height", "4", "--density", "0.5", "--out", "{out}"),
     (*_BENCH, "--reps", "2"),
-    (*_BENCH, "--p-list", "12"),
+    (*_BENCH, "--densities", "1.5"),
     ("thresholds", "--p-list", "0"),
     ("bench", "--width", "40000", "--height", "40000", "--densities", "0.001",
      "--out", "{out}"),
-    (*_BENCH, "--variants", "rank_pipeline,quickhull"),
+    (*_BENCH, "--variants", "byte_extremes,quickhull"),
 ])
 def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     mask = tmp_path / "mask.pbm"
@@ -148,26 +146,25 @@ def test_bench_writes_csv(tmp_path):
     out = tmp_path / "rows.csv"
     assert run_cli(
         "bench", "--width", "64", "--height", "48",
-        "--densities", "0.1,0.3", "--p-list", "16,32",
-        "--reps", "3", "--seed", "2", "--out", str(out),
+        "--densities", "0.1,0.3", "--reps", "3", "--seed", "2", "--out", str(out),
     ) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
-    assert {r["p"] for r in rows} == {"16", "32"}
+    # every variant by default: the two routes and the oracle, per cell
+    assert [r["variant"] for r in rows] == list(VARIANTS) * 2
     assert all(int(r["median_ns"]) > 0 for r in rows)
 
 
 def test_bench_writes_one_row_per_variant(tmp_path):
     out = tmp_path / "rows.csv"
-    variants = "rank_pipeline,byte_extremes,sorted_ranks,oracle_sort_hull"
+    variants = "oracle_sort_hull,sorted_ranks,byte_extremes"
     assert run_cli(
         "bench", "--width", "64", "--height", "48", "--densities", "0.1,0.3",
-        "--p-list", "64", "--variants", variants, "--out", str(out),
+        "--variants", variants, "--out", str(out),
     ) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
-    # one row per cell for each of the four variants, in the order asked
+    # one row per cell for each of the three variants, in the order asked
     assert [(r["n"], r["variant"]) for r in rows] == [
         (n, v) for n in ("307", "922") for v in variants.split(",")
     ]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from chaincheck import chain_is_simple, melkman_reference
+from chaincheck import chain_is_simple, melkman_reference, paper_steps
 from rankhull.bitrank import (
     MAX_BYTES, build_rank_table, fast_shuffle, shuffle_naive, table_over_cap,
 )
@@ -21,7 +21,6 @@ from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
-    BLOCK_WIDTHS,
     OperationCounters,
     PipelineConfig,
     Route,
@@ -34,6 +33,8 @@ from rankhull.pipeline import (
 )
 from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant
+
+BLOCK_WIDTHS = (8, 16, 32, 64)
 
 coords = st.integers(min_value=-50, max_value=50)
 point_lists = st.lists(st.builds(Point, coords, coords), max_size=50)
@@ -87,10 +88,13 @@ _CAP_BOX = [
 
 
 def test_cap_counts_words_not_cells():
-    # 11587^2 cells need 2^24 + 5,106 words at p = 8: over the cap
+    # 11587^2 cells need 2^24 + 5,106 words at p = 8: over the cap, refused
+    # before a table is made; the pipeline sorts the ranks, in under 1 MiB
+    with pytest.raises(BoxTooLargeError, match="words"):
+        paper_steps(_CAP_BOX, 8)
     tracemalloc.start()
     try:
-        report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=8))
+        report = convex_hull_ranked(_CAP_BOX)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -100,16 +104,12 @@ def test_cap_counts_words_not_cells():
 
 
 def test_cap_box_stays_on_the_rank_path_at_p64():
-    report = convex_hull_ranked(_CAP_BOX, PipelineConfig(p=64, route=Route.RANK))
-    assert not report.used_fallback
-    assert report.hull == hull_oracle(_CAP_BOX)
-    assert report.counters.shuffle_iterations == -(-report.m // 64) + 5
+    hull, table, shuffled, _ = paper_steps(_CAP_BOX, 64)
+    assert hull == hull_oracle(_CAP_BOX)
+    assert shuffled.iterations == -(-11587**2 // 64) + 5 == table.r + table.n
 
 
 def test_config_validation():
-    for p in (0, 12, 128, 64.0):
-        with pytest.raises(ValueError):
-            PipelineConfig(p=p)
     for variant in ("f1", "zz"):
         with pytest.raises(ValueError):
             PipelineConfig(rank_variant=variant)
@@ -120,11 +120,12 @@ def test_config_validation():
 
 def test_fast_shuffle_counter_is_buckets_plus_points():
     rng = random.Random(21)
-    for p in (8, 16, 32, 64):
+    for p in BLOCK_WIDTHS:
         pts = [Point(rng.randint(0, 199), rng.randint(0, 149)) for _ in range(500)]
-        report = convex_hull_ranked(pts, PipelineConfig(p=p, route=Route.RANK))
-        buckets = -(-report.m // p)
-        assert report.counters.shuffle_iterations == buckets + report.n
+        hull, table, shuffled, _ = paper_steps(pts, p)
+        buckets = -(-table.m // p)
+        assert shuffled.iterations == buckets + table.n
+        assert hull == convex_hull_ranked(pts).hull
 
 
 def test_naive_and_fast_variants_agree():
@@ -156,14 +157,16 @@ def test_hull_vertices_come_from_the_input():
 
 
 def test_counters_scale_linearly_at_fixed_density():
-    # doubling n at constant density doubles the box and every counter
-    cfg = PipelineConfig(p=32, route=Route.RANK)
-    small = convex_hull_ranked(generate_dense_set(320, 240, count=3840, seed=2), cfg)
-    big = convex_hull_ranked(generate_dense_set(320, 480, count=7680, seed=3), cfg)
-    for name in ("isleft_evals", "shuffle_iterations", "deque_ops"):
-        a = getattr(small.counters, name)
-        b = getattr(big.counters, name)
-        assert 1.9 <= b / a <= 2.1, name
+    # doubling n at constant density doubles the box and every counter of
+    # the paper's steps at p = 32: the scan's, and the word walk's r + n
+    small = paper_steps(generate_dense_set(320, 240, count=3840, seed=2), 32)
+    big = paper_steps(generate_dense_set(320, 480, count=7680, seed=3), 32)
+    for name, count in (
+        ("isleft_evals", lambda steps: steps[3].isleft_evals),
+        ("shuffle_iterations", lambda steps: steps[2].iterations),
+        ("deque_ops", lambda steps: steps[3].deque_ops),
+    ):
+        assert 1.9 <= count(big) / count(small) <= 2.1, name
 
 
 @pytest.mark.parametrize("variant, expected", [
@@ -171,12 +174,19 @@ def test_counters_scale_linearly_at_fixed_density():
     (RankVariant.ROW_MAJOR, (86558, 19980, 51692, 10)),
 ])
 def test_dense_counters_are_pinned(variant, expected):
-    # exact counts, so a rewrite of any step must keep its every decision
+    # exact counts, so a rewrite of any step must keep its every decision:
+    # the scan's on sorted ranks, and the word walk's at p = 64
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    cfg = PipelineConfig(p=64, rank_variant=variant, route=Route.RANK)
-    report = convex_hull_ranked(pts, cfg)
+    _check_pinned_counters(pts, variant, expected)
+
+
+def _check_pinned_counters(pts, variant, expected):
+    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
+    hull, _, shuffled, stats = paper_steps(pts, 64, variant)
     c = report.counters
-    assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
+    assert (c.isleft_evals, shuffled.iterations, c.deque_ops, len(report.hull)) == expected
+    assert hull == report.hull
+    assert (stats.isleft_evals, stats.deque_ops) == (c.isleft_evals, c.deque_ops)
 
 
 @pytest.mark.parametrize("variant, expected", [
@@ -186,10 +196,7 @@ def test_dense_counters_are_pinned(variant, expected):
 def test_sparse_counters_are_pinned(variant, expected):
     # m/p is about 64n, so almost every word the walk tests is zero
     pts = generate_dense_set(2048, 2048, count=1024, seed=7)
-    cfg = PipelineConfig(p=64, rank_variant=variant, route=Route.RANK)
-    report = convex_hull_ranked(pts, cfg)
-    c = report.counters
-    assert (c.isleft_evals, c.shuffle_iterations, c.deque_ops, len(report.hull)) == expected
+    _check_pinned_counters(pts, variant, expected)
 
 
 @st.composite
@@ -206,9 +213,10 @@ def offset_point_lists(draw):
 @settings(max_examples=150)
 @given(offset_point_lists(), st.sampled_from(tuple(RankVariant)), st.sampled_from(BLOCK_WIDTHS))
 def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, variant, p):
-    # the pipeline skips the checks of cells and offsets; rebuilt here with
-    # every check on and the plain reference scan, nothing may change
-    report = convex_hull_ranked(pts, PipelineConfig(p=p, rank_variant=variant, route=Route.RANK))
+    # the pipeline skips the checks of cells and offsets; its sorted ranks
+    # rebuilt here as the paper's steps, with every check on and the plain
+    # reference scan, nothing may change but step 4's count
+    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
     box = bounding_box(pts)
     rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
@@ -218,9 +226,7 @@ def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, va
     hull = melkman_reference(rf.unrank_all(shuffled.order), stats)
     assert report.hull == hull
     assert (report.n, report.duplicates_skipped) == (table.n, table.duplicates_skipped)
-    assert report.counters == OperationCounters(
-        stats.isleft_evals, shuffled.iterations, stats.deque_ops
-    )
+    assert report.counters == OperationCounters(stats.isleft_evals, table.n, stats.deque_ops)
 
 
 @settings(max_examples=60)
@@ -247,31 +253,35 @@ def test_sparse_box_memory_is_bit_table_sized():
     pts = [Point(0, 0), Point(4000, 0), Point(4000, 4000), Point(0, 4000), Point(7, 9)]
     tracemalloc.start()
     try:
-        report = convex_hull_ranked(pts, PipelineConfig(route=Route.RANK))
+        hull, table, _, _ = paper_steps(pts, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.m == 4001 * 4001 and not report.used_fallback
-    assert report.hull == hull_oracle(pts)
+    assert table.m == 4001 * 4001
+    assert hull == hull_oracle(pts)
     assert peak < 4 * 2**20
+
+
+def _steps_3_to_5(rf, xs, ys, p):
+    """The paper's steps 3–5 on step 1's lists: bit table, word walk, scan of box offsets."""
+    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    order = fast_shuffle(table).order
+    del table
+    return melkman(rf.offsets(order))
 
 
 @pytest.mark.parametrize("variant", tuple(RankVariant))
 @pytest.mark.parametrize("p", [8, 64])
 def test_dense_memory_holds_no_per_point_temporaries(p, variant):
     # 17,280 points: a list of one tuple per point, or one iterator per
-    # point, costs over 1 MiB; the rank order and bit table stay under it
+    # point, costs over 1 MiB; past step 1's lists, the paper's steps hold
+    # the checked cells, the rank order and the bit table, and stay under it
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    cfg = PipelineConfig(p=p, rank_variant=variant, route=Route.RANK)
-    gc.disable()
-    tracemalloc.start()
-    try:
-        report = convex_hull_ranked(pts, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert not report.used_fallback and report.n == 17280
+    box = bounding_box(pts)
+    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    xs, ys = coordinates(pts)
+    hull, peak = _peak(lambda: _steps_3_to_5(rf, xs, ys, p))
+    assert tuple(rf.to_points(hull.vertices)) == hull_oracle(pts).vertices
     assert peak < 2**20
 
 
@@ -332,7 +342,7 @@ class _CountingList(list):
 
 @pytest.mark.parametrize("pts", [
     [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1)],              # every route
-    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over both caps
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over the byte cap
 ])
 def test_only_step_1_reads_the_points(pts):
     for route in Route:
@@ -340,8 +350,8 @@ def test_only_step_1_reads_the_points(pts):
         bounding_box(boxed)
         try:
             report = convex_hull_ranked(hulled, PipelineConfig(route=route))
-        except BoxTooLargeError:  # a table route named outright, over its cap
-            assert route in (Route.RANK, Route.EXTREMES) and hulled.iterations == 2
+        except BoxTooLargeError:  # the table route named outright, over its cap
+            assert route is Route.EXTREMES and hulled.iterations == 2
             continue
         assert report.hull == hull_oracle(pts)
         assert hulled.iterations == boxed.iterations == 2
@@ -357,11 +367,9 @@ def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "melkman", counted)
     pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
-    for route in (Route.RANK, Route.SORT):
-        lengths.clear()
-        report = convex_hull_ranked(pts, PipelineConfig(route=route))
-        assert report.hull == hull_oracle(pts)
-        assert lengths == [report.n] == [5]
+    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
+    assert report.hull == hull_oracle(pts)
+    assert lengths == [report.n] == [5]
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]
@@ -382,8 +390,8 @@ def test_lists_tuples_and_sets_are_collections():
 
 @pytest.mark.parametrize("pts", [
     [(0, 0), (4, 4), (0, 4), (0, 4)],                       # every route
-    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],       # over both caps
-    [(0, 0), (40000, 40000), (40000, 40000)],               # degenerate, over both caps
+    [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],       # over the byte cap
+    [(0, 0), (40000, 40000), (40000, 40000)],               # degenerate, over the byte cap
 ])
 def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
     over_caps = max(map(max, pts)) >= 40000
@@ -391,7 +399,7 @@ def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
         cfg = PipelineConfig(route=route)
         as_tuples = convex_hull_ranked(pts, cfg)
         as_lists = convex_hull_ranked([list(v) for v in pts], cfg)
-        # four points, or a box over both caps: the cost model picks sorted ranks
+        # four points, or a box over the byte cap: the cost model picks sorted ranks
         assert as_tuples.route is (Route.SORT if route is Route.AUTO else route)
         # everything but the wall-clock step times
         assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
@@ -400,13 +408,13 @@ def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
 
 _REPORT_FIELDS = [
     "hull", "n", "m", "m1", "m2", "density", "duplicates_skipped", "counters",
-    "step_ns", "p", "rank_variant", "route",
+    "step_ns", "rank_variant", "route",
 ]
 
 
 @pytest.mark.parametrize("pts, n", [
     ([], 0),
-    ([(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (4, 4)], 4),    # rank path
+    ([(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (4, 4)], 4),    # a small box
     ([(0, 0), (40000, 40000), (0, 40000), (0, 40000)], 3),    # over the cap
     ([[0, 0], [40000, 40000], [0, 40000], [0, 40000]], 3),    # over the cap, lists
 ])
@@ -511,10 +519,14 @@ def test_the_byte_route_scans_each_lines_two_extremes():
 
 
 def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
+    # against the paper's p-bit steps at p = 64, step 1 included
     pts = generate_dense_set(480, 360, count=17280, seed=7)
+    box = bounding_box(pts)
+    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
     auto, auto_peak = _peak(lambda: convex_hull_ranked(pts))
-    rank, rank_peak = _peak(lambda: convex_hull_ranked(pts, PipelineConfig(route=Route.RANK)))
-    assert auto.route is Route.EXTREMES and auto.hull == rank.hull
+    rank, rank_peak = _peak(lambda: _steps_3_to_5(rf, *coordinates(pts), 64))
+    assert auto.route is Route.EXTREMES
+    assert auto.hull.vertices == tuple(rf.to_points(rank.vertices))
     assert auto_peak < rank_peak
 
 
@@ -537,7 +549,7 @@ def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
 def test_the_byte_table_cap_is_max_bytes():
     # the byte route's own cost, not a cap, decides below MAX_BYTES: a dense million points
     assert choose_route(PipelineConfig(), 10**6, MAX_BYTES, 8192) is Route.EXTREMES
-    assert route_estimates(10**6, MAX_BYTES + 1, 8192, 64)[0] == math.inf
+    assert route_estimates(10**6, MAX_BYTES + 1, 8192)[0] == math.inf
     extremes = PipelineConfig(route=Route.EXTREMES)
     assert choose_route(extremes, 2, MAX_BYTES, 1) is Route.EXTREMES
     # one row of MAX_BYTES + 1 cells: refused before any table is built
@@ -549,21 +561,13 @@ def test_the_byte_table_cap_is_max_bytes():
 
 def test_byte_extremes_are_priced_per_expected_occupied_line():
     # lines·(1 − (1 − 1/lines)^n): two points on two lines share one half the time
-    assert route_terms(2, 8, 2, 64)[0][2] == pytest.approx(1.5)
+    assert route_terms(2, 8, 2)[0][2] == pytest.approx(1.5)
     # the sparse_box box: 1,024 points occupy about 806 of its 2,048 columns, not 1,024
-    assert route_terms(1024, 2048**2, 2048, 64)[0][2] == pytest.approx(
+    assert route_terms(1024, 2048**2, 2048)[0][2] == pytest.approx(
         2048 * (1 - (1 - 1 / 2048) ** 1024), rel=1e-12
     )
     # one line or none, and no points
-    assert [route_terms(n, 3 * k, k, 64)[0][2] for n, k in ((5, 1), (0, 0), (0, 3))] == [1, 0, 0]
-
-
-def test_the_bit_table_cap_refuses_the_rank_route_named_outright():
-    # 11587^2 cells need more than MAX_WORDS words at p = 8, but not at p = 64
-    with pytest.raises(BoxTooLargeError, match="words"):
-        convex_hull_ranked(_CAP_BOX, PipelineConfig(p=8, route=Route.RANK))
-    assert route_estimates(5, 11587**2, 11587, 8)[1] == math.inf
-    assert route_estimates(5, 11587**2, 11587, 64)[1] < math.inf
+    assert [route_terms(n, 3 * k, k)[0][2] for n, k in ((5, 1), (0, 0), (0, 3))] == [1, 0, 0]
 
 
 def test_a_few_points_go_to_sorted_ranks_and_more_in_a_dense_box_to_byte_extremes():
@@ -588,29 +592,31 @@ def test_byte_extremes_give_way_to_sorted_ranks_between_m_n_100_and_1000():
     assert choose_route(auto, n, hi + 64, math.isqrt(hi + 64)) is Route.SORT
 
 
-def test_the_routing_decision_is_logged_with_its_three_estimates(caplog):
+def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
     pts = generate_dense_set(480, 360, count=17280, seed=7)
     with caplog.at_level(logging.DEBUG, logger="rankhull.pipeline"):
         report = convex_hull_ranked(pts)
     (record,) = caplog.records
     message = record.getMessage()
     assert "route Route.EXTREMES (asked Route.AUTO)" in message
-    extremes, rank, sort = route_estimates(17280, report.m, report.m1, 64)
-    assert f"extremes {extremes:.0f}, rank {rank:.0f}, sort {sort:.0f} ns" in message
+    extremes, sort = route_estimates(17280, report.m, report.m1)
+    assert f"estimates extremes {extremes:.0f}, sort {sort:.0f} ns" in message
 
 
 # --- the sorted-ranks route --------------------------------------------------
 
 def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
+    # the paper's p-bit steps 3–4 yield the chain that sorted ranks scan
     sort, sort_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
-    rank, rank_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.RANK))
-    assert sort_chain == rank_chain
+    hull, table, shuffled, stats = paper_steps(pts, 64, variant)
+    assert sort_chain == list(RankFunction(variant, sort.m1, sort.m2).offsets(shuffled.order))
     assert sort.route is Route.SORT and sort.counters.shuffle_iterations == sort.n
-    # the same chain, so the same scan: the reports differ only in the route,
-    # the step times and step 4's count (n sorted ranks, against r words + n)
-    same = replace(sort.counters, shuffle_iterations=rank.counters.shuffle_iterations)
-    assert replace(sort, route=rank.route, step_ns=rank.step_ns, counters=same) == rank
-    assert sort.hull == hull_oracle(pts)
+    # the same chain, so the same scan; only step 4's count differs (n
+    # sorted ranks, against r words + n)
+    assert (sort.n, sort.duplicates_skipped) == (table.n, table.duplicates_skipped)
+    c = sort.counters
+    assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
+    assert sort.hull == hull == hull_oracle(pts)
 
 
 @pytest.mark.parametrize("variant", tuple(RankVariant))
