@@ -28,7 +28,6 @@ from itertools import compress, count, repeat
 from typing import Iterable
 
 from .errors import BoxTooLargeError, RankOutOfRangeError
-from .geometry import _INT_ONLY
 
 # Cap on the bit table's length in words: 128 MiB of 8-byte list slots at
 # any p, and 2^30 cells at p = 64.
@@ -115,24 +114,23 @@ def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTa
     why = table_over_cap(m, p)
     if why:
         raise BoxTooLargeError(why)
-    cells = list(cells)
-    if cells and not (
-        _INT_ONLY.issuperset(map(type, cells)) and 0 <= min(cells) and max(cells) < m
-    ):
-        bad = next(c for c in cells if type(c) is not int or not 0 <= c < m)
-        raise RankOutOfRangeError(f"cell {bad!r} is not an int in [0, {m})")
-    if len(cells) != count:
-        raise ValueError(f"count is {count}, but cells yields {len(cells)}")
     r = -(-m // p)
     bloom = [0] * r
-    duplicates = 0
-    for w, bit in map(divmod, cells, repeat(p)):
+    seen = duplicates = 0
+    # each cell is checked as it is marked, so no list of the cells is held
+    for c in cells:
+        if type(c) is not int or not 0 <= c < m:
+            raise RankOutOfRangeError(f"cell {c!r} is not an int in [0, {m})")
+        seen += 1
+        w, bit = divmod(c, p)
         mask = 1 << bit
         word = bloom[w]
         if word & mask:
             duplicates += 1
         else:
             bloom[w] = word | mask
+    if seen != count:
+        raise ValueError(f"count is {count}, but cells yields {seen}")
     return RankTable(bloom, count - duplicates, m, p, r, duplicates)
 
 

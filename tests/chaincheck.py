@@ -15,14 +15,17 @@ must agree with on every polygon.
 call per point and edge, that `rankhull.hull.contains_all` must agree
 with on every polygon and point list.
 
-`paper_steps` runs the paper's p-bit steps 3–5 (`build_rank_table`,
-`fast_shuffle`, `melkman`) through their checked entry points, for the
-checks of bit-table counts and widths that no pipeline route makes.
+`paper_steps` runs the paper's p-bit steps 1 and 3–5 (`coordinates`,
+`build_rank_table`, `fast_shuffle`, `melkman`) through their checked
+entry points, for the checks of bit-table counts, widths, memory and walk
+time that no pipeline route makes.
 """
 
+import time
 from collections import Counter, deque
+from typing import NamedTuple
 
-from rankhull.bitrank import build_rank_table, fast_shuffle
+from rankhull.bitrank import RankTable, ShuffleResult, build_rank_table, fast_shuffle
 from rankhull.geometry import bounding_box, coordinates, orientation
 from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment, melkman
 from rankhull.ranking import RankFunction, RankVariant
@@ -222,18 +225,34 @@ def contains_all_reference(poly, points) -> bool:
     return True
 
 
-def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR):
+class PaperSteps(NamedTuple):
+    """One run of the paper's p-bit steps: hull, bit table, walk, scan counters, walk time."""
+
+    hull: HullPolygon
+    table: RankTable
+    shuffled: ShuffleResult
+    stats: MelkmanStats
+    walk_ns: int
+
+
+def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR) -> PaperSteps:
     """The paper's steps on the points' tight box, at block width `p`.
 
-    Returns the hull, the bit table, the shuffle's result and the scan's
-    counters. The scan reads the caller's points, not box offsets, and so
-    makes the same decisions (orientation is translation-invariant).
+    Step 1's coordinate lists are made here and dropped once the bit table
+    is built, as the pipeline drops them; the word walk is timed alone,
+    amid the allocations of a whole run. The scan reads box offsets and
+    its hull is translated back to the caller's points.
     """
     box = bounding_box(points)
     rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(points)
     table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    del xs, ys
+    t0 = time.perf_counter_ns()
     shuffled = fast_shuffle(table)
+    walk_ns = time.perf_counter_ns() - t0
     stats = MelkmanStats()
-    hull = melkman(rf.unrank_all(shuffled.order), stats)
-    return hull, table, shuffled, stats
+    scanned = melkman(rf.offsets(shuffled.order), stats)
+    # translation keeps the lexicographic order, so the cycle stays canonical
+    hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
+    return PaperSteps(hull, table, shuffled, stats, walk_ns)

@@ -29,8 +29,8 @@ from rankhull.bitrank import (
     fast_shuffle,
     shuffle_naive,
 )
-from rankhull.geometry import Point, bounding_box, coordinates
-from rankhull.hull import hull_oracle, melkman
+from rankhull.geometry import Point, coordinates
+from rankhull.hull import hull_oracle
 from rankhull.pipeline import (
     PipelineConfig,
     Route,
@@ -222,12 +222,11 @@ def test_07_counters_double_with_point_count():
     double = paper_steps(generate_dense_set(640, 480, count=18432, seed=8), 64)
 
     def total(steps):
-        _, _, shuffled, stats = steps
-        return stats.isleft_evals + shuffled.iterations + stats.deque_ops
+        return steps.stats.isleft_evals + steps.shuffled.iterations + steps.stats.deque_ops
 
     ratio = total(double) / total(base)
     exact = all(
-        shuffled.iterations == table.r + table.n for _, table, shuffled, _ in (base, double)
+        s.shuffled.iterations == s.table.r + s.table.n for s in (base, double)
     )
     ok = 1.9 <= ratio <= 2.1 and exact
     _verdict(
@@ -259,36 +258,18 @@ def test_08_time_grows_linearly_with_n(linearity_rows):
     )
 
 
-def _shuffle_ns(pts, p):
-    """Wall-clock ns of step 4 in one run of the paper's steps on `pts` at block width `p`.
-
-    Step 3 tables the points on their tight box just before the timed walk,
-    and step 5 scans the walk's ranks after it, so the walk runs amid the
-    allocations of a whole run rather than on a table left warm by the
-    previous timing.
-    """
-    box = bounding_box(pts)
-    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
-    xs, ys = coordinates(pts)
-    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
-    del xs, ys
-    t0 = time.perf_counter_ns()
-    shuffled = fast_shuffle(table)
-    elapsed = time.perf_counter_ns() - t0
-    melkman(rf.offsets(shuffled.order))
-    return elapsed
-
-
 def test_09_wider_blocks_do_not_slow_the_shuffle():
     # each cell's points are the ones `run_benchmark` draws for seed 77;
-    # a discarded warm-up run, then the median of 5
+    # step 4 is timed inside whole runs of the paper's steps, so the walk
+    # never reads a table left warm by the previous timing; a discarded
+    # warm-up run, then the median of 5
     shuffle_ns = {}
     for d in (0.01, 0.03, 0.10, 0.42):
         n = round(d * 640 * 480)
         pts = generate_dense_set(640, 480, count=n, seed=_cell_seed(77, n))
         for p in (32, 64):
-            _shuffle_ns(pts, p)
-            shuffle_ns[(n, p)] = statistics.median(_shuffle_ns(pts, p) for _ in range(5))
+            paper_steps(pts, p)
+            shuffle_ns[(n, p)] = statistics.median(paper_steps(pts, p).walk_ns for _ in range(5))
     cells = sorted({n for n, _ in shuffle_ns})
     wins = sum(shuffle_ns[(n, 64)] <= shuffle_ns[(n, 32)] for n in cells)
     ok = len(cells) == 4 and wins >= 3

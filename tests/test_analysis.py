@@ -152,8 +152,8 @@ def test_sorted_ranks_rows_count_the_ranks_they_sort():
 
 # the variant that times each of ROUTES in a sweep
 _VARIANT_OF = dict(zip(ROUTES, (EXTREMES_VARIANT, SORT_VARIANT)))
-# the paper's p-bit pipeline at p = 64, a variant of the committed sweep
-# recorded while the pipeline still had that route
+# the paper's p-bit pipeline at p = 64: a variant only of the sweep file
+# recorded at 25b5590, while the pipeline still had that route
 _RANK_PIPELINE = "rank_pipeline"
 # the sort route's step 4, the sort alone, kept beside the cell's times
 _SORT_STEP = "sorted_ranks step 4"
@@ -213,15 +213,17 @@ def _flat(costs):
 
 
 def _sweep_cells():
-    """The committed sweep's f1 cells at p = 64, each variant's time past step 1.
+    """The sweep's f1 cells, each variant's time past step 1.
 
     The oracle variant has no step 1 (its step times are zero): its ns is
-    `hull_oracle`'s own. Each cell also holds the sort route's step 4.
+    `hull_oracle`'s own. Each cell also holds the sort route's step 4. The
+    file recorded at 25b5590 has a `p` column, 64 in every row; a sweep
+    made by today's `rankhull bench` has none.
     """
     cells = {}
     with open(SWEEP, newline="", encoding="utf-8") as fh:
         for r in csv.DictReader(fh):
-            assert r["p"] == "64"
+            assert r.get("p", "64") == "64"
             ns = cells.setdefault((int(r["m1"]), int(r["m2"]), int(r["n"])), {})
             ns[r["variant"]] = int(r["median_ns"]) - int(r["step1_ns"])
             if r["variant"] == SORT_VARIANT:
@@ -250,8 +252,7 @@ def test_the_fit_recovers_the_costs_of_exact_timings():
 def test_the_route_costs_are_the_fit_of_the_committed_sweep():
     cells = _sweep_cells()
     assert len(cells) == 37
-    assert all(sorted(ns) == sorted((*VARIANTS, _RANK_PIPELINE, _SORT_STEP))
-               and min(ns.values()) > 0
+    assert all({*VARIANTS, _SORT_STEP} <= ns.keys() and min(ns.values()) > 0
                for ns in cells.values())
     # the committed constants are the fit rounded to four significant digits
     assert _flat(ROUTE_COSTS) == pytest.approx(_flat(_fit_route_costs(cells)), rel=5e-4)
@@ -266,8 +267,9 @@ def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
 
 
 def test_sorted_ranks_beat_the_p_bit_pipeline_in_every_cell_of_the_sweep():
-    # the committed sweep is why the pipeline has no p-bit route: in each
-    # cell sorting the ranks was faster, and its scan made the same decisions
+    # a check of the sweep file as recorded at 25b5590, the record of why
+    # the pipeline has no p-bit route: in each cell sorting the ranks was
+    # faster, and its scan made the same decisions
     rows = {}
     with open(SWEEP, newline="", encoding="utf-8") as fh:
         for r in csv.DictReader(fh):

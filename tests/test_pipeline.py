@@ -104,7 +104,7 @@ def test_cap_counts_words_not_cells():
 
 
 def test_cap_box_stays_on_the_rank_path_at_p64():
-    hull, table, shuffled, _ = paper_steps(_CAP_BOX, 64)
+    hull, table, shuffled, _, _ = paper_steps(_CAP_BOX, 64)
     assert hull == hull_oracle(_CAP_BOX)
     assert shuffled.iterations == -(-11587**2 // 64) + 5 == table.r + table.n
 
@@ -122,7 +122,7 @@ def test_fast_shuffle_counter_is_buckets_plus_points():
     rng = random.Random(21)
     for p in BLOCK_WIDTHS:
         pts = [Point(rng.randint(0, 199), rng.randint(0, 149)) for _ in range(500)]
-        hull, table, shuffled, _ = paper_steps(pts, p)
+        hull, table, shuffled, _, _ = paper_steps(pts, p)
         buckets = -(-table.m // p)
         assert shuffled.iterations == buckets + table.n
         assert hull == convex_hull_ranked(pts).hull
@@ -162,9 +162,9 @@ def test_counters_scale_linearly_at_fixed_density():
     small = paper_steps(generate_dense_set(320, 240, count=3840, seed=2), 32)
     big = paper_steps(generate_dense_set(320, 480, count=7680, seed=3), 32)
     for name, count in (
-        ("isleft_evals", lambda steps: steps[3].isleft_evals),
-        ("shuffle_iterations", lambda steps: steps[2].iterations),
-        ("deque_ops", lambda steps: steps[3].deque_ops),
+        ("isleft_evals", lambda steps: steps.stats.isleft_evals),
+        ("shuffle_iterations", lambda steps: steps.shuffled.iterations),
+        ("deque_ops", lambda steps: steps.stats.deque_ops),
     ):
         assert 1.9 <= count(big) / count(small) <= 2.1, name
 
@@ -182,7 +182,7 @@ def test_dense_counters_are_pinned(variant, expected):
 
 def _check_pinned_counters(pts, variant, expected):
     report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
-    hull, _, shuffled, stats = paper_steps(pts, 64, variant)
+    hull, _, shuffled, stats, _ = paper_steps(pts, 64, variant)
     c = report.counters
     assert (c.isleft_evals, shuffled.iterations, c.deque_ops, len(report.hull)) == expected
     assert hull == report.hull
@@ -253,7 +253,7 @@ def test_sparse_box_memory_is_bit_table_sized():
     pts = [Point(0, 0), Point(4000, 0), Point(4000, 4000), Point(0, 4000), Point(7, 9)]
     tracemalloc.start()
     try:
-        hull, table, _, _ = paper_steps(pts, 64)
+        hull, table, _, _, _ = paper_steps(pts, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -262,27 +262,20 @@ def test_sparse_box_memory_is_bit_table_sized():
     assert peak < 4 * 2**20
 
 
-def _steps_3_to_5(rf, xs, ys, p):
-    """The paper's steps 3–5 on step 1's lists: bit table, word walk, scan of box offsets."""
-    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
-    order = fast_shuffle(table).order
-    del table
-    return melkman(rf.offsets(order))
-
-
 @pytest.mark.parametrize("variant", tuple(RankVariant))
 @pytest.mark.parametrize("p", [8, 64])
 def test_dense_memory_holds_no_per_point_temporaries(p, variant):
     # 17,280 points: a list of one tuple per point, or one iterator per
-    # point, costs over 1 MiB; past step 1's lists, the paper's steps hold
-    # the checked cells, the rank order and the bit table, and stay under it
+    # point, costs over 1 MiB. The whole pipeline call stays under it, and
+    # so do the paper's steps from step 1 on at block width p, which hold
+    # the rank order and the bit table but no list of the checked cells
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    box = bounding_box(pts)
-    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
-    xs, ys = coordinates(pts)
-    hull, peak = _peak(lambda: _steps_3_to_5(rf, xs, ys, p))
-    assert tuple(rf.to_points(hull.vertices)) == hull_oracle(pts).vertices
+    report, peak = _peak(lambda: convex_hull_ranked(pts, PipelineConfig(rank_variant=variant)))
+    assert not report.used_fallback and report.n == 17280
     assert peak < 2**20
+    steps, steps_peak = _peak(lambda: paper_steps(pts, p, variant))
+    assert steps.hull == report.hull and steps.table.n == 17280
+    assert steps_peak < 2**20
 
 
 def _peak(call):
@@ -521,12 +514,9 @@ def test_the_byte_route_scans_each_lines_two_extremes():
 def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
     # against the paper's p-bit steps at p = 64, step 1 included
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    box = bounding_box(pts)
-    rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
     auto, auto_peak = _peak(lambda: convex_hull_ranked(pts))
-    rank, rank_peak = _peak(lambda: _steps_3_to_5(rf, *coordinates(pts), 64))
-    assert auto.route is Route.EXTREMES
-    assert auto.hull.vertices == tuple(rf.to_points(rank.vertices))
+    rank, rank_peak = _peak(lambda: paper_steps(pts, 64))
+    assert auto.route is Route.EXTREMES and auto.hull == rank.hull
     assert auto_peak < rank_peak
 
 
@@ -608,7 +598,7 @@ def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
 def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
     # the paper's p-bit steps 3–4 yield the chain that sorted ranks scan
     sort, sort_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
-    hull, table, shuffled, stats = paper_steps(pts, 64, variant)
+    hull, table, shuffled, stats, _ = paper_steps(pts, 64, variant)
     assert sort_chain == list(RankFunction(variant, sort.m1, sort.m2).offsets(shuffled.order))
     assert sort.route is Route.SORT and sort.counters.shuffle_iterations == sort.n
     # the same chain, so the same scan; only step 4's count differs (n
