@@ -23,6 +23,8 @@ from .bitrank import (
     RankTable,
     ShuffleResult,
     build_rank_table,
+    density_threshold_refined,
+    density_threshold_simple,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
@@ -49,8 +51,6 @@ from .pipeline import (
     PipelineReport,
     Route,
     convex_hull_ranked,
-    density_threshold_refined,
-    density_threshold_simple,
 )
 from .pnm import ImageMask, image_to_points, load_image_mask, parse_pnm
 from .pointio import generate_dense_set, load_points, save_points

@@ -11,11 +11,15 @@ raises.
 Each cell times the variants the plan names, all of `VARIANTS` by
 default: `byte_extremes` and `sorted_ranks` run `convex_hull_ranked` on
 one of its two routes named outright, and `oracle_sort_hull` runs the
-independent `hull_oracle` alone. The router's costs are fitted to the two
-route variants of the committed sweep (`docs/route_sweep.csv`, README's
-"Routes"); the oracle's times are there for comparison. That sweep also
-holds a `p` column and a `rank_pipeline` variant, the paper's p-bit
-pipeline at p = 64, recorded before the pipeline dropped that route.
+independent `hull_oracle` alone. They take turns, a call each per
+repetition, so host load that drifts during a cell falls on each alike.
+The router's costs are fitted to the two route variants of the committed
+sweep (`docs/route_sweep.csv`, README's "Routes"); the oracle's times are
+there for comparison. That sweep was recorded before the pipeline dropped
+the paper's p-bit route (its `p` column and `rank_pipeline` variant), and
+before the variants took turns and byte extremes read a wide box's rows:
+it ranked by f1, on boxes no taller than wide. Its costs are per point,
+per cell and per occupied line, so they stand for either layout.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class BenchmarkPlan:
     Sample sizes come from `densities` (fractions of the box area) and/or
     explicit `counts` (ints from 0 to the box area); cells run in the
     order given. Each repetition of a cell reuses the same generated point
-    set, and a discarded warm-up run precedes the timed repetitions.
+    set, and each variant runs once, discarded, before the timed ones.
     """
 
     m1: int
@@ -110,17 +114,22 @@ def _cell_seed(seed: int, n: int) -> int:
     return seed * 2_654_435_761 + n
 
 
-def _time_cell(call: Callable[[], object], repetitions: int) -> tuple[int, list]:
-    """Median ns of `repetitions` timed calls after a discarded warm-up call."""
-    call()
-    totals = []
-    results = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter_ns()
-        result = call()
-        totals.append(time.perf_counter_ns() - t0)
-        results.append(result)
-    return int(statistics.median(totals)), results
+def _time_cell(calls: Sequence[Callable[[], object]], repetitions: int) -> list[tuple[int, list]]:
+    """Each call's median ns over `repetitions` rounds, with its results.
+
+    Every call first runs once, discarded. Each round then runs every call
+    once, starting one further along `calls` than the round before.
+    """
+    for call in calls:
+        call()
+    runs: list[list[tuple[int, object]]] = [[] for _ in calls]
+    for rep in range(repetitions):
+        for j in range(len(calls)):
+            i = (rep + j) % len(calls)
+            t0 = time.perf_counter_ns()
+            result = calls[i]()
+            runs[i].append((time.perf_counter_ns() - t0, result))
+    return [(int(statistics.median(ns for ns, _ in run)), [r for _, r in run]) for run in runs]
 
 
 def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
@@ -129,9 +138,10 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     The whole plan is checked before the first cell runs: the repetitions
     and variants here, and each density and count by `sample_size`, which
     turns it into the cell's n. Cells sharing an n value share the
-    generated point set so variant comparisons see identical inputs. The
-    `byte_extremes` and `sorted_ranks` variants time `convex_hull_ranked`
-    on `Route.EXTREMES` and `Route.SORT`, and `oracle_sort_hull` times
+    generated point set so variant comparisons see identical inputs, and
+    take turns within each repetition (`_time_cell`). The `byte_extremes`
+    and `sorted_ranks` variants time `convex_hull_ranked` on
+    `Route.EXTREMES` and `Route.SORT`, and `oracle_sort_hull` times
     `hull_oracle` alone.
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
@@ -147,19 +157,20 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
         points = generate_dense_set(
             plan.m1, plan.m2, count=n, seed=_cell_seed(plan.seed, n)
         )
-        for variant in plan.variants:
+        calls = [
+            partial(hull_oracle, points) if variant == ORACLE_VARIANT
+            else partial(convex_hull_ranked, points, PipelineConfig(route=_ROUTES[variant]))
+            for variant in plan.variants
+        ]
+        timed = _time_cell(calls, plan.repetitions)
+        for variant, (median_ns, reports) in zip(plan.variants, timed):
             if variant != ORACLE_VARIANT:
-                routed = PipelineConfig(route=_ROUTES[variant])
-                median_ns, reports = _time_cell(
-                    partial(convex_hull_ranked, points, routed), plan.repetitions
-                )
                 steps = tuple(
                     int(statistics.median(r.step_ns[i] for r in reports)) for i in range(5)
                 )
                 c = reports[-1].counters
                 counters = (c.isleft_evals, c.shuffle_iterations, c.deque_ops)
             else:
-                median_ns, _ = _time_cell(partial(hull_oracle, points), plan.repetitions)
                 steps, counters = (0, 0, 0, 0, 0), (0, 0, 0)
             rows.append(BenchmarkRow(
                 m1=plan.m1, m2=plan.m2, m=m, n=n, density=n / m,

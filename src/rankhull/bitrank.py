@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, count, repeat
 from typing import Iterable
 
@@ -36,17 +37,9 @@ MAX_WORDS = 1 << 24
 MAX_BYTES = 1 << 27
 
 
-def table_over_cap(m: int, p: int | None) -> str:
-    """Why a table of `m` ranks would be over its cap, or "" when it fits.
-
-    `p` is the bit table's block width (`MAX_WORDS` words of `p` bits);
-    None asks about the byte table (`MAX_BYTES` bytes, one a rank).
-    """
-    if p is None:
-        return f"{m} ranks need more than {MAX_BYTES} bytes" if m > MAX_BYTES else ""
-    if m > MAX_WORDS * p:
-        return f"{m} ranks need more than {MAX_WORDS} words of {p} bits"
-    return ""
+def table_over_cap(m: int, p: int) -> str:
+    """Why a bit table of `m` ranks would need more than `MAX_WORDS` words of `p` bits, or ""."""
+    return f"{m} ranks need more than {MAX_WORDS} words of {p} bits" if m > MAX_WORDS * p else ""
 
 
 @dataclass
@@ -78,6 +71,23 @@ def check_block_width(p: int) -> None:
     """The one block-width rule: `p` must be a positive int, and not a bool."""
     if type(p) is not int or p < 1:
         raise ValueError(f"block width must be a positive int, not {p!r}")
+
+
+def density_threshold_simple(p: int) -> Fraction:
+    """Density 1/p below which the word walk stops being linear in n."""
+    check_block_width(p)
+    return Fraction(1, p)
+
+
+def density_threshold_refined(p: int) -> Fraction:
+    """Refined lower density bound 1/(2p(2p^2 + 5p + 1) + 1).
+
+    Charges each zero-word test its true cost relative to an orientation
+    test on p-bit operands, which pushes the linear regime several orders
+    of magnitude below 1/p.
+    """
+    check_block_width(p)
+    return Fraction(1, 2 * p * (2 * p * p + 5 * p + 1) + 1)
 
 
 def extract_set_bits(word: int) -> list[int]:

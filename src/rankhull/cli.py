@@ -9,17 +9,12 @@ import argparse
 import sys
 
 from .analysis import VARIANTS, BenchmarkPlan, run_benchmark, write_csv
+from .bitrank import density_threshold_refined, density_threshold_simple
 from .errors import RankHullError
 from .hull import hull_oracle
-from .pipeline import (
-    PipelineConfig,
-    convex_hull_ranked,
-    density_threshold_refined,
-    density_threshold_simple,
-)
+from .pipeline import convex_hull_ranked
 from .pnm import image_to_points, load_image_mask
 from .pointio import generate_dense_set, load_points, save_points
-from .ranking import RankVariant
 
 
 def _print_hull(hull) -> None:
@@ -29,8 +24,7 @@ def _print_hull(hull) -> None:
 
 def _cmd_hull(args: argparse.Namespace) -> int:
     points = load_points(args.points_file)
-    cfg = PipelineConfig(rank_variant=RankVariant(args.rank))
-    report = convex_hull_ranked(points, cfg)
+    report = convex_hull_ranked(points)
     _print_hull(report.hull)
     if args.verify and report.hull != hull_oracle(points):
         print("verify: hull differs from sort-based oracle", file=sys.stderr)
@@ -100,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     hull = sub.add_parser("hull", help="hull of a point file")
     hull.add_argument("points_file")
-    hull.add_argument("--rank", default=RankVariant.COLUMN_MAJOR.value,
-                      choices=tuple(v.value for v in RankVariant))
     hull.add_argument("--verify", action="store_true",
                       help="also run the sort-based oracle; exit 2 on mismatch")
     hull.set_defaults(func=_cmd_hull)

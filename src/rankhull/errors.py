@@ -26,7 +26,9 @@ class RankOutOfRangeError(RankHullError):
 
 
 class BoxTooLargeError(RankHullError):
-    """The bounding box needs a bit table longer than the word cap."""
+    """A box is over a cap: a bit table's `bitrank.MAX_WORDS` words, the byte
+    table's `bitrank.MAX_BYTES` (byte extremes named outright), or the
+    `pointio.MAX_GRID_CELLS` cells of a `generate_dense_set` grid."""
 
 
 class InvalidDensityError(RankHullError):

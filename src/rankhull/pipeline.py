@@ -5,21 +5,24 @@ takes their box. It is also the pipeline's only input check: the grid is
 the box of those same lists, so the later steps rank them with the
 unchecked chain of `RankFunction.cells` and turn ranks back into offsets
 with the unchecked `offsets`. A small cost model then picks the route
-that finishes the hull (`Route`). Every route scans a chain of box
-offsets in ascending rank order with the same deque scan (step 5):
+that finishes the hull (`Route`), and the route and the box pick the
+rank layout: byte extremes on a box wider than tall rank row by row
+(f2), every other call column by column (f1). Every route scans a chain
+of box offsets in ascending rank order with the same deque scan (step 5):
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
   per rank (the paper's base O(n + m) table), step 4 reads each occupied
   line's lowest and highest rank from it, and step 5 scans those, at most
   two per line. Only a line's two extremes can be hull vertices, and the
-  ranked chain cut down to them is still simple.
+  ranked chain cut down to them is still simple. Each occupied line
+  costs a Python loop pass, so the lines run along the longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
   points and drops duplicates with a `set`, step 4 sorts the n distinct
   ranks (ints, in C) and step 5 scans them. That is the chain the paper's
   p-bit steps 3–4 (`bitrank.build_rank_table` and `fast_shuffle`) yield,
   got by a comparison sort of ints rather than by a table; those steps
   measured slower than the sort in every cell of the route sweep, so no
-  route runs them.
+  route runs them. The sort keeps f1, whose inverse is one `divmod`.
 
 The paper's translation onto the normalized grid (step 2) is folded into
 step 3's rank arithmetic, and step 5 streams each rank back as an offset
@@ -28,13 +31,10 @@ translation-invariant, so the scan decides as it would on the caller's
 points. Only the hull's vertices are translated back, by
 `RankFunction.to_points`.
 
-The model (`route_estimates`) charges each route its fitted nanoseconds
-per unit of work past step 1: per point, per cell and per expected
-occupied line for byte extremes, and per point and per n·log2 n for
-sorted ranks. The constants come from the sweep in `docs/route_sweep.csv`
-(see README's "Routes"). The byte table is never built over its cap of
-`MAX_BYTES` bytes (`bitrank.table_over_cap`); sorted ranks need no table
-and have no cap.
+The model (`route_estimates`) prices each route's work past step 1
+(`route_terms`) with nanoseconds fitted to the sweep in
+`docs/route_sweep.csv` (README's "Routes"). The byte table is never built
+over its cap of `bitrank.MAX_BYTES` bytes; sorted ranks have no cap.
 """
 
 from __future__ import annotations
@@ -45,11 +45,10 @@ import time
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .bitrank import _line_extremes, _mark_bytes, check_block_width, table_over_cap
+from .bitrank import MAX_BYTES, _line_extremes, _mark_bytes
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates
 from .hull import HullPolygon, MelkmanStats, melkman
@@ -83,14 +82,11 @@ ROUTE_COSTS = RouteCosts(extremes=(244.8, 0.5294, 2142.0), sort=(1190.0, 6.978))
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The rank function f1/f2 and the route."""
+    """The route. The route and the box pick the rank layout, which is no setting."""
 
-    rank_variant: RankVariant = RankVariant.COLUMN_MAJOR
     route: Route = Route.AUTO
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rank_variant, RankVariant):
-            raise ValueError(f"rank variant must be a RankVariant, not {self.rank_variant!r}")
         if not isinstance(self.route, Route):
             raise ValueError(f"route must be a Route, not {self.route!r}")
 
@@ -111,9 +107,11 @@ class PipelineReport:
     len(points) - n. `m` is the box area m1 * m2 and `density` is n / m,
     with m = 0 and density 0.0 for empty input. `route` is the route that
     ran, never `Route.AUTO`; empty input runs none and reports the route
-    chosen for it. `step_ns` holds the elapsed monotonic nanoseconds of the
-    paper's five steps (box, translate, rank, shuffle, scan). The translation happens inside
-    the rank arithmetic, so its slot is always 0; the scan's slot includes
+    chosen for it. `rank_variant` is the layout that ranked the box:
+    `ROW_MAJOR` for byte extremes when m1 > m2, else `COLUMN_MAJOR`.
+    `step_ns` holds the elapsed monotonic nanoseconds of the paper's five
+    steps (box, translate, rank, shuffle, scan). The translation happens
+    inside the rank arithmetic, so its slot is always 0; the scan's slot includes
     turning ranks into box offsets and the hull's vertices back into the
     caller's points. On the byte-extremes route step 3 is the marking,
     step 4 the pass over the lines, and `shuffle_iterations` counts the
@@ -174,9 +172,9 @@ def route_terms(count: int, m: int, lines: int) -> tuple[tuple[float, ...], ...]
     return (count, m, occupied), (count, count * math.log2(count) if count else 0.0)
 
 
-def _over_cap(route: Route, m: int) -> str:
-    """Why `route`'s table of `m` ranks would be over its cap, or "" when it fits."""
-    return table_over_cap(m, None) if route is Route.EXTREMES else ""
+def _over_cap(route: Route, m: int) -> bool:
+    """Whether `route` needs a table of `m` ranks over its cap: only byte extremes have one."""
+    return route is Route.EXTREMES and m > MAX_BYTES
 
 
 def route_estimates(count: int, m: int, lines: int) -> tuple[float, ...]:
@@ -204,8 +202,8 @@ def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
     route = cfg.route
     if route is Route.AUTO:
         route = ROUTES[estimates.index(min(estimates))]
-    elif why := _over_cap(route, m):
-        raise BoxTooLargeError(why)
+    elif _over_cap(route, m):
+        raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
     _log.debug(
         "route %s (asked %s) for %d points, %d cells, %d lines: "
         "estimates extremes %.0f, sort %.0f ns",
@@ -220,13 +218,13 @@ def convex_hull_ranked(
 ) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
-    Step 1 reads the points into coordinate lists and their box, and
-    `choose_route` picks the route for them. Step 3 ranks the points (step
-    2's translation included): byte extremes mark each rank in a table,
-    and sorted ranks gather the distinct ranks in a `set`. Step 4
-    puts the ranks to scan in ascending order: read from the table, or
-    sorted. Step 5 streams them, a simple chain of box offsets, into the
-    deque scan.
+    Step 1 reads the points into coordinate lists and their box;
+    `choose_route` picks the route for its min(m1, m2) lines, and the route
+    and the box pick the layout. Step 3 ranks the points (step 2's
+    translation included): byte extremes mark each rank in a table, and
+    sorted ranks gather the distinct ranks in a `set`. Step 4 puts the
+    ranks to scan in ascending order: read from the table, or sorted. Step
+    5 streams them, a simple chain of box offsets, into the deque scan.
     `points` must be a sized collection, such as a list, tuple or set: step
     1 iterates over it twice, and no other step reads it.
     """
@@ -238,6 +236,7 @@ def convex_hull_ranked(
         cfg = PipelineConfig()
     hull = HullPolygon((), degenerate=True)
     n = m1 = m2 = 0
+    variant = RankVariant.COLUMN_MAJOR
     counters = OperationCounters(0, 0, 0)
     step_ns = (0, 0, 0, 0, 0)
     if not points:
@@ -249,16 +248,17 @@ def convex_hull_ranked(
         box = BoundingBox.of(xs, ys)
         t1 = clock()
         m1, m2 = box.m1, box.m2
-        rf = RankFunction(cfg.rank_variant, m1, m2, box.x_min, box.y_min)
-        width = rf.line_length
-        route = choose_route(cfg, len(xs), box.m, box.m // width)
+        route = choose_route(cfg, len(xs), box.m, min(m1, m2))
+        if route is Route.EXTREMES and m1 > m2:
+            variant = RankVariant.ROW_MAJOR
+        rf = RankFunction(variant, m1, m2, box.x_min, box.y_min)
         # step 1 checked the lists and this grid is their box: rank them unchecked
         if route is Route.EXTREMES:
             occ = _mark_bytes(rf._cells(xs, ys), box.m)
             del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)
-            ranks, iterations = _line_extremes(occ, width)
+            ranks, iterations = _line_extremes(occ, rf.line_length)
             del occ
         else:
             distinct = set(map(add, rf._cells(xs, ys), repeat(1)))
@@ -283,22 +283,5 @@ def convex_hull_ranked(
         density=n / m if m else 0.0,
         duplicates_skipped=len(points) - n,
         counters=counters, step_ns=step_ns,
-        rank_variant=cfg.rank_variant, route=route,
+        rank_variant=variant, route=route,
     )
-
-
-def density_threshold_simple(p: int) -> Fraction:
-    """Density 1/p below which the word walk stops being linear in n."""
-    check_block_width(p)
-    return Fraction(1, p)
-
-
-def density_threshold_refined(p: int) -> Fraction:
-    """Refined lower density bound 1/(2p(2p^2 + 5p + 1) + 1).
-
-    Charges each zero-word test its true cost relative to an orientation
-    test on p-bit operands, which pushes the linear regime several orders
-    of magnitude below 1/p.
-    """
-    check_block_width(p)
-    return Fraction(1, 2 * p * (2 * p * p + 5 * p + 1) + 1)

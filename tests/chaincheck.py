@@ -18,7 +18,8 @@ with on every polygon and point list.
 `paper_steps` runs the paper's p-bit steps 1 and 3–5 (`coordinates`,
 `build_rank_table`, `fast_shuffle`, `melkman`) through their checked
 entry points, for the checks of bit-table counts, widths, memory and walk
-time that no pipeline route makes.
+time that no pipeline route makes. `sorted_ranks_hull` runs the
+sorted-ranks route the same way, under either rank layout.
 """
 
 import time
@@ -256,3 +257,11 @@ def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR) -> PaperSteps:
     # translation keeps the lexicographic order, so the cycle stays canonical
     hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
     return PaperSteps(hull, table, shuffled, stats, walk_ns)
+
+
+def sorted_ranks_hull(points, variant) -> HullPolygon:
+    """The hull of the points' distinct ranks under `variant`, sorted and scanned."""
+    box = bounding_box(points)
+    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    ranks = sorted({cell + 1 for cell in rf.cells(*coordinates(points))})
+    return melkman(rf.unrank_all(ranks))

@@ -25,6 +25,8 @@ from rankhull.analysis import (
 )
 from rankhull.bitrank import (
     build_rank_table,
+    density_threshold_refined,
+    density_threshold_simple,
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
@@ -35,8 +37,6 @@ from rankhull.pipeline import (
     PipelineConfig,
     Route,
     convex_hull_ranked,
-    density_threshold_refined,
-    density_threshold_simple,
 )
 from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant

@@ -100,10 +100,20 @@ def test_benchmark_rows_cover_each_cell_in_order():
             assert row.shuffle_iterations == row.n
         elif row.variant == EXTREMES_VARIANT:
             # the occupied lines of the sample's tight box, at most the plan box's
-            assert 0 < row.shuffle_iterations <= row.m1
+            assert 0 < row.shuffle_iterations <= min(row.m1, row.m2)
         else:
             assert row.step_ns == (0, 0, 0, 0, 0)
             assert row.shuffle_iterations == 0
+
+
+def test_a_cells_variants_take_turns_after_one_warm_up_each():
+    # each round starts one variant further on, so none always runs first
+    order = []
+    calls = [lambda v=v: order.append(v) or v for v in "abc"]
+    timed = analysis._time_cell(calls, 3)
+    assert "".join(order) == "abc" + "abc" + "bca" + "cab"
+    assert [results for _, results in timed] == [["a"] * 3, ["b"] * 3, ["c"] * 3]
+    assert all(type(ns) is int and ns >= 0 for ns, _ in timed)
 
 
 def test_benchmark_counters_are_deterministic():
@@ -133,8 +143,8 @@ def test_byte_extremes_rows_count_the_lines_they_read():
     plan = BenchmarkPlan(m1=40, m2=30, densities=(0.1, 0.6), seed=6, variants=(EXTREMES_VARIANT,))
     for row in run_benchmark(plan):
         assert row.variant == EXTREMES_VARIANT and row.median_ns > 0
-        # f1's lines are the box's columns: at most m1 of them are occupied
-        assert 0 < row.shuffle_iterations <= row.m1
+        # the lines run along the box's longer side: at most min(m1, m2) are occupied
+        assert 0 < row.shuffle_iterations <= min(row.m1, row.m2)
         assert row.deque_ops <= 3 * 2 * row.shuffle_iterations + 4
 
 

@@ -17,6 +17,7 @@ from rankhull.bitrank import (
     extract_set_bits,
     fast_shuffle,
     shuffle_naive,
+    table_over_cap,
 )
 from rankhull.errors import BoxTooLargeError, OutOfGridError, RankOutOfRangeError
 from rankhull.geometry import Point, coordinates
@@ -98,6 +99,10 @@ def test_build_rejects_a_block_width_that_is_not_a_positive_int():
 def test_build_honors_rank_range_cap():
     # the cap counts words: a box of MAX_WORDS * p cells is the largest at width p
     for p in (8, 64):
+        assert not table_over_cap(MAX_WORDS * p, p)
+        assert table_over_cap(MAX_WORDS * p + 1, p) == (
+            f"{MAX_WORDS * p + 1} ranks need more than {MAX_WORDS} words of {p} bits"
+        )
         rf = RankFunction(F1, MAX_WORDS * p + 1, 1)
         with pytest.raises(BoxTooLargeError):
             _ranked([Point(1, 1)], rf, p)

@@ -30,7 +30,7 @@ def test_hull_verify_agrees(tmp_path, capsys):
 def test_hull_flags(tmp_path, capsys):
     path = tmp_path / "pts.txt"
     path.write_text("0 0\n4 0\n4 4\n0 4\n2 2\n")
-    for flags in ((), ("--rank", "f1"), ("--rank", "f2")):
+    for flags in ((), ("--verify",)):
         assert run_cli("hull", str(path), *flags) == 0
         assert capsys.readouterr().out == "0 0\n4 0\n4 4\n0 4\n"
 
@@ -68,7 +68,8 @@ def test_hull_verify_mismatch_exits_two(tmp_path, capsys, monkeypatch):
 def test_usage_error_exits_one(capsys):
     assert run_cli("hull") == 1  # missing file argument
     assert run_cli("no-such-command") == 1
-    assert run_cli("hull", "points.txt", "--rank", "zz") == 1
+    # the box picks the rank layout, so no command takes one
+    assert run_cli("hull", "points.txt", "--rank", "f1") == 1
     # no route has a block width, so no command but thresholds takes one
     assert run_cli("hull", "points.txt", "--p", "8") == 1
     assert run_cli("bench", "--width", "8", "--height", "8", "--densities", "0.5",

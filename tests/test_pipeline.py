@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from chaincheck import chain_is_simple, melkman_reference, paper_steps
+from chaincheck import chain_is_simple, melkman_reference, paper_steps, sorted_ranks_hull
 from rankhull.bitrank import (
-    MAX_BYTES, build_rank_table, fast_shuffle, shuffle_naive, table_over_cap,
+    MAX_BYTES, build_rank_table, density_threshold_refined, density_threshold_simple,
+    fast_shuffle, shuffle_naive, table_over_cap,
 )
 from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
@@ -26,8 +27,6 @@ from rankhull.pipeline import (
     Route,
     choose_route,
     convex_hull_ranked,
-    density_threshold_refined,
-    density_threshold_simple,
     route_estimates,
     route_terms,
 )
@@ -35,6 +34,7 @@ from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant
 
 BLOCK_WIDTHS = (8, 16, 32, 64)
+F1, F2 = RankVariant.COLUMN_MAJOR, RankVariant.ROW_MAJOR
 
 coords = st.integers(min_value=-50, max_value=50)
 point_lists = st.lists(st.builds(Point, coords, coords), max_size=50)
@@ -110,9 +110,8 @@ def test_cap_box_stays_on_the_rank_path_at_p64():
 
 
 def test_config_validation():
-    for variant in ("f1", "zz"):
-        with pytest.raises(ValueError):
-            PipelineConfig(rank_variant=variant)
+    # the route and the box pick the rank layout, so the route is the only setting
+    assert [f.name for f in fields(PipelineConfig)] == ["route"]
     for route in ("auto", "rank", None):
         with pytest.raises(ValueError, match="route"):
             PipelineConfig(route=route)
@@ -141,10 +140,12 @@ def test_naive_and_fast_variants_agree():
 
 
 def test_row_major_variant_matches_oracle():
+    # a box wider than tall: byte extremes rank it row by row
     rng = random.Random(13)
-    pts = [Point(rng.randint(-40, 60), rng.randint(-10, 90)) for _ in range(300)]
-    cfg = PipelineConfig(rank_variant=RankVariant.ROW_MAJOR)
-    assert convex_hull_ranked(pts, cfg).hull == hull_oracle(pts)
+    pts = [Point(rng.randint(-40, 160), rng.randint(-10, 90)) for _ in range(300)]
+    report = convex_hull_ranked(pts)
+    assert (report.route, report.rank_variant) == (Route.EXTREMES, F2)
+    assert report.hull == hull_oracle(pts)
 
 
 def test_hull_vertices_come_from_the_input():
@@ -181,12 +182,14 @@ def test_dense_counters_are_pinned(variant, expected):
 
 
 def _check_pinned_counters(pts, variant, expected):
-    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
     hull, _, shuffled, stats, _ = paper_steps(pts, 64, variant)
-    c = report.counters
-    assert (c.isleft_evals, shuffled.iterations, c.deque_ops, len(report.hull)) == expected
-    assert hull == report.hull
-    assert (stats.isleft_evals, stats.deque_ops) == (c.isleft_evals, c.deque_ops)
+    assert (stats.isleft_evals, shuffled.iterations, stats.deque_ops, len(hull)) == expected
+    # sorted ranks scan f1's chain, so they make f1's decisions and no other layout's
+    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
+    assert report.hull == hull
+    if report.rank_variant is variant:
+        c = report.counters
+        assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
 
 
 @pytest.mark.parametrize("variant, expected", [
@@ -211,14 +214,15 @@ def offset_point_lists(draw):
 
 
 @settings(max_examples=150)
-@given(offset_point_lists(), st.sampled_from(tuple(RankVariant)), st.sampled_from(BLOCK_WIDTHS))
-def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, variant, p):
+@given(offset_point_lists(), st.sampled_from(BLOCK_WIDTHS))
+def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, p):
     # the pipeline skips the checks of cells and offsets; its sorted ranks
-    # rebuilt here as the paper's steps, with every check on and the plain
-    # reference scan, nothing may change but step 4's count
-    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
+    # rebuilt here as the paper's steps under the layout it reports, with
+    # every check on and the plain reference scan, nothing may change but
+    # step 4's count
+    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
     box = bounding_box(pts)
-    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    rf = RankFunction(report.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
     table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
     shuffled = fast_shuffle(table)
@@ -240,11 +244,10 @@ def test_pipeline_equals_oracle(points):
     point_lists,
     st.integers(-10**12, 10**12),
     st.integers(-10**12, 10**12),
-    st.sampled_from(tuple(RankVariant)),
 )
-def test_offset_coordinates_match_oracle(points, dx, dy, variant):
+def test_offset_coordinates_match_oracle(points, dx, dy):
     shifted = [Point(x + dx, y + dy) for x, y in points]
-    report = convex_hull_ranked(shifted, PipelineConfig(rank_variant=variant))
+    report = convex_hull_ranked(shifted)
     assert report.hull == hull_oracle(shifted)
 
 
@@ -266,16 +269,25 @@ def test_sparse_box_memory_is_bit_table_sized():
 @pytest.mark.parametrize("p", [8, 64])
 def test_dense_memory_holds_no_per_point_temporaries(p, variant):
     # 17,280 points: a list of one tuple per point, or one iterator per
-    # point, costs over 1 MiB. The whole pipeline call stays under it, and
-    # so do the paper's steps from step 1 on at block width p, which hold
-    # the rank order and the bit table but no list of the checked cells
+    # point, costs over 1 MiB. The whole pipeline call stays under it, on
+    # the 480x360 box (byte extremes by rows, f2) and its transpose (by
+    # columns, f1), and so do the paper's steps in that layout from step 1
+    # on at block width p, which hold the rank order and the bit table but
+    # no list of the checked cells
     pts = generate_dense_set(480, 360, count=17280, seed=7)
-    report, peak = _peak(lambda: convex_hull_ranked(pts, PipelineConfig(rank_variant=variant)))
+    if variant is F1:
+        pts = _transposed(pts)
+    report, peak = _peak(lambda: convex_hull_ranked(pts))
     assert not report.used_fallback and report.n == 17280
+    assert report.rank_variant is variant
     assert peak < 2**20
     steps, steps_peak = _peak(lambda: paper_steps(pts, p, variant))
     assert steps.hull == report.hull and steps.table.n == 17280
     assert steps_peak < 2**20
+
+
+def _transposed(pts):
+    return [Point(y, x) for x, y in pts]
 
 
 def _peak(call):
@@ -318,7 +330,10 @@ def test_non_integer_coordinates_raise_a_library_error():
 @pytest.mark.parametrize("points", [[(1, 2, 3)], [(1,)], [None], [(1, 2), (3, 4, 5)]])
 def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
     with pytest.raises(NonIntegerCoordinateError):
-        convex_hull_ranked(points, PipelineConfig(rank_variant=variant))
+        convex_hull_ranked(points)
+    # step 1's rule holds before any layout: each one's rank refuses the point
+    with pytest.raises(NonIntegerCoordinateError):
+        RankFunction(variant, 8, 8).rank(points[-1])
     with pytest.raises(NonIntegerCoordinateError, match="pair"):
         bounding_box(points)
 
@@ -415,8 +430,9 @@ def test_report_derives_m_density_and_duplicates_from_n_and_the_box(pts, n):
     report = convex_hull_ranked(pts)
     assert [f.name for f in fields(report)] == _REPORT_FIELDS
     assert report.n == n
-    # the route the cost model picks for the input's count and f1 box, never AUTO
-    assert report.route is choose_route(PipelineConfig(), len(pts), report.m, report.m1)
+    # the route the cost model picks for the input's count and box, never AUTO
+    lines = min(report.m1, report.m2)
+    assert report.route is choose_route(PipelineConfig(), len(pts), report.m, lines)
     assert report.used_fallback == (report.route is Route.SORT)
     assert report.m == report.m1 * report.m2
     assert report.density == (n / report.m if report.m else 0.0)
@@ -487,16 +503,19 @@ def _scan_of(pts, cfg):
 
 
 @settings(max_examples=300)
-@given(st.one_of(offset_point_lists(), one_point_lines()), st.sampled_from(tuple(RankVariant)))
-def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts, variant):
-    report, chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.EXTREMES))
+@given(st.one_of(offset_point_lists(), one_point_lines()))
+def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
+    report, chain = _scan_of(pts, PipelineConfig(route=Route.EXTREMES))
     assert report.route is Route.EXTREMES
     assert report.hull == hull_oracle(pts)
     distinct = set(map(tuple, pts))
     assert (report.n, report.duplicates_skipped) == (len(distinct), len(pts) - len(distinct))
-    # shuffle_iterations counts the occupied lines: columns under f1, rows under f2
-    lines = {v[0] if variant is RankVariant.COLUMN_MAJOR else v[1] for v in distinct}
-    assert report.counters.shuffle_iterations == len(lines)
+    # shuffle_iterations counts the occupied lines, which run along the
+    # longer side: rows (f2) of a box wider than tall, columns (f1) otherwise
+    wide = report.m1 > report.m2
+    assert report.rank_variant is (F2 if wide else F1)
+    lines = {v[1] if wide else v[0] for v in distinct}
+    assert report.counters.shuffle_iterations == len(lines) <= min(report.m1, report.m2)
     assert chain_is_simple(chain)
     assert len(chain) <= 2 * len(lines)
     assert report.counters.deque_ops <= 3 * len(chain) + 4
@@ -509,6 +528,20 @@ def test_the_byte_route_scans_each_lines_two_extremes():
     assert chain == [(0, 0), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4)]
     assert report.hull == hull_oracle(pts)
     assert (report.n, report.duplicates_skipped, report.counters.shuffle_iterations) == (9, 1, 4)
+
+
+def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():
+    # 16,000 points on a 4000x40 strip: byte extremes read its 40 rows, not
+    # its 4,000 columns, and the transpose's 40 columns
+    strip = generate_dense_set(4000, 40, count=16000, seed=5)
+    wide, chain = _scan_of(strip, PipelineConfig())
+    tall = convex_hull_ranked(_transposed(strip))
+    assert (wide.route, wide.rank_variant) == (Route.EXTREMES, F2)
+    assert (tall.route, tall.rank_variant) == (Route.EXTREMES, F1)
+    assert wide.counters.shuffle_iterations <= 40 and len(chain) <= 80
+    assert wide.hull == hull_oracle(strip)
+    assert tall.hull == hull_oracle(_transposed(strip))
+    assert set(tall.hull.vertices) == set(_transposed(wide.hull.vertices))
 
 
 def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
@@ -528,11 +561,14 @@ def test_the_default_route_peaks_under_the_rank_route_on_the_dense_set():
     (4096, 4096, 5033, Route.SORT),     # m/n = 3333, about one point a column
     (2048, 2048, 1024, Route.SORT),     # m/n = 4096, the sparse_box bench box
     (64, 48, 8, Route.SORT),            # too few points for a table to pay
+    (4096, 512, 1024, Route.SORT),      # m/n = 2048 in a box eight times wider than tall
 ])
 def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
     pts = generate_dense_set(m1, m2, count=n, seed=3)
     report = convex_hull_ranked(pts)
     assert report.route is route
+    # rows only for byte extremes on a wide box: sorted ranks keep f1 on any box
+    assert report.rank_variant is (F2 if route is Route.EXTREMES and m1 > m2 else F1)
     assert report.hull == hull_oracle(pts)
 
 
@@ -589,24 +625,34 @@ def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
     (record,) = caplog.records
     message = record.getMessage()
     assert "route Route.EXTREMES (asked Route.AUTO)" in message
-    extremes, sort = route_estimates(17280, report.m, report.m1)
+    extremes, sort = route_estimates(17280, report.m, min(report.m1, report.m2))
     assert f"estimates extremes {extremes:.0f}, sort {sort:.0f} ns" in message
 
 
 # --- the sorted-ranks route --------------------------------------------------
 
 def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
-    # the paper's p-bit steps 3–4 yield the chain that sorted ranks scan
-    sort, sort_chain = _scan_of(pts, PipelineConfig(rank_variant=variant, route=Route.SORT))
+    # the paper's p-bit steps 3–4 yield the chain that sorted ranks scan.
+    # Sorted ranks keep f1, and f1 ranks the transposed set as f2 ranks the
+    # set: there the pipeline scans f2's chain, transposed
+    flip = variant is F2
+    scanned = _transposed(pts) if flip else pts
+    sort, sort_chain = _scan_of(scanned, PipelineConfig(route=Route.SORT))
     hull, table, shuffled, stats, _ = paper_steps(pts, 64, variant)
-    assert sort_chain == list(RankFunction(variant, sort.m1, sort.m2).offsets(shuffled.order))
-    assert sort.route is Route.SORT and sort.counters.shuffle_iterations == sort.n
+    box = bounding_box(pts)
+    chain = list(RankFunction(variant, box.m1, box.m2).offsets(shuffled.order))
+    assert sort_chain == (_transposed(chain) if flip else chain)
+    assert sort.route is Route.SORT and sort.rank_variant is F1
+    assert sort.counters.shuffle_iterations == sort.n
     # the same chain, so the same scan; only step 4's count differs (n
-    # sorted ranks, against r words + n)
+    # sorted ranks, against r words + n). A transposed chain turns the other
+    # way, so its scan may test in another order
     assert (sort.n, sort.duplicates_skipped) == (table.n, table.duplicates_skipped)
-    c = sort.counters
-    assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
-    assert sort.hull == hull == hull_oracle(pts)
+    if not flip:
+        c = sort.counters
+        assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
+    assert hull == hull_oracle(pts)
+    assert sort.hull == hull_oracle(scanned)
 
 
 @pytest.mark.parametrize("variant", tuple(RankVariant))
@@ -646,8 +692,11 @@ def _spread_over_64_bits(count, seed):
     [(0, 0), (40000, 1), (20000, 40000), (17, 33)],                      # just over both caps
 ])
 def test_sorted_ranks_match_the_oracle_on_boxes_over_both_caps(pts, variant):
-    report = convex_hull_ranked(pts, PipelineConfig(rank_variant=variant))
-    assert table_over_cap(report.m, None) and table_over_cap(report.m, 64)
+    report = convex_hull_ranked(pts)
+    assert report.m > MAX_BYTES and table_over_cap(report.m, 64)
     assert report.route is Route.SORT and report.used_fallback
+    assert report.rank_variant is F1
     assert report.hull == hull_oracle(pts)
     assert report.n == len(set(pts)) == report.counters.shuffle_iterations
+    # sorted ranks in either layout, through the checked entry points
+    assert sorted_ranks_hull(pts, variant) == report.hull

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rankhull.bitrank import density_threshold_simple
 from rankhull.errors import (
     CoordinateOverflowError,
     InvalidDensityError,
@@ -9,7 +10,6 @@ from rankhull.errors import (
     ParseError,
 )
 from rankhull.geometry import Point, bounding_box
-from rankhull.pipeline import density_threshold_simple
 from rankhull.pointio import generate_dense_set, load_points, save_points
 
 
