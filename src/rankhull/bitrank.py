@@ -13,11 +13,10 @@ knows the f1/f2 layout beyond the length of a line.
 Rank is a bijection, so neither table needs a record of which point set a
 mark: :meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the bit table into ascending-rank order ("shuffling") can either
-scan all m ranks, or walk the words: each word's zero test runs in C,
-inside `itertools.compress`, so a zero word costs no Python loop pass, and
-a nonzero word yields its bit positions in popcount(word) steps via the
-lowest-set-bit clearing trick. The byte table is read one line at a time
-instead, for each occupied line's lowest and highest rank only.
+scan all m ranks, or walk the words: `itertools.compress` skips the zero
+words in C, and a table of each byte's set bits lists a nonzero word's, in
+C too. The byte table is read one line at a time instead, for each
+occupied line's lowest and highest rank only.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, repeat
+from operator import getitem
 from typing import Iterable
 
 from .errors import BoxTooLargeError, RankOutOfRangeError
@@ -93,17 +93,15 @@ def density_threshold_refined(p: int) -> Fraction:
 def extract_set_bits(word: int) -> list[int]:
     """Ascending positions of the set bits of a non-negative word.
 
-    Repeatedly clears the lowest set bit with word & (word - 1); each pass
-    records the cleared position, so the loop runs exactly popcount(word)
-    times and the result length equals the iteration count.
+    Each pass records the lowest set bit and clears it with word & (word - 1),
+    so the loop runs exactly popcount(word) times.
     """
     if word < 0:
         raise ValueError("extract_set_bits requires a non-negative word")
     positions = []
-    x = word
-    while x:
-        positions.append((x & -x).bit_length() - 1)
-        x &= x - 1
+    while word:
+        positions.append((word & -word).bit_length() - 1)
+        word &= word - 1
     return positions
 
 
@@ -161,26 +159,29 @@ def shuffle_naive(table: RankTable) -> ShuffleResult:
     return ShuffleResult(order, iterations)
 
 
+# _CHUNK_BITS[k][b]: the chunk positions 8k + s of the set bits s of value b in byte k
+_CHUNK_BITS = tuple(tuple(tuple(8 * k + s for s in extract_set_bits(b)) for b in range(256))
+                    for k in range(8))
+
+
 def fast_shuffle(table: RankTable) -> ShuffleResult:
     """Walk the p-bit words instead of individual ranks.
 
-    Each word costs one zero test, made in C by `compress`, which yields
-    only the indices of nonzero words; a nonzero word adds one step per set
-    bit, so iterations always total r + n. Rank k lives at bit (k-1) % p
-    of word (k-1) // p, hence word j, bit s holds rank j*p + s + 1.
+    `compress` skips the zero words in C, and each nonzero word's set bits
+    come out of `_CHUNK_BITS` in C, a 64-bit chunk at a time. The counter
+    is the paper's, a step per word and per set bit: r + n. Word j, bit s
+    holds rank j*p + s + 1.
     """
     order: list[int] = []
-    append = order.append
-    bloom = table.bloom
-    p = table.p
-    nonzero = 0
+    bloom, p = table.bloom, table.p
     for j in compress(count(), bloom):
-        nonzero += 1
-        base = j * p + 1
-        for s in extract_set_bits(bloom[j]):
-            append(base + s)
+        word, base = bloom[j], j * p + 1
+        while word:
+            chunk = (word & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
+            order.extend(map(base.__add__, chain.from_iterable(map(getitem, _CHUNK_BITS, chunk))))
+            word, base = word >> 64, base + 64
     r = len(bloom)
-    return ShuffleResult(order, r + len(order), r - nonzero)
+    return ShuffleResult(order, r + len(order), bloom.count(0))
 
 
 def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:

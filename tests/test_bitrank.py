@@ -211,7 +211,8 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
     m = m1 * m2
     n = data.draw(st.integers(0, m))
     ranks = data.draw(st.permutations(range(1, m + 1)))[:n]
-    p = data.draw(st.sampled_from((8, 16, 32, 64)))
+    # widths below, at and past one 64-bit chunk of the walk, and past two
+    p = data.draw(st.sampled_from((1, 7, 8, 16, 32, 63, 64, 65, 128, 200)))
     variant = data.draw(st.sampled_from((F1, F2)))
     x_min = data.draw(st.integers(-10**12, 10**12))
     y_min = data.draw(st.integers(-10**12, 10**12))
@@ -226,7 +227,7 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
 @given(st.data())
 def test_fast_shuffle_on_long_zero_runs(data):
     # each word gets one zero test whether it is skipped or walked
-    p = data.draw(st.sampled_from((4, 8, 16, 32, 64)))
+    p = data.draw(st.sampled_from((4, 8, 16, 32, 64, 65, 128)))
     r = data.draw(st.integers(1, 300))
     m = data.draw(st.integers((r - 1) * p + 1, r * p))
     shape = data.draw(st.sampled_from(("empty", "first", "last", "full")))
