@@ -11,8 +11,9 @@ the whole raster to a base-2 string, whose digits one translate maps to
 samples. Pixels are addressed with x rightward and y downward from the
 top-left origin (0, 0), one point per foreground pixel. The foreground
 rule is the same for every format and lives in :func:`image_to_points`: a
-sample at or above the threshold is ink. For byte samples it is one
-translate per row through a 256-entry table.
+sample at or above the threshold is ink. The scan does C work per pixel
+and Python work per chunk of about 4 KiB of whole rows and per inked row:
+each chunk is thresholded to 0/1 bytes in C, and `find` skips blank rows.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from operator import ge
+from operator import eq, ge, gt
 from pathlib import Path
 from typing import Sequence
 
 from .errors import MalformedHeaderError, ParseError, UnsupportedFormatError
-from .geometry import _INT_ONLY, Point, new_point
+from .geometry import _INT_ONLY, Point
 
 # A comment matches with an empty group, so only tokens come out non-empty.
 _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
@@ -35,6 +36,8 @@ _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
 _BITS = bytes.maketrans(b"01", b"\0\1")
 # P1 digit -> sample; any other byte maps to 255, which fails the range check
 _DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
+# image_to_points thresholds about this many samples of whole rows at a time (one longer row)
+_CHUNK = 4096
 
 
 def check_mask_header(
@@ -160,28 +163,69 @@ def load_image_mask(path: str | Path) -> ImageMask:
         return parse_pnm(fh.read())
 
 
+def _thresholder(samples: Sequence[int], threshold: int):
+    """A function from a slice of `samples` to its 0/1 ink bytes, in C.
+
+    Each table is built here, once per scan, not once per slice.
+    """
+    if isinstance(samples, (bytes, bytearray)):
+        table = bytes(map(ge, range(256), repeat(threshold)))
+        return lambda chunk: chunk.translate(table)
+    if isinstance(samples, array) and samples.typecode == "H":
+        # v >= t exactly when hi > t_hi, or hi == t_hi and lo >= t_lo; each
+        # test is a translate of one byte plane, 0/1 per sample, so one
+        # bitwise | and & over the planes as big ints never carries
+        t_hi, t_lo = divmod(threshold, 256)
+        above = bytes(map(gt, range(256), repeat(t_hi)))
+        level = bytes(map(eq, range(256), repeat(t_hi)))
+        low = bytes(map(ge, range(256), repeat(t_lo)))
+        hi = 1 if sys.byteorder == "little" else 0  # the high byte's offset in a sample
+        lo = 1 - hi
+
+        def wide(chunk: array) -> bytes:
+            raw = chunk.tobytes()
+            high = raw[hi::2]
+            return (int.from_bytes(high.translate(above), "big")
+                    | int.from_bytes(high.translate(level), "big")
+                    & int.from_bytes(raw[lo::2].translate(low), "big")
+                    ).to_bytes(len(high), "big")
+
+        return wide
+    return lambda chunk: bytes(map(ge, chunk, repeat(threshold)))
+
+
 def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
     """One point per foreground pixel, at the pixel's integer position.
 
     A pixel is foreground when its sample is at least `threshold`, which
     must be an int (not a bool) in [0, maxval]. The default 1 takes a
     bitmap's set bits and a graymap's nonzero samples; 0 takes every
-    pixel. Points come in row-major order.
+    pixel. Points come in row-major order; every point of a column shares
+    one x int, and every point of a row one y int.
+
+    A call does C work per pixel and Python work per chunk of about 4 KiB
+    of whole rows and per inked row, never per blank row or per pixel.
+    Each chunk is thresholded to 0/1 bytes in C (a translate for byte
+    samples, three over the byte planes of `array('H')` samples). `find`
+    jumps to the next inked row, and one `compress` reads that row up to
+    its last ink.
     """
     if type(threshold) is not int:
         raise ValueError(f"threshold {threshold!r} is not an int")
     if not 0 <= threshold <= mask.maxval:
         raise ValueError(f"threshold {threshold} outside [0, {mask.maxval}]")
     width, samples = mask.width, mask.samples
-    starts = range(0, width * mask.height, width)
-    if isinstance(samples, (bytes, bytearray)):
-        ink = bytes(v >= threshold for v in range(256))
-        rows = (samples[i:i + width].translate(ink) for i in starts)
-    else:
-        rows = (map(ge, samples[i:i + width], repeat(threshold)) for i in starts)
+    ink_of = _thresholder(samples, threshold)
+    step = max(1, _CHUNK // width) * width  # whole rows per chunk
     # compress yields these very ints, so a column's points share one x
     columns = list(range(width))
     points: list[Point] = []
-    for y, row in enumerate(rows):
-        points += map(new_point, zip(compress(columns, row), repeat(y)))
+    for start in range(0, width * mask.height, step):
+        ink = ink_of(samples[start:start + step])
+        i = ink.find(1)
+        while i >= 0:
+            row = i - i % width
+            xs = compress(columns, ink[row:ink.rfind(1, row, row + width) + 1])
+            points += map(tuple.__new__, repeat(Point), zip(xs, repeat((start + row) // width)))
+            i = ink.find(1, row + width)
     return points

@@ -1,11 +1,12 @@
 import csv
+import random
 
 import pytest
 
 from rankhull import cli
 from rankhull.analysis import VARIANTS
 from rankhull.geometry import Point
-from rankhull.hull import HullPolygon
+from rankhull.hull import HullPolygon, hull_oracle
 
 
 def run_cli(*argv):
@@ -132,6 +133,36 @@ def test_image_hull_threshold(tmp_path, capsys):
     path.write_text("P2\n2 2\n255\n10 200\n200 10\n")
     assert run_cli("image-hull", str(path), "--threshold", "100") == 0
     assert capsys.readouterr().out == "0 1\n1 0\n"
+
+
+def _oracle_lines(points):
+    return "".join(f"{x} {y}\n" for x, y in hull_oracle(points).vertices)
+
+
+def test_image_hull_wide_graymap_threshold(tmp_path, capsys):
+    # 16-bit samples: 300 is high byte 1, low byte 44, so both bytes decide
+    rng = random.Random(4)
+    width, height = 40, 30
+    samples = [rng.choice((0, 44, 255, 256, 299, 300, 301, 555, 65535)) for _ in range(width * height)]
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n%d %d\n65535\n" % (width, height)
+                     + b"".join(v.to_bytes(2, "big") for v in samples))
+    assert run_cli("image-hull", str(path), "--threshold", "300") == 0
+    ink = [Point(i % width, i // width) for i, v in enumerate(samples) if v >= 300]
+    assert capsys.readouterr().out == _oracle_lines(ink)
+
+
+def test_image_hull_one_wide_bitmap(tmp_path, capsys):
+    # one pixel a row, over many chunks of rows
+    height = 9000
+    rows = [0] * height
+    for y in (17, 4095, 4096, 8999):
+        rows[y] = 0x80
+    path = tmp_path / "tall.pbm"
+    path.write_bytes(b"P4\n1 %d\n" % height + bytes(rows))
+    assert run_cli("image-hull", str(path)) == 0
+    assert capsys.readouterr().out == _oracle_lines(
+        [Point(0, y) for y, row in enumerate(rows) if row])
 
 
 def test_thresholds_output(capsys):

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import tracemalloc
 from array import array
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rankhull import pnm
 from rankhull.errors import MalformedHeaderError, ParseError, UnsupportedFormatError
 from rankhull.geometry import Point, bounding_box
 from rankhull.pnm import ImageMask, image_to_points, load_image_mask, parse_pnm
@@ -169,6 +171,14 @@ def test_three_percent_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
     assert peak < 1 << 20
 
 
+def test_blank_vga_wide_graymap_parses_and_scans_in_under_1_25_mebibytes():
+    # the raster's slice and its array('H') are the peak; the byte planes of
+    # a chunk add a few KiB
+    points, peak = _scan_peak(b"P5\n640 480\n65535\n" + bytes(2 * 640 * 480))
+    assert points == []
+    assert peak < 1.25 * 2**20
+
+
 @pytest.mark.parametrize("header", [
     b"P1\n100000 100000\n", b"P2\n100000 100000\n255\n",
     b"P4\n100000 100000\n", b"P5\n100000 100000\n65535\n",
@@ -303,7 +313,8 @@ def test_packed_bitmap_decodes_to_the_reference_at_real_widths(width, height):
 
 
 def test_every_sample_type_scans_to_the_reference():
-    # bytes and bytearray take the translate path, the others the per-sample one
+    # bytes and bytearray take one translate, array('H') three over its byte
+    # planes, and the others compare sample by sample
     rng = random.Random(37)
     width, height = 37, 5
     small = [rng.randint(0, 255) for _ in range(width * height)]
@@ -387,3 +398,94 @@ def test_generated_mask_has_three_percent_density():
     assert len(fg) == 9216
     box = bounding_box(fg)
     assert abs(len(fg) / box.m - 0.03) < 0.001
+
+
+def _chunked_bits(width, height, seed):
+    # blank rows between inked ones, all-ink rows, 3% noise, and ink in the
+    # last pixel of one row and the first of the next at every chunk boundary
+    rng = random.Random(seed)
+    bits = bytearray(width * height)
+    rows_per_chunk = max(1, pnm._CHUNK // width)
+    for y in range(height):
+        if y % 5 == 3:
+            bits[y * width:(y + 1) * width] = b"\1" * width
+        elif y % 5 == 1:
+            for x in range(width):
+                bits[y * width + x] = rng.random() < 0.03
+    for y in range(rows_per_chunk, height, rows_per_chunk):
+        bits[y * width - 1] = bits[y * width] = 1
+    bits[-1] = 1
+    return bytes(bits)
+
+
+@pytest.mark.parametrize("width, height", [(1, 9000), (7, 1300), (641, 20), (5000, 3)])
+def test_chunked_scan_matches_the_reference_across_chunk_boundaries(width, height):
+    # several chunks of whole rows with a short last one; 5000 is wider than a chunk
+    bits = _chunked_bits(width, height, seed=width)
+    for samples in (bits, array("H", list(bits)), tuple(bits)):
+        mask = ImageMask(width, height, 1, samples)
+        for threshold in (0, 1):
+            assert (image_to_points(mask, threshold)
+                    == _foreground(width, bits, threshold)), (type(samples), threshold)
+
+
+def test_points_share_one_x_int_per_column_and_one_y_int_per_row():
+    bits = _chunked_bits(641, 20, seed=3)
+    points = image_to_points(ImageMask(641, 20, 1, bits))
+    xs, ys = {}, {}
+    assert all(xs.setdefault(x, x) is x and ys.setdefault(y, y) is y for x, y in points)
+    assert len(points) > 641 * 4
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 255, 256, 257, 40000, 65535])
+def test_wide_samples_are_thresholded_on_both_bytes(threshold):
+    # samples on each side of the threshold, in both bytes, over several chunks
+    near = {threshold + d for d in (-257, -256, -255, -1, 0, 1, 255, 256, 257)}
+    values = sorted(v for v in near | {0, 1, 255, 256, 65535} if 0 <= v <= 65535)
+    rng = random.Random(threshold)
+    width, height = 13, 700
+    samples = array("H", (rng.choice(values) for _ in range(width * height)))
+    samples[:len(values)] = array("H", values)
+    mask = ImageMask(width, height, 65535, samples)
+    assert image_to_points(mask, threshold) == _foreground(width, samples, threshold)
+    # and through the big-endian P5 raster that parse_pnm byte-swaps
+    raster = array("H", samples)
+    if sys.byteorder == "little":
+        raster.byteswap()
+    parsed = parse_pnm(b"P5\n%d %d\n65535\n" % (width, height) + raster.tobytes())
+    assert image_to_points(parsed, threshold) == _foreground(width, samples, threshold)
+
+
+def _line_events(call):
+    # call's result and the Python line events it ran in the pnm module
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == pnm.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_scan_runs_python_per_chunk_and_per_inked_row_not_per_row():
+    # a 1-wide raster is all rows: a Python pass per row took 427 ms blank
+    height = 307200
+    chunks = -(-height // pnm._CHUNK)
+    bits = bytearray(height)
+    for y in random.Random(9).sample(range(height), 9216):
+        bits[y] = 1
+    for samples, inked in ((bytes(height), 0), (bytes(bits), 9216)):
+        mask = ImageMask(1, height, 1, samples)
+        points, lines = _line_events(lambda: image_to_points(mask))
+        assert points == _foreground(1, samples, 1)
+        assert lines <= 8 * (chunks + inked) + 32
