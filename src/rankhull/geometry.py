@@ -8,9 +8,8 @@ unchanged by translating all points alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Collection, NamedTuple, Sequence
+from itertools import chain, repeat
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
 
@@ -22,9 +21,12 @@ class Point(NamedTuple):
     y: int
 
 
-# Point(x, y) runs a Python-level __new__; this builds the same Point in C
-# from any (x, y) iterable, such as a tuple or a list.
-new_point = partial(tuple.__new__, Point)
+def new_points(pairs: Iterable[Iterable[int]]) -> Iterator[Point]:
+    """The Point of each (x, y) pair, such as a tuple or a list, as read.
+
+    Point(x, y) runs a Python-level __new__; this builds the same Points in C.
+    """
+    return map(tuple.__new__, repeat(Point), pairs)
 
 
 @dataclass(frozen=True)

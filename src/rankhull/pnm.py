@@ -22,13 +22,13 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import eq, ge, gt
+from itertools import chain, compress, islice, repeat
+from operator import ge
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import MalformedHeaderError, ParseError, UnsupportedFormatError
-from .geometry import _INT_ONLY, Point
+from .geometry import _INT_ONLY, Point, new_points
 
 # A comment matches with an empty group, so only tokens come out non-empty.
 _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
@@ -36,7 +36,7 @@ _TOKEN = re.compile(rb"#[^\r\n]*|([^\s#]+)")
 _BITS = bytes.maketrans(b"01", b"\0\1")
 # P1 digit -> sample; any other byte maps to 255, which fails the range check
 _DIGITS = b"\xff" * 48 + b"\0\1" + b"\xff" * 206
-# image_to_points thresholds about this many samples of whole rows at a time (one longer row)
+# about this many samples of whole rows are handled at a time (one longer row)
 _CHUNK = 4096
 
 
@@ -137,7 +137,7 @@ def parse_pnm(data: bytes) -> ImageMask:
         ).encode("ascii").translate(_BITS)
         if row_bits != width:  # drop each row's padding bits
             # ~4 KiB of rows per join: a bytes object per row cost 1-wide rasters 89 B a pixel
-            starts, rows = range(0, nbits, row_bits), max(1, 4096 // width)
+            starts, rows = range(0, nbits, row_bits), max(1, _CHUNK // width)
             chunks = [b"".join([samples[i:i + width] for i in starts[k:k + rows]])
                       for k in range(0, height, rows)]
             del samples  # free the padded raster before the last join copies
@@ -163,35 +163,32 @@ def load_image_mask(path: str | Path) -> ImageMask:
         return parse_pnm(fh.read())
 
 
-def _thresholder(samples: Sequence[int], threshold: int):
-    """A function from a slice of `samples` to its 0/1 ink bytes, in C.
+def _inked_rows(mask: ImageMask, threshold: int) -> Iterator[Iterator[tuple[int, int]]]:
+    """The (x, y) pairs of each inked row, in row-major order.
 
-    Each table is built here, once per scan, not once per slice.
+    Each chunk of about 4 KiB of whole rows is thresholded to 0/1 bytes in
+    C: byte samples take one translate through a table built once per call,
+    any other sequence a comparison per sample. `find` jumps to the next
+    inked row, and one `compress` reads that row up to its last ink.
     """
+    width, samples = mask.width, mask.samples
+    table = None
     if isinstance(samples, (bytes, bytearray)):
         table = bytes(map(ge, range(256), repeat(threshold)))
-        return lambda chunk: chunk.translate(table)
-    if isinstance(samples, array) and samples.typecode == "H":
-        # v >= t exactly when hi > t_hi, or hi == t_hi and lo >= t_lo; each
-        # test is a translate of one byte plane, 0/1 per sample, so one
-        # bitwise | and & over the planes as big ints never carries
-        t_hi, t_lo = divmod(threshold, 256)
-        above = bytes(map(gt, range(256), repeat(t_hi)))
-        level = bytes(map(eq, range(256), repeat(t_hi)))
-        low = bytes(map(ge, range(256), repeat(t_lo)))
-        hi = 1 if sys.byteorder == "little" else 0  # the high byte's offset in a sample
-        lo = 1 - hi
-
-        def wide(chunk: array) -> bytes:
-            raw = chunk.tobytes()
-            high = raw[hi::2]
-            return (int.from_bytes(high.translate(above), "big")
-                    | int.from_bytes(high.translate(level), "big")
-                    & int.from_bytes(raw[lo::2].translate(low), "big")
-                    ).to_bytes(len(high), "big")
-
-        return wide
-    return lambda chunk: bytes(map(ge, chunk, repeat(threshold)))
+    step = max(1, _CHUNK // width) * width  # whole rows per chunk
+    # compress yields these very ints, so a column's points share one x
+    columns = list(range(width))
+    for start in range(0, width * mask.height, step):
+        chunk = samples[start:start + step]
+        ink = chunk.translate(table) if table else bytes(map(ge, chunk, repeat(threshold)))
+        first_y = start // width
+        i = ink.find(1)
+        while i >= 0:
+            y = i // width
+            row = y * width
+            end = row + width
+            yield zip(compress(columns, ink[row:ink.rfind(1, row, end) + 1]), repeat(first_y + y))
+            i = ink.find(1, end)
 
 
 def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
@@ -204,28 +201,11 @@ def image_to_points(mask: ImageMask, threshold: int = 1) -> list[Point]:
     one x int, and every point of a row one y int.
 
     A call does C work per pixel and Python work per chunk of about 4 KiB
-    of whole rows and per inked row, never per blank row or per pixel.
-    Each chunk is thresholded to 0/1 bytes in C (a translate for byte
-    samples, three over the byte planes of `array('H')` samples). `find`
-    jumps to the next inked row, and one `compress` reads that row up to
-    its last ink.
+    of whole rows and per inked row, never per blank row or per pixel
+    (see :func:`_inked_rows`).
     """
     if type(threshold) is not int:
         raise ValueError(f"threshold {threshold!r} is not an int")
     if not 0 <= threshold <= mask.maxval:
         raise ValueError(f"threshold {threshold} outside [0, {mask.maxval}]")
-    width, samples = mask.width, mask.samples
-    ink_of = _thresholder(samples, threshold)
-    step = max(1, _CHUNK // width) * width  # whole rows per chunk
-    # compress yields these very ints, so a column's points share one x
-    columns = list(range(width))
-    points: list[Point] = []
-    for start in range(0, width * mask.height, step):
-        ink = ink_of(samples[start:start + step])
-        i = ink.find(1)
-        while i >= 0:
-            row = i - i % width
-            xs = compress(columns, ink[row:ink.rfind(1, row, row + width) + 1])
-            points += map(tuple.__new__, repeat(Point), zip(xs, repeat((start + row) // width)))
-            i = ink.find(1, row + width)
-    return points
+    return list(new_points(chain.from_iterable(_inked_rows(mask, threshold))))

@@ -27,7 +27,7 @@ from operator import add, floordiv, mod, mul, sub
 from .errors import (
     NonIntegerCoordinateError, OutOfGridError, RankHullError, RankOutOfRangeError,
 )
-from .geometry import _INT_ONLY, Point, coordinates, new_point
+from .geometry import _INT_ONLY, Point, coordinates, new_points
 
 
 class RankVariant(Enum):
@@ -110,7 +110,7 @@ class RankFunction:
     def to_points(self, offsets: Iterable[tuple[int, int]]) -> list[Point]:
         """The caller's point at each box offset: the one translation back from offsets."""
         x0, y0 = self.x_min, self.y_min
-        return [new_point((x0 + dx, y0 + dy)) for dx, dy in offsets]
+        return list(new_points((x0 + dx, y0 + dy) for dx, dy in offsets))
 
     def offsets(self, ranks: Sequence[int]) -> Iterator[tuple[int, int]]:
         """The box-relative (x - x_min, y - y_min) of each rank: the one rank inverse.

@@ -172,8 +172,8 @@ def test_three_percent_vga_bitmap_parses_and_scans_in_under_a_mebibyte():
 
 
 def test_blank_vga_wide_graymap_parses_and_scans_in_under_1_25_mebibytes():
-    # the raster's slice and its array('H') are the peak; the byte planes of
-    # a chunk add a few KiB
+    # the raster's slice and its array('H') are the peak; a chunk's ink
+    # bytes add a few KiB
     points, peak = _scan_peak(b"P5\n640 480\n65535\n" + bytes(2 * 640 * 480))
     assert points == []
     assert peak < 1.25 * 2**20
@@ -313,8 +313,8 @@ def test_packed_bitmap_decodes_to_the_reference_at_real_widths(width, height):
 
 
 def test_every_sample_type_scans_to_the_reference():
-    # bytes and bytearray take one translate, array('H') three over its byte
-    # planes, and the others compare sample by sample
+    # bytes and bytearray take one translate, and the others compare sample
+    # by sample
     rng = random.Random(37)
     width, height = 37, 5
     small = [rng.randint(0, 255) for _ in range(width * height)]
