@@ -15,8 +15,9 @@ mark: :meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the bit table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: `itertools.compress` skips the zero
 words in C, and a table of each byte's set bits lists a nonzero word's, in
-C too. The byte table is read one line at a time instead, for each
-occupied line's lowest and highest rank only.
+C too. The byte table is marked in C, one `operator.setitem` a cell, and
+read one line at a time instead, for each occupied line's lowest and
+highest rank only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, repeat
-from operator import getitem
+from operator import getitem, setitem
 from typing import Iterable
 
 from .errors import BoxTooLargeError, RankOutOfRangeError
@@ -187,12 +188,13 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
 def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:
     """The byte table of `m` ranks with a 1 at each 0-based cell, which must lie in [0, m).
 
-    The marking runs in C, one `bytearray.__setitem__` per cell inside a
-    `map` that a zero-length `deque` drains; a duplicate marks its byte
-    again. The table's count of ones is the number of distinct cells.
+    The marking runs in C, one `operator.setitem` per cell inside a `map`
+    that a zero-length `deque` drains; a duplicate marks its byte again,
+    and a cell of m or more raises `IndexError`. The table's count of ones
+    is the number of distinct cells.
     """
     occ = bytearray(m)
-    deque(map(occ.__setitem__, cells, repeat(1)), maxlen=0)
+    deque(map(setitem, repeat(occ), cells, repeat(1)), maxlen=0)
     return occ
 
 

@@ -2,8 +2,8 @@
 
 Step 1 alone reads the caller's points, into lists of xs and ys, and
 takes their box. It is also the pipeline's only input check: the grid is
-the box of those same lists, so the later steps rank them with the
-unchecked chain of `RankFunction.cells` and turn ranks back into offsets
+the box of those same lists, so the later steps rank them with an
+unchecked body of `RankFunction.cells` and turn ranks back into offsets
 with the unchecked `offsets`. A small cost model then picks the route
 that finishes the hull (`Route`), and the route and the box pick the
 rank layout: byte extremes on a box wider than tall rank row by row
@@ -11,13 +11,17 @@ rank layout: byte extremes on a box wider than tall rank row by row
 of box offsets in ascending rank order with the same deque scan (step 5):
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
-  per rank (the paper's base O(n + m) table), step 4 reads each occupied
-  line's lowest and highest rank from it, and step 5 scans those, at most
-  two per line. Only a line's two extremes can be hull vertices, and the
-  ranked chain cut down to them is still simple. Each occupied line
-  costs a Python loop pass, so the lines run along the longer side.
+  per rank (the paper's base O(n + m) table), with two C calls a point:
+  a lookup in a table of each line's base cell plus an add gives the
+  cell (`RankFunction._line_cells`), and `operator.setitem` marks it.
+  Step 4 reads each occupied line's lowest and highest rank from the
+  table, and step 5 scans those, at most two per line. Only a line's two
+  extremes can be hull vertices, and the ranked chain cut down to them is
+  still simple. Each occupied line costs a Python loop pass, so the lines
+  run along the longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
-  points and drops duplicates with a `set`, step 4 sorts the n distinct
+  points by `_cells`' arithmetic, which needs no table that grows with the
+  box, and drops duplicates with a `set`, step 4 sorts the n distinct
   ranks (ints, in C) and step 5 scans them. That is the chain the paper's
   p-bit steps 3–4 (`bitrank.build_rank_table` and `fast_shuffle`) yield,
   got by a comparison sort of ints rather than by a table; those steps
@@ -254,7 +258,7 @@ def convex_hull_ranked(
         rf = RankFunction(variant, m1, m2, box.x_min, box.y_min)
         # step 1 checked the lists and this grid is their box: rank them unchecked
         if route is Route.EXTREMES:
-            occ = _mark_bytes(rf._cells(xs, ys), box.m)
+            occ = _mark_bytes(rf._line_cells(xs, ys), box.m)
             del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)

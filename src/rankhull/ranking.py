@@ -9,11 +9,21 @@ polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
 
 `RankFunction` is the only code that knows the f1/f2 layout: `cells` is
-its one forward rank path, used by `rank` and step 3, and `offsets` its one
+its checked forward rank path, used by `rank`, and `offsets` its one
 inverse, each a chain of C-level maps that is read once. Each checks its
 input and then returns the chain of its private body (`_cells`,
 `_offsets`), which the pipeline calls directly on input it has already
 checked: step 1's lists, and step 4's ranks.
+
+Step 3 ranks by one of two unchecked bodies, and both give `cells`' cells.
+Sorted ranks use `_cells`' arithmetic, a multiply, an add and a subtract a
+point. The byte route uses `_line_cells`, which first builds a table of
+each line's base cell and then costs one dict lookup and one add a point.
+That table has one entry per line across the box. The byte route holds a
+table of m bytes and runs its lines along the longer side, so there it
+has at most √m entries. A sparse box can have more lines than points, or
+billions, so sorted ranks keep the arithmetic, whose memory does not grow
+with the box.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ class RankFunction:
         return self.m2 if self.variant is RankVariant.COLUMN_MAJOR else self.m1
 
     def cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
-        """The 0-based cell of each point (xs[i], ys[i]): the one forward rank path.
+        """The 0-based cell of each point (xs[i], ys[i]): the checked forward rank path.
 
         Checked first, at C speed: a coordinate that is not an int raises
         `NonIntegerCoordinateError`, and the first point off the grid `OutOfGridError`.
@@ -87,7 +97,7 @@ class RankFunction:
     def _cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
         """`cells` without its checks, for lists of ints already known to lie in the grid.
 
-        The pipeline calls it on step 1's lists, whose box is this grid.
+        The sorted-ranks route calls it on step 1's lists, whose box is this grid.
         """
         x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
         if self.variant is RankVariant.COLUMN_MAJOR:
@@ -96,12 +106,25 @@ class RankFunction:
             scaled, corner = map(add, xs, map(mul, ys, repeat(m1))), x0 + y0 * m1
         return map(sub, scaled, repeat(corner))
 
+    def _line_cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
+        """`_cells` through a table of each line's base cell: one lookup and one add a point.
+
+        The table maps each line's coordinate (x under f1, y under f2) to
+        the line's first cell less the corner along the line, so a point's
+        cell is its coordinate along the line plus its line's base. It
+        holds an int for each of the grid's lines, so the byte route,
+        whose m-byte table bounds that count, is its one caller.
+        """
+        x0, y0, m1, m2, m = self.x_min, self.y_min, self.m1, self.m2, self.m
+        if self.variant is RankVariant.COLUMN_MAJOR:
+            base = dict(zip(range(x0, x0 + m1), range(-y0, m - y0, m2)))
+            return map(add, ys, map(base.__getitem__, xs))
+        base = dict(zip(range(y0, y0 + m2), range(-x0, m - x0, m1)))
+        return map(add, xs, map(base.__getitem__, ys))
+
     def rank(self, v: Point) -> int:
         """The rank of one point, an (x, y) pair of ints as `coordinates` requires."""
         return next(self.cells(*coordinates((v,)))) + 1
-
-    def unrank(self, r: int) -> Point:
-        return self.unrank_all((r,))[0]
 
     def unrank_all(self, ranks: Sequence[int]) -> list[Point]:
         """The point of each rank, in order."""

@@ -77,7 +77,7 @@ def _random_instance(rng: random.Random) -> list[Point]:
         rf = RankFunction(RankVariant.COLUMN_MAJOR, w, h)
         pts = [
             Point(x0 + x - 1, y0 + y - 1)
-            for x, y in (rf.unrank(r) for r in rng.sample(range(1, w * h + 1), base))
+            for x, y in rf.unrank_all(rng.sample(range(1, w * h + 1), base))
         ]
     else:
         pts = [
@@ -129,7 +129,7 @@ def test_01_bit_extraction_recovers_tabled_positions():
 
 def test_02_four_bit_buckets_load_and_shuffle_in_rank_order():
     rf = RankFunction(RankVariant.COLUMN_MAJOR, 4, 4)
-    pts = [rf.unrank(5), rf.unrank(8), rf.unrank(2)]
+    pts = rf.unrank_all([5, 8, 2])
     xs, ys = coordinates(pts)
     table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 4)
     recovered = fast_shuffle(table).order
@@ -182,7 +182,7 @@ def test_05_shuffles_agree_across_block_widths():
         n = rng.randint(0, m)
         ranks = rng.sample(range(1, m + 1), n)
         rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
-        xs, ys = coordinates([rf.unrank(r) for r in ranks])
+        xs, ys = coordinates(rf.unrank_all(ranks))
         expected = sorted(ranks)
         for p in (8, 16, 32, 64):
             table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
@@ -204,10 +204,10 @@ def test_06_rank_chains_are_simple():
         m2 = rng.randint(1, 64)
         rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
         n = rng.randint(1, min(200, m1 * m2))
-        pts = [rf.unrank(r) for r in rng.sample(range(1, m1 * m2 + 1), n)]
+        pts = rf.unrank_all(rng.sample(range(1, m1 * m2 + 1), n))
         xs, ys = coordinates(pts)
         table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 64)
-        chain = [rf.unrank(k) for k in fast_shuffle(table).order]
+        chain = rf.unrank_all(fast_shuffle(table).order)
         if not chain_is_simple(chain):
             violations += 1
     _verdict(

@@ -62,9 +62,9 @@ def test_extract_set_bits_matches_popcount_and_order(word):
 
 def test_build_packs_ranks_into_blocked_words():
     rf = RankFunction(F1, 4, 4)
-    table = _ranked([rf.unrank(5), rf.unrank(8)], rf, 4)
+    table = _ranked(rf.unrank_all([5, 8]), rf, 4)
     assert table.bloom[1] == 0b1001
-    table = _ranked([rf.unrank(2)], rf, 4)
+    table = _ranked(rf.unrank_all([2]), rf, 4)
     assert table.bloom[0] == 0b0010
     assert table.r == 4
 
@@ -142,7 +142,7 @@ def test_build_rejects_a_count_that_is_not_the_number_of_cells():
 def test_build_population_count_equals_n():
     rng = random.Random(4)
     rf = RankFunction(F1, 20, 20)
-    pts = [rf.unrank(r) for r in rng.sample(range(1, 401), 77)]
+    pts = rf.unrank_all(rng.sample(range(1, 401), 77))
     table = _ranked(pts, rf, 16)
     assert sum(bin(w).count("1") for w in table.bloom) == table.n == 77
 
@@ -168,12 +168,12 @@ def test_naive_shuffle_full_table():
 
 def test_fast_shuffle_matches_naive_on_bucket_walkthrough():
     rf = RankFunction(F1, 4, 4)
-    pts = [rf.unrank(5), rf.unrank(8), rf.unrank(2)]
+    pts = rf.unrank_all([5, 8, 2])
     table = _ranked(pts, rf, 4)
     assert table.bloom == [0b0010, 0b1001, 0, 0]
     fast = fast_shuffle(table)
     assert fast.order == shuffle_naive(table).order == [2, 5, 8]
-    assert [rf.unrank(k) for k in fast.order] == [pts[2], pts[0], pts[1]]
+    assert rf.unrank_all(fast.order) == [pts[2], pts[0], pts[1]]
 
 
 def test_fast_shuffle_skips_zero_buckets_in_one_test():
@@ -217,7 +217,7 @@ def test_shuffles_agree_with_sorted_rank_oracle(data):
     x_min = data.draw(st.integers(-10**12, 10**12))
     y_min = data.draw(st.integers(-10**12, 10**12))
     rf = RankFunction(variant, m1, m2, x_min, y_min)
-    pts = [rf.unrank(r) for r in ranks]
+    pts = rf.unrank_all(ranks)
     table = _ranked(pts, rf, p)
     expected = sorted(ranks)
     assert fast_shuffle(table).order == expected
@@ -271,6 +271,8 @@ def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order()
     assert occ == bytearray([0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
     assert occ.count(1) == 3
     assert _line_extremes(occ, 4) == ([2, 4, 9], 2)
+    with pytest.raises(IndexError):
+        _mark_bytes(iter([3, 12]), 12)
     # a full line gives its two ends; an empty table nothing
     assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([1, 2, 3, 4], 2)
     assert _line_extremes(bytearray(6), 3) == ([], 0)

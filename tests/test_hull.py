@@ -29,7 +29,7 @@ def _chained(points):
         return []
     box = bounding_box(points)
     rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
-    return [rf.unrank(k) for k in sorted({rf.rank(v) for v in points})]
+    return rf.unrank_all(sorted({rf.rank(v) for v in points}))
 
 
 def test_melkman_drops_interior_point():
@@ -65,8 +65,8 @@ def test_melkman_matches_oracle_on_random_grids():
     rf = RankFunction(RankVariant.COLUMN_MAJOR, 64, 64)
     for _ in range(25):
         ranks = rng.sample(range(1, 64 * 64 + 1), 300)
-        pts = [rf.unrank(r) for r in ranks]
-        chain = [rf.unrank(r) for r in sorted(ranks)]
+        pts = rf.unrank_all(ranks)
+        chain = rf.unrank_all(sorted(ranks))
         assert melkman(chain) == hull_oracle(pts)
 
 

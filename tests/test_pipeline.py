@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
@@ -204,11 +204,11 @@ def test_sparse_counters_are_pinned(variant, expected):
 
 @st.composite
 def offset_point_lists(draw):
-    """1 to 60 points in a box of side up to 40, with repeats, at a corner within 10^6."""
-    x0 = draw(st.integers(-10**6, 10**6))
-    y0 = draw(st.integers(-10**6, 10**6))
-    side = st.integers(0, draw(st.integers(0, 40)))
-    pts = draw(st.lists(st.builds(Point, side, side), min_size=1, max_size=50))
+    """1 to 60 points in a box of sides up to 40, with repeats, at a corner within 10^6 or 2^70."""
+    corner = st.one_of(st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))))
+    x0, y0 = draw(corner), draw(corner)
+    xs, ys = st.integers(0, draw(st.integers(0, 40))), st.integers(0, draw(st.integers(0, 40)))
+    pts = draw(st.lists(st.builds(Point, xs, ys), min_size=1, max_size=50))
     pts += draw(st.lists(st.sampled_from(pts), max_size=10))
     return [Point(x + x0, y + y0) for x, y in draw(st.permutations(pts))]
 
@@ -502,12 +502,25 @@ def _scan_of(pts, cfg):
     return report, chains[0]
 
 
+_STRIP = generate_dense_set(4000, 40, count=16000, seed=5)
+
+
 @settings(max_examples=300)
 @given(st.one_of(offset_point_lists(), one_point_lines()))
+@example([Point(x - 7, y + 2**70) for x, y in _STRIP[:4000] * 2])  # a 4000x40 strip, twice
+@example([Point(y - 2**70, -x) for x, y in _STRIP[:4000] + _STRIP[:99]])  # 40x4000
+@example([Point(x, -3) for x in range(-60, 60, 7)] * 2)  # one line
+@example([Point(5, y) for y in range(-60, 60, 7)] * 2)  # one cell wide
 def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
-    report, chain = _scan_of(pts, PipelineConfig(route=Route.EXTREMES))
+    extremes = PipelineConfig(route=Route.EXTREMES)
+    report, chain = _scan_of(pts, extremes)
     assert report.route is Route.EXTREMES
     assert report.hull == hull_oracle(pts)
+    # the line table ranks as the arithmetic that sorted ranks keep does:
+    # every field but the step times is the same
+    with patch.object(RankFunction, "_line_cells", RankFunction._cells):
+        arithmetic = convex_hull_ranked(pts, extremes)
+    assert replace(report, step_ns=()) == replace(arithmetic, step_ns=())
     distinct = set(map(tuple, pts))
     assert (report.n, report.duplicates_skipped) == (len(distinct), len(pts) - len(distinct))
     # shuffle_iterations counts the occupied lines, which run along the
@@ -533,7 +546,7 @@ def test_the_byte_route_scans_each_lines_two_extremes():
 def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():
     # 16,000 points on a 4000x40 strip: byte extremes read its 40 rows, not
     # its 4,000 columns, and the transpose's 40 columns
-    strip = generate_dense_set(4000, 40, count=16000, seed=5)
+    strip = _STRIP
     wide, chain = _scan_of(strip, PipelineConfig())
     tall = convex_hull_ranked(_transposed(strip))
     assert (wide.route, wide.rank_variant) == (Route.EXTREMES, F2)

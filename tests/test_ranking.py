@@ -28,7 +28,7 @@ def test_column_major_rank_values():
 def test_column_major_rank_on_four_row_grid():
     rf = RankFunction(F1, 4, 4)
     assert rf.rank(Point(2, 1)) == 5
-    assert rf.unrank(5) == Point(2, 1)
+    assert rf.unrank_all([5]) == [Point(2, 1)]
 
 
 def test_row_major_rank_values():
@@ -39,8 +39,7 @@ def test_row_major_rank_values():
 
 def test_unrank_values():
     rf = RankFunction(F1, 5, 3)
-    assert rf.unrank(13) == Point(5, 1)
-    assert rf.unrank(1) == Point(1, 1)
+    assert rf.unrank_all([13, 1]) == [Point(5, 1), Point(1, 1)]
 
 
 def test_rank_rejects_out_of_grid():
@@ -84,7 +83,7 @@ def test_unrank_rejects_out_of_range():
     rf = RankFunction(F1, 4, 4)
     for bad in (0, -1, 17):
         with pytest.raises(RankOutOfRangeError):
-            rf.unrank(bad)
+            rf.unrank_all([bad])
         with pytest.raises(RankOutOfRangeError):
             rf.unrank_all([1, bad, 16])
 
@@ -123,10 +122,10 @@ def test_grid_origin_moves_the_ranked_cells():
     for variant in (F1, F2):
         rf = RankFunction(variant, 5, 3, x_min=-2, y_min=10**12)
         base = RankFunction(variant, 5, 3)
-        for r in range(1, 16):
-            v = base.unrank(r)
-            assert rf.unrank(r) == Point(v.x - 3, v.y + 10**12 - 1)
-            assert rf.rank(rf.unrank(r)) == r
+        ranks = range(1, 16)
+        for r, v, w in zip(ranks, base.unrank_all(ranks), rf.unrank_all(ranks)):
+            assert w == Point(v.x - 3, v.y + 10**12 - 1)
+            assert rf.rank(w) == r
         with pytest.raises(OutOfGridError):
             rf.rank(Point(-3, 10**12))
 
@@ -153,7 +152,7 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
             for y in range(1, 6):
                 r = rf.rank(Point(x, y))
                 assert 1 <= r <= 35
-                assert rf.unrank(r) == Point(x, y)
+                assert rf.unrank_all([r]) == [Point(x, y)]
                 seen.add(r)
         assert seen == set(range(1, 36))
 
@@ -169,6 +168,25 @@ def test_roundtrip_on_every_grid_up_to_64x64():
                 cells = list(rf.offsets(range(1, m + 1)))
                 assert len(set(cells)) == m
                 assert list(rf.cells(*zip(*cells))) == list(range(m))
+                assert list(rf._line_cells(*zip(*cells))) == list(range(m))
+
+
+@pytest.mark.parametrize("variant", (F1, F2))
+@pytest.mark.parametrize("m1, m2, x0, y0", [
+    (9, 7, -4, -11),                        # a negative corner
+    (9, 7, 2**70, -2**70),                  # a corner beyond 64 bits
+    (1, 30, -3, 5), (30, 1, 5, -3),         # one cell wide, and one line
+    (4000, 40, -17, 2**63), (40, 4000, 2**63, -17),  # the strips
+])
+def test_the_line_table_gives_the_cells_of_the_arithmetic(variant, m1, m2, x0, y0):
+    # the byte route ranks through the line table, and sorted ranks through
+    # _cells: both must give the cells that the checked path gives, repeats included
+    rng = random.Random(m1 * m2)
+    offsets = [(rng.randrange(m1), rng.randrange(m2)) for _ in range(300)]
+    offsets += [(0, 0), (m1 - 1, m2 - 1), (0, m2 - 1), (m1 - 1, 0)] + offsets[:40]
+    xs, ys = [x0 + dx for dx, _ in offsets], [y0 + dy for _, dy in offsets]
+    rf = RankFunction(variant, m1, m2, x0, y0)
+    assert list(rf._line_cells(xs, ys)) == list(rf.cells(xs, ys)) == list(rf._cells(xs, ys))
 
 
 @given(st.data())
@@ -187,7 +205,7 @@ def test_chain_of_50_random_points_is_simple():
     rng = random.Random(99)
     rf = RankFunction(F1, 16, 16)
     ranks = rng.sample(range(1, 257), 50)
-    chain = [rf.unrank(r) for r in sorted(ranks)]
+    chain = rf.unrank_all(sorted(ranks))
     assert chain_is_simple(chain)
 
 
@@ -199,5 +217,5 @@ def test_chains_are_simple_polylines(data):
     rf = RankFunction(variant, m1, m2)
     m = m1 * m2
     ranks = data.draw(st.lists(st.integers(1, m), unique=True, max_size=60))
-    chain = [rf.unrank(r) for r in sorted(ranks)]
+    chain = rf.unrank_all(sorted(ranks))
     assert chain_is_simple(chain)
