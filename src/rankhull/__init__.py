@@ -14,8 +14,6 @@ than sorted ranks on every swept box, so no route runs them.
 from .analysis import (
     BenchmarkPlan,
     BenchmarkRow,
-    FitResult,
-    linear_fit,
     run_benchmark,
     write_csv,
 )
@@ -47,7 +45,6 @@ from .hull import (
 )
 from .pipeline import (
     OperationCounters,
-    PipelineConfig,
     PipelineReport,
     Route,
     convex_hull_ranked,
@@ -62,12 +59,10 @@ __all__ = [
     "BenchmarkPlan",
     "BenchmarkRow",
     "BoundingBox",
-    "FitResult",
     "HullPolygon",
     "ImageMask",
     "MelkmanStats",
     "OperationCounters",
-    "PipelineConfig",
     "PipelineReport",
     "Point",
     "RankFunction",
@@ -89,7 +84,6 @@ __all__ = [
     "hull_oracle",
     "image_to_points",
     "is_convex",
-    "linear_fit",
     "load_image_mask",
     "load_points",
     "melkman",

@@ -1,4 +1,4 @@
-"""Benchmark harness and complexity-model checks.
+"""Benchmark harness: the route sweep behind the router's costs.
 
 Operation counters are the primary signal here: they are machine
 independent and reproduce exactly for a given plan and seed. Wall-clock
@@ -9,13 +9,13 @@ error in any cell aborts the sweep, so a plan either yields every row or
 raises.
 
 Each cell times the variants the plan names, all of `VARIANTS` by
-default: `byte_extremes` and `sorted_ranks` run `convex_hull_ranked` on
-one of its two routes named outright, and `oracle_sort_hull` runs the
-independent `hull_oracle` alone. They take turns, a call each per
-repetition, so host load that drifts during a cell falls on each alike.
-The router's costs are fitted to the two route variants of the committed
-sweep (`docs/route_sweep.csv`, README's "Routes"); the oracle's times are
-there for comparison. That sweep was recorded before the pipeline dropped
+default: `byte_extremes` and `sorted_ranks` each run the pipeline on one
+of its two routes, named past the cost model (`pipeline._hull`), and
+`oracle_sort_hull` runs the independent `hull_oracle` alone. They take
+turns, a call each per repetition, so host load that drifts during a
+cell falls on each alike. The router's costs are fitted to the two route
+variants of the committed sweep (`docs/route_sweep.csv`, README's
+"Routes"); the oracle's times are there for comparison. That sweep was recorded before the pipeline dropped
 the paper's p-bit route (its `p` column and `rank_pipeline` variant), and
 before the variants took turns and byte extremes read a wide box's rows:
 it ranked by f1, on boxes no taller than wide. Its costs are per point,
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import IO, Callable, Sequence
 
-from .errors import InsufficientDataError
 from .hull import hull_oracle
-from .pipeline import PipelineConfig, Route, convex_hull_ranked
+from .pipeline import Route, _hull
 from .pointio import generate_dense_set, sample_size
 
 EXTREMES_VARIANT = "byte_extremes"
@@ -86,30 +85,6 @@ class BenchmarkRow:
     deque_ops: int
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    r_squared: float
-
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
-    """Ordinary least squares of ys against xs with the usual R²."""
-    if len(xs) != len(ys):
-        raise InsufficientDataError("xs and ys differ in length")
-    if len(xs) < 4:
-        raise InsufficientDataError(f"need at least 4 samples, got {len(xs)}")
-    slope, intercept = statistics.linear_regression(xs, ys)
-    mean_y = statistics.fmean(ys)
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    ss_res = sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
-    if ss_tot == 0:
-        r_squared = 1.0 if ss_res == 0 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    return FitResult(slope, intercept, r_squared)
-
-
 def _cell_seed(seed: int, n: int) -> int:
     return seed * 2_654_435_761 + n
 
@@ -140,8 +115,8 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     turns it into the cell's n. Cells sharing an n value share the
     generated point set so variant comparisons see identical inputs, and
     take turns within each repetition (`_time_cell`). The `byte_extremes`
-    and `sorted_ranks` variants time `convex_hull_ranked` on
-    `Route.EXTREMES` and `Route.SORT`, and `oracle_sort_hull` times
+    and `sorted_ranks` variants time the pipeline on `Route.EXTREMES` and
+    `Route.SORT`, named past the cost model, and `oracle_sort_hull` times
     `hull_oracle` alone.
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
@@ -159,7 +134,7 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
         )
         calls = [
             partial(hull_oracle, points) if variant == ORACLE_VARIANT
-            else partial(convex_hull_ranked, points, PipelineConfig(route=_ROUTES[variant]))
+            else partial(_hull, points, _ROUTES[variant])
             for variant in plan.variants
         ]
         timed = _time_cell(calls, plan.repetitions)

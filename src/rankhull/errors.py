@@ -27,16 +27,13 @@ class RankOutOfRangeError(RankHullError):
 
 class BoxTooLargeError(RankHullError):
     """A box is over a cap: a bit table's `bitrank.MAX_WORDS` words, the byte
-    table's `bitrank.MAX_BYTES` (byte extremes named outright), or the
+    table's `bitrank.MAX_BYTES` (only when `pipeline._hull` is given byte
+    extremes by name: the router never picks them over the cap), or the
     `pointio.MAX_GRID_CELLS` cells of a `generate_dense_set` grid."""
 
 
 class InvalidDensityError(RankHullError):
     """A requested density or sample count is outside the valid range."""
-
-
-class InsufficientDataError(RankHullError):
-    """Too few samples for a statistically meaningful fit."""
 
 
 class ParseError(RankHullError):

@@ -62,12 +62,8 @@ _log = logging.getLogger(__name__)
 
 
 class Route(Enum):
-    """The code that computes a hull. Values double as the CLI spelling.
+    """The code that computed a hull, as a report names it."""
 
-    `AUTO` asks the cost model; each other value names one route.
-    """
-
-    AUTO = "auto"
     EXTREMES = "extremes"
     SORT = "sort"
 
@@ -85,17 +81,6 @@ ROUTE_COSTS = RouteCosts(extremes=(244.8, 0.5294, 2142.0), sort=(1190.0, 6.978))
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """The route. The route and the box pick the rank layout, which is no setting."""
-
-    route: Route = Route.AUTO
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.route, Route):
-            raise ValueError(f"route must be a Route, not {self.route!r}")
-
-
-@dataclass(frozen=True)
 class OperationCounters:
     isleft_evals: int
     shuffle_iterations: int
@@ -110,9 +95,9 @@ class PipelineReport:
     the table or the `set` of ranks, so `duplicates_skipped` is
     len(points) - n. `m` is the box area m1 * m2 and `density` is n / m,
     with m = 0 and density 0.0 for empty input. `route` is the route that
-    ran, never `Route.AUTO`; empty input runs none and reports the route
-    chosen for it. `rank_variant` is the layout that ranked the box:
-    `ROW_MAJOR` for byte extremes when m1 > m2, else `COLUMN_MAJOR`.
+    ran; empty input runs none and reports the route chosen for it.
+    `rank_variant` is the layout that ranked the box: `ROW_MAJOR` for
+    byte extremes when m1 > m2, else `COLUMN_MAJOR`.
     `step_ns` holds the elapsed monotonic nanoseconds of the paper's five
     steps (box, translate, rank, shuffle, scan). The translation happens
     inside the rank arithmetic, so its slot is always 0; the scan's slot includes
@@ -194,32 +179,22 @@ def route_estimates(count: int, m: int, lines: int) -> tuple[float, ...]:
     )
 
 
-def choose_route(cfg: PipelineConfig, count: int, m: int, lines: int) -> Route:
-    """The route `cfg` takes for `count` points in a box of `m` cells over `lines` lines.
+def choose_route(count: int, m: int, lines: int) -> Route:
+    """The cheaper of `route_estimates` for `count` points in a box of `m` cells over `lines` lines.
 
-    `Route.AUTO` takes the cheapest of `route_estimates`. A route named
-    outright is taken as is, unless its table would be over its cap:
-    :class:`BoxTooLargeError`; sorted ranks have no cap. The choice and the
-    two estimates are logged at DEBUG level.
+    A tie goes to the first of `ROUTES`. The choice and the two estimates
+    are logged at DEBUG level.
     """
     estimates = route_estimates(count, m, lines)
-    route = cfg.route
-    if route is Route.AUTO:
-        route = ROUTES[estimates.index(min(estimates))]
-    elif _over_cap(route, m):
-        raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
+    route = ROUTES[estimates.index(min(estimates))]
     _log.debug(
-        "route %s (asked %s) for %d points, %d cells, %d lines: "
-        "estimates extremes %.0f, sort %.0f ns",
-        route, cfg.route, count, m, lines, *estimates,
+        "route %s for %d points, %d cells, %d lines: estimates extremes %.0f, sort %.0f ns",
+        route, count, m, lines, *estimates,
     )
     return route
 
 
-def convex_hull_ranked(
-    points: Collection[Point],
-    cfg: PipelineConfig | None = None,
-) -> PipelineReport:
+def convex_hull_ranked(points: Collection[Point]) -> PipelineReport:
     """Convex hull via rank ordering instead of a comparison sort.
 
     Step 1 reads the points into coordinate lists and their box;
@@ -232,19 +207,31 @@ def convex_hull_ranked(
     `points` must be a sized collection, such as a list, tuple or set: step
     1 iterates over it twice, and no other step reads it.
     """
+    return _hull(points, None)
+
+
+def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
+    """`convex_hull_ranked` on `route`, or on `choose_route`'s route for None.
+
+    A named route is taken as is, so that each route can be timed and
+    checked on its own, unless its table would be over its cap:
+    :class:`BoxTooLargeError`; sorted ranks have no cap. Any other value
+    raises `ValueError`.
+    """
+    if route is not None and not isinstance(route, Route):
+        raise ValueError(f"route must be a Route or None, not {route!r}")
     if not isinstance(points, Collection):
         raise NonIntegerCoordinateError(
             f"points must be a sized collection, not {type(points).__name__}"
         )
-    if cfg is None:
-        cfg = PipelineConfig()
     hull = HullPolygon((), degenerate=True)
     n = m1 = m2 = 0
     variant = RankVariant.COLUMN_MAJOR
     counters = OperationCounters(0, 0, 0)
     step_ns = (0, 0, 0, 0, 0)
     if not points:
-        route = choose_route(cfg, 0, 0, 0)
+        if route is None:
+            route = choose_route(0, 0, 0)
     else:
         clock = time.perf_counter_ns
         t0 = clock()
@@ -252,7 +239,10 @@ def convex_hull_ranked(
         box = BoundingBox.of(xs, ys)
         t1 = clock()
         m1, m2 = box.m1, box.m2
-        route = choose_route(cfg, len(xs), box.m, min(m1, m2))
+        if route is None:
+            route = choose_route(len(xs), box.m, min(m1, m2))
+        elif _over_cap(route, box.m):
+            raise BoxTooLargeError(f"{box.m} ranks need more than {MAX_BYTES} bytes")
         if route is Route.EXTREMES and m1 > m2:
             variant = RankVariant.ROW_MAJOR
         rf = RankFunction(variant, m1, m2, box.x_min, box.y_min)

@@ -4,7 +4,8 @@ Supports the bitmap and graymap members of the family: P1/P4 (bitmap,
 ASCII/packed) and P2/P5 (graymap, ASCII/binary). Color maps and anything
 else are rejected. One tokenizer reads the header and the ASCII rasters:
 tokens are separated by whitespace, and a ``#`` anywhere, even inside a
-token, starts a comment that runs to the next CR or LF. A binary raster
+token, starts a comment that runs to the next CR or LF. Header fields
+and P2 samples are ASCII decimal digits, with no sign. A binary raster
 starts one whitespace byte after the header. Decoding runs at C speed, per
 row at worst, never per pixel: a P4 raster unpacks in one conversion of
 the whole raster to a base-2 string, whose digits one translate maps to
@@ -94,10 +95,13 @@ def parse_pnm(data: bytes) -> ImageMask:
     fields = list(islice(header, wanted))
     if len(fields) < wanted:
         raise MalformedHeaderError("truncated header")
+    # ASCII digits only: int() would also take a sign or underscores, as in b"+1_0"
+    if not b"".join(f[1] for f in fields).isdigit():
+        raise MalformedHeaderError("non-numeric header field")
     try:
         values = [int(f[1]) for f in fields]
-    except ValueError:
-        raise MalformedHeaderError("non-numeric header field") from None
+    except ValueError:  # past int()'s limit on digits
+        raise MalformedHeaderError("header field has too many digits") from None
     width, height = values[0], values[1]
     maxval = values[2] if grayscale else 1
     check_mask_header(width, height, maxval, MalformedHeaderError)
@@ -113,11 +117,13 @@ def parse_pnm(data: bytes) -> ImageMask:
             raise ParseError("bitmap data truncated")
         samples = digits[:count].translate(_DIGITS)
     elif magic == b"P2":
-        tokens = list(filter(None, _TOKEN.findall(data, end)))
+        tokens = list(filter(None, _TOKEN.findall(data, end)))[:count]
         if len(tokens) < count:
             raise ParseError("graymap data truncated")
+        if not b"".join(tokens).isdigit():  # ASCII digits only, as in the header
+            raise ParseError("graymap sample is not a decimal number")
         try:
-            samples = array("H" if wide else "B", map(int, tokens[:count]))
+            samples = array("H" if wide else "B", map(int, tokens))
         except (ValueError, OverflowError):
             raise ParseError("graymap sample is not an integer in [0, 65535]") from None
         if not wide:

@@ -1,14 +1,16 @@
 """Point-set files and synthetic dense-set generation.
 
-The text format is one point per line, two signed decimal integers
-separated by whitespace; lines starting with '#' and blank lines are
-ignored. There is no header, and coordinates are at most 64 bits wide.
+The text format is one point per line, two signed decimal integers (an
+optional `+` or `-`, then ASCII digits) separated by whitespace; lines
+starting with '#' and blank lines are ignored. There is no header, and
+coordinates are at most 64 bits wide.
 `save_points` writes only what `load_points` reads back.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -22,6 +24,9 @@ from .geometry import Point, coordinates
 from .ranking import RankFunction, RankVariant
 
 
+# A point file's coordinate. Python's int() would also take underscores and
+# non-ASCII digits, such as "1_0" or "٣".
+_COORDINATE = re.compile(r"[+-]?[0-9]+")
 # Largest coordinate magnitude a point file may hold: 64 bits.
 MAX_COORDINATE = (1 << 64) - 1
 # Largest grid `generate_dense_set` samples from: 2^30 cells.
@@ -41,10 +46,12 @@ def load_points(path: str | Path) -> list[Point]:
                 raise ParseError(
                     f"{path}:{lineno}: expected two integers, got {len(parts)} fields"
                 )
+            if not all(map(_COORDINATE.fullmatch, parts)):
+                raise ParseError(f"{path}:{lineno}: non-integer coordinate")
             try:
-                x, y = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer coordinate") from None
+                x, y = map(int, parts)
+            except ValueError:  # past int()'s limit on digits
+                raise ParseError(f"{path}:{lineno}: coordinate has too many digits") from None
             if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
                 raise CoordinateOverflowError(
                     f"{path}:{lineno}: coordinate exceeds 64-bit range"

@@ -7,6 +7,7 @@ simplicity, machine-independent counter scaling, and the wall-clock
 linearity and block-width trends.
 """
 
+import gc
 import math
 import random
 import statistics
@@ -20,7 +21,6 @@ from rankhull.analysis import (
     EXTREMES_VARIANT,
     BenchmarkPlan,
     _cell_seed,
-    linear_fit,
     run_benchmark,
 )
 from rankhull.bitrank import (
@@ -33,11 +33,7 @@ from rankhull.bitrank import (
 )
 from rankhull.geometry import Point, coordinates
 from rankhull.hull import hull_oracle
-from rankhull.pipeline import (
-    PipelineConfig,
-    Route,
-    convex_hull_ranked,
-)
+from rankhull.pipeline import ROUTES, _hull
 from rankhull.pointio import generate_dense_set
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -100,14 +96,13 @@ def oracle_suite() -> SuiteOutcome:
     # each instance through both routes; an instance counts once as a
     # mismatch, and the byte route's chain is at most its n distinct points
     rng = random.Random(0xD15EA5E)
-    configs = [PipelineConfig(route=Route.EXTREMES), PipelineConfig(route=Route.SORT)]
     mismatches = 0
     worst = -(10**9)
     started = time.perf_counter()
     for _ in range(10_000):
         pts = _random_instance(rng)
         expected = hull_oracle(pts)
-        reports = [convex_hull_ranked(pts, cfg) for cfg in configs]
+        reports = [_hull(pts, route) for route in ROUTES]
         if any(report.hull != expected for report in reports):
             mismatches += 1
         worst = max(worst, *(r.counters.deque_ops - 3 * r.n for r in reports))
@@ -248,13 +243,15 @@ def linearity_rows():
 
 
 def test_08_time_grows_linearly_with_n(linearity_rows):
-    fit = linear_fit(
-        [r.n for r in linearity_rows], [r.median_ns for r in linearity_rows]
-    )
-    ok = fit.r_squared >= 0.95
+    ns = [r.n for r in linearity_rows]
+    times = [r.median_ns for r in linearity_rows]
+    # R^2 of the least-squares line is the square of the correlation
+    r_squared = statistics.correlation(ns, times) ** 2
+    slope = statistics.linear_regression(ns, times).slope
+    ok = r_squared >= 0.95
     _verdict(
         "8 wall-clock linearity: R^2 >= 0.95 for byte_extremes time vs n at 640x480",
-        ok, f"R^2={fit.r_squared:.4f} slope={fit.slope:.0f} ns/point",
+        ok, f"R^2={r_squared:.4f} slope={slope:.0f} ns/point",
     )
 
 
@@ -262,14 +259,25 @@ def test_09_wider_blocks_do_not_slow_the_shuffle():
     # each cell's points are the ones `run_benchmark` draws for seed 77;
     # step 4 is timed inside whole runs of the paper's steps, so the walk
     # never reads a table left warm by the previous timing; a discarded
-    # warm-up run, then the median of 5
+    # warm-up run of each width, then the median of 5 in which the two
+    # widths take turns, collector off, so that host load and collections
+    # fall on both alike
     shuffle_ns = {}
-    for d in (0.01, 0.03, 0.10, 0.42):
-        n = round(d * 640 * 480)
-        pts = generate_dense_set(640, 480, count=n, seed=_cell_seed(77, n))
-        for p in (32, 64):
-            paper_steps(pts, p)
-            shuffle_ns[(n, p)] = statistics.median(paper_steps(pts, p).walk_ns for _ in range(5))
+    gc.disable()
+    try:
+        for d in (0.01, 0.03, 0.10, 0.42):
+            n = round(d * 640 * 480)
+            pts = generate_dense_set(640, 480, count=n, seed=_cell_seed(77, n))
+            walks = {32: [], 64: []}
+            for p in walks:
+                paper_steps(pts, p)
+            for rep in range(5):
+                for p in (32, 64) if rep % 2 else (64, 32):
+                    walks[p].append(paper_steps(pts, p).walk_ns)
+            for p, ns in walks.items():
+                shuffle_ns[(n, p)] = statistics.median(ns)
+    finally:
+        gc.enable()
     cells = sorted({n for n, _ in shuffle_ns})
     wins = sum(shuffle_ns[(n, 64)] <= shuffle_ns[(n, 32)] for n in cells)
     ok = len(cells) == 4 and wins >= 3

@@ -13,15 +13,13 @@ from rankhull.analysis import (
     SORT_VARIANT,
     VARIANTS,
     BenchmarkPlan,
-    linear_fit,
     run_benchmark,
     write_csv,
 )
-from rankhull.errors import InsufficientDataError, InvalidDensityError
+from rankhull.errors import InvalidDensityError
 from rankhull.pipeline import (
     ROUTE_COSTS,
     ROUTES,
-    PipelineConfig,
     Route,
     RouteCosts,
     choose_route,
@@ -29,28 +27,6 @@ from rankhull.pipeline import (
 )
 
 SWEEP = Path(__file__).resolve().parent.parent / "docs" / "route_sweep.csv"
-
-
-def test_linear_fit_exact_line():
-    xs = [1, 2, 3, 4, 5]
-    ys = [2 * x + 3 for x in xs]
-    fit = linear_fit(xs, ys)
-    assert fit.slope == pytest.approx(2.0)
-    assert fit.intercept == pytest.approx(3.0)
-    assert fit.r_squared == 1.0
-
-
-def test_linear_fit_constant_data():
-    fit = linear_fit([1, 2, 3, 4], [7, 7, 7, 7])
-    assert fit.slope == 0.0
-    assert fit.r_squared == 1.0
-
-
-def test_linear_fit_needs_four_samples():
-    with pytest.raises(InsufficientDataError):
-        linear_fit([1, 2, 3], [1, 2, 3])
-    with pytest.raises(InsufficientDataError):
-        linear_fit([1, 2, 3, 4], [1, 2, 3])
 
 
 def test_empty_plan_produces_no_rows():
@@ -203,9 +179,11 @@ def _fit_route_costs(cells):
     per point as n grows, absorbs it.
     """
     if len(cells) < 4:
-        raise InsufficientDataError(f"need at least 4 cells, got {len(cells)}")
+        raise ValueError(f"need at least 4 cells, got {len(cells)}")
     fitted = []
     for i, route in enumerate(ROUTES):
+        # m1 lines, not the pipeline's min(m1, m2): the committed sweep ran
+        # byte extremes by f1, column by column, on boxes no taller than wide
         samples = [(route_terms(n, m1 * m2, m1)[i], ns[_VARIANT_OF[route]])
                    for (m1, m2, n), ns in cells.items()]
         if route is Route.SORT:
@@ -255,7 +233,7 @@ def test_the_fit_recovers_the_costs_of_exact_timings():
     for (_, _, n), ns in cells.items():
         ns[_SORT_STEP] = truth.sort[1] * n * math.log2(n)
     assert _flat(_fit_route_costs(cells)) == pytest.approx(_flat(truth), rel=1e-6)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValueError, match="4 cells"):
         _fit_route_costs(dict(list(cells.items())[:3]))
 
 
@@ -271,7 +249,8 @@ def test_the_route_costs_are_the_fit_of_the_committed_sweep():
 def test_the_router_is_near_the_fastest_route_in_every_cell_of_the_sweep():
     worst = 1.0
     for (m1, m2, n), ns in _sweep_cells().items():
-        picked = ns[_VARIANT_OF[choose_route(PipelineConfig(), n, m1 * m2, m1)]]
+        # the question the pipeline asks: the box's min(m1, m2) lines
+        picked = ns[_VARIANT_OF[choose_route(n, m1 * m2, min(m1, m2))]]
         worst = max(worst, picked / min(ns[v] for v in _VARIANT_OF.values()))
     assert worst < 1.5
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import logging
 import math
 import random
@@ -23,8 +24,8 @@ from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     OperationCounters,
-    PipelineConfig,
     Route,
+    _hull,
     choose_route,
     convex_hull_ranked,
     route_estimates,
@@ -70,6 +71,9 @@ def test_empty_input_yields_empty_degenerate_report():
     assert report.hull.vertices == ()
     assert report.hull.degenerate
     assert report.n == 0
+    # no route runs: the report names the router's, or the one asked for
+    assert report.route is choose_route(0, 0, 0)
+    assert _hull([], Route.SORT).route is Route.SORT
 
 
 def test_fallback_routes_to_oracle_when_box_exceeds_cap():
@@ -110,11 +114,13 @@ def test_cap_box_stays_on_the_rank_path_at_p64():
 
 
 def test_config_validation():
-    # the route and the box pick the rank layout, so the route is the only setting
-    assert [f.name for f in fields(PipelineConfig)] == ["route"]
-    for route in ("auto", "rank", None):
+    # the cost model picks the route and the route and the box the rank
+    # layout, so the library's entry takes the points alone; only the
+    # private entry, for the tests and the sweep, takes a route
+    assert list(inspect.signature(convex_hull_ranked).parameters) == ["points"]
+    for route in ("auto", "extremes", "rank", 1, RankVariant.COLUMN_MAJOR):
         with pytest.raises(ValueError, match="route"):
-            PipelineConfig(route=route)
+            _hull([(0, 0), (3, 0), (0, 3)], route)
 
 
 def test_fast_shuffle_counter_is_buckets_plus_points():
@@ -185,7 +191,7 @@ def _check_pinned_counters(pts, variant, expected):
     hull, _, shuffled, stats, _ = paper_steps(pts, 64, variant)
     assert (stats.isleft_evals, shuffled.iterations, stats.deque_ops, len(hull)) == expected
     # sorted ranks scan f1's chain, so they make f1's decisions and no other layout's
-    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
+    report = _hull(pts, Route.SORT)
     assert report.hull == hull
     if report.rank_variant is variant:
         c = report.counters
@@ -220,7 +226,7 @@ def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, p)
     # rebuilt here as the paper's steps under the layout it reports, with
     # every check on and the plain reference scan, nothing may change but
     # step 4's count
-    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
+    report = _hull(pts, Route.SORT)
     box = bounding_box(pts)
     rf = RankFunction(report.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
@@ -353,12 +359,12 @@ class _CountingList(list):
     [(0, 0), (40000, 40000), (0, 40000), (0, 40000)],      # over the byte cap
 ])
 def test_only_step_1_reads_the_points(pts):
-    for route in Route:
+    for route in (None, *Route):
         boxed, hulled = _CountingList(pts), _CountingList(pts)
         bounding_box(boxed)
         try:
-            report = convex_hull_ranked(hulled, PipelineConfig(route=route))
-        except BoxTooLargeError:  # the table route named outright, over its cap
+            report = _hull(hulled, route)
+        except BoxTooLargeError:  # the table route named past the router, over its cap
             assert route is Route.EXTREMES and hulled.iterations == 2
             continue
         assert report.hull == hull_oracle(pts)
@@ -375,7 +381,7 @@ def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "melkman", counted)
     pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
-    report = convex_hull_ranked(pts, PipelineConfig(route=Route.SORT))
+    report = _hull(pts, Route.SORT)
     assert report.hull == hull_oracle(pts)
     assert lengths == [report.n] == [5]
 
@@ -403,12 +409,11 @@ def test_lists_tuples_and_sets_are_collections():
 ])
 def test_list_and_tuple_points_give_the_same_report_on_both_routes(pts):
     over_caps = max(map(max, pts)) >= 40000
-    for route in (Route.AUTO, Route.SORT) if over_caps else tuple(Route):
-        cfg = PipelineConfig(route=route)
-        as_tuples = convex_hull_ranked(pts, cfg)
-        as_lists = convex_hull_ranked([list(v) for v in pts], cfg)
+    for route in (None, Route.SORT) if over_caps else (None, *Route):
+        as_tuples = _hull(pts, route)
+        as_lists = _hull([list(v) for v in pts], route)
         # four points, or a box over the byte cap: the cost model picks sorted ranks
-        assert as_tuples.route is (Route.SORT if route is Route.AUTO else route)
+        assert as_tuples.route is (route or Route.SORT)
         # everything but the wall-clock step times
         assert replace(as_lists, step_ns=()) == replace(as_tuples, step_ns=())
         assert all(type(v) is Point for v in as_lists.hull.vertices)
@@ -430,9 +435,9 @@ def test_report_derives_m_density_and_duplicates_from_n_and_the_box(pts, n):
     report = convex_hull_ranked(pts)
     assert [f.name for f in fields(report)] == _REPORT_FIELDS
     assert report.n == n
-    # the route the cost model picks for the input's count and box, never AUTO
+    # the route the cost model picks for the input's count and box
     lines = min(report.m1, report.m2)
-    assert report.route is choose_route(PipelineConfig(), len(pts), report.m, lines)
+    assert report.route is choose_route(len(pts), report.m, lines)
     assert report.used_fallback == (report.route is Route.SORT)
     assert report.m == report.m1 * report.m2
     assert report.density == (n / report.m if report.m else 0.0)
@@ -488,8 +493,8 @@ def one_point_lines(draw):
     return [Point(x + x0, y + y0) for x, y in pts]
 
 
-def _scan_of(pts, cfg):
-    """The report of one call and the chain of offsets its scan read."""
+def _scan_of(pts, route):
+    """One call's report on `route` (None: the router's) and the chain of offsets its scan read."""
     chains = []
 
     def recording(chain, stats):
@@ -498,7 +503,7 @@ def _scan_of(pts, cfg):
         return melkman(chains[-1], stats)
 
     with patch.object(pipeline_module, "melkman", recording):
-        report = convex_hull_ranked(pts, cfg)
+        report = _hull(pts, route)
     return report, chains[0]
 
 
@@ -512,14 +517,13 @@ _STRIP = generate_dense_set(4000, 40, count=16000, seed=5)
 @example([Point(x, -3) for x in range(-60, 60, 7)] * 2)  # one line
 @example([Point(5, y) for y in range(-60, 60, 7)] * 2)  # one cell wide
 def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
-    extremes = PipelineConfig(route=Route.EXTREMES)
-    report, chain = _scan_of(pts, extremes)
+    report, chain = _scan_of(pts, Route.EXTREMES)
     assert report.route is Route.EXTREMES
     assert report.hull == hull_oracle(pts)
     # the line table ranks as the arithmetic that sorted ranks keep does:
     # every field but the step times is the same
     with patch.object(RankFunction, "_line_cells", RankFunction._cells):
-        arithmetic = convex_hull_ranked(pts, extremes)
+        arithmetic = _hull(pts, Route.EXTREMES)
     assert replace(report, step_ns=()) == replace(arithmetic, step_ns=())
     distinct = set(map(tuple, pts))
     assert (report.n, report.duplicates_skipped) == (len(distinct), len(pts) - len(distinct))
@@ -537,7 +541,7 @@ def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
 def test_the_byte_route_scans_each_lines_two_extremes():
     # columns 0 and 4 hold three points each, column 2 one and column 3 two
     pts = [(0, 0), (0, 2), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4), (4, 2), (4, 2)]
-    report, chain = _scan_of(pts, PipelineConfig(route=Route.EXTREMES))
+    report, chain = _scan_of(pts, Route.EXTREMES)
     assert chain == [(0, 0), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4)]
     assert report.hull == hull_oracle(pts)
     assert (report.n, report.duplicates_skipped, report.counters.shuffle_iterations) == (9, 1, 4)
@@ -547,7 +551,7 @@ def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():
     # 16,000 points on a 4000x40 strip: byte extremes read its 40 rows, not
     # its 4,000 columns, and the transpose's 40 columns
     strip = _STRIP
-    wide, chain = _scan_of(strip, PipelineConfig())
+    wide, chain = _scan_of(strip, None)
     tall = convex_hull_ranked(_transposed(strip))
     assert (wide.route, wide.rank_variant) == (Route.EXTREMES, F2)
     assert (tall.route, tall.rank_variant) == (Route.EXTREMES, F1)
@@ -587,14 +591,13 @@ def test_the_router_takes_the_route_of_the_crossover_map(m1, m2, n, route):
 
 def test_the_byte_table_cap_is_max_bytes():
     # the byte route's own cost, not a cap, decides below MAX_BYTES: a dense million points
-    assert choose_route(PipelineConfig(), 10**6, MAX_BYTES, 8192) is Route.EXTREMES
+    assert choose_route(10**6, MAX_BYTES, 8192) is Route.EXTREMES
     assert route_estimates(10**6, MAX_BYTES + 1, 8192)[0] == math.inf
-    extremes = PipelineConfig(route=Route.EXTREMES)
-    assert choose_route(extremes, 2, MAX_BYTES, 1) is Route.EXTREMES
+    assert route_estimates(2, MAX_BYTES, 1)[0] < math.inf
     # one row of MAX_BYTES + 1 cells: refused before any table is built
     far = [(0, 0), (MAX_BYTES, 0)]
     with pytest.raises(BoxTooLargeError, match="bytes"):
-        convex_hull_ranked(far, extremes)
+        _hull(far, Route.EXTREMES)
     assert convex_hull_ranked(far).route is Route.SORT
 
 
@@ -611,24 +614,23 @@ def test_byte_extremes_are_priced_per_expected_occupied_line():
 
 def test_a_few_points_go_to_sorted_ranks_and_more_in_a_dense_box_to_byte_extremes():
     # m = 4n in a square box: the byte route's per-line cost against the sort's per point
-    auto = PipelineConfig()
-    assert choose_route(auto, 12, 48, 7) is Route.SORT
-    assert choose_route(auto, 32, 128, 11) is Route.EXTREMES
+    assert choose_route(12, 48, 7) is Route.SORT
+    assert choose_route(32, 128, 11) is Route.EXTREMES
 
 
 def test_byte_extremes_give_way_to_sorted_ranks_between_m_n_100_and_1000():
     # the smallest square box, in 64-cell steps, for which 1,024 points go to sorted ranks
-    n, auto = 1024, PipelineConfig()
+    n = 1024
     lo, hi = n, 64 * 10**5 * n
     while hi - lo > 64:
         mid = (lo + hi) // 2
-        if choose_route(auto, n, mid, math.isqrt(mid)) is Route.SORT:
+        if choose_route(n, mid, math.isqrt(mid)) is Route.SORT:
             hi = mid
         else:
             lo = mid
     assert 100 * n <= hi <= 1000 * n
-    assert choose_route(auto, n, lo, math.isqrt(lo)) is Route.EXTREMES
-    assert choose_route(auto, n, hi + 64, math.isqrt(hi + 64)) is Route.SORT
+    assert choose_route(n, lo, math.isqrt(lo)) is Route.EXTREMES
+    assert choose_route(n, hi + 64, math.isqrt(hi + 64)) is Route.SORT
 
 
 def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
@@ -637,7 +639,7 @@ def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
         report = convex_hull_ranked(pts)
     (record,) = caplog.records
     message = record.getMessage()
-    assert "route Route.EXTREMES (asked Route.AUTO)" in message
+    assert "route Route.EXTREMES for 17280 points" in message
     extremes, sort = route_estimates(17280, report.m, min(report.m1, report.m2))
     assert f"estimates extremes {extremes:.0f}, sort {sort:.0f} ns" in message
 
@@ -650,7 +652,7 @@ def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
     # set: there the pipeline scans f2's chain, transposed
     flip = variant is F2
     scanned = _transposed(pts) if flip else pts
-    sort, sort_chain = _scan_of(scanned, PipelineConfig(route=Route.SORT))
+    sort, sort_chain = _scan_of(scanned, Route.SORT)
     hull, table, shuffled, stats, _ = paper_steps(pts, 64, variant)
     box = bounding_box(pts)
     chain = list(RankFunction(variant, box.m1, box.m2).offsets(shuffled.order))

@@ -234,6 +234,20 @@ def test_rejects_malformed_headers():
         parse_pnm(b"P2\n2 2\n0\n0 0 0 0")  # maxval below 1
 
 
+def test_header_fields_and_graymap_samples_are_ascii_digits():
+    # Python's int() takes a sign and underscores; a PNM number is digits alone
+    for field in (b"+2", b"2_0", b"-2", b"0x2"):
+        with pytest.raises(MalformedHeaderError, match="non-numeric"):
+            parse_pnm(b"P1\n" + field + b" 1\n00")
+        with pytest.raises(MalformedHeaderError, match="non-numeric"):
+            parse_pnm(b"P2\n2 1\n" + field + b"\n0 0")
+        with pytest.raises(ParseError, match="decimal"):
+            parse_pnm(b"P2\n2 1\n255\n1 " + field)
+    with pytest.raises(MalformedHeaderError, match="digits"):
+        parse_pnm(b"P1\n" + b"1" * 5000 + b" 1\n1")  # past int()'s limit on digits
+    assert parse_pnm(b"P2\n002 1\n0255\n07 255 +4").samples == b"\x07\xff"
+
+
 def test_rejects_truncated_or_invalid_raster():
     with pytest.raises(ParseError):
         parse_pnm(b"P1\n2 2\n101")

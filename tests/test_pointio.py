@@ -45,6 +45,20 @@ def test_load_rejects_non_integer(tmp_path):
         load_points(path)
 
 
+def test_load_takes_a_sign_and_ascii_digits_only(tmp_path):
+    # Python's int() takes "1_0" as 10 and the Arabic-Indic "٣" as 3; a point file does not
+    path = tmp_path / "bad.txt"
+    for bad in ("1_0 5", "\u0663 2", "3 \uff15", "+-1 2", "1 ++2", "0x10 2", "1 2e3", "5 -"):
+        path.write_text(f"0 0\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=":2: non-integer"):
+            load_points(path)
+    path.write_text("1" * 5000 + " 0\n")  # past int()'s limit on digits
+    with pytest.raises(ParseError, match=":1: coordinate has too many digits"):
+        load_points(path)
+    path.write_text("+3 -4\n007 -0\n")
+    assert load_points(path) == [Point(3, -4), Point(7, 0)]
+
+
 def test_load_rejects_oversized_coordinates(tmp_path):
     path = tmp_path / "wide.txt"
     for line in (f"{2**64} 0\n", f"0 {-2**64}\n"):
