@@ -1,14 +1,16 @@
 """Rank-ordered 2-D convex hulls for dense integer point sets.
 
 Points are ranked by a grid rank function over their bounding box, and
-the ranks are put in ascending order, a simple polygonal chain, for a
-single-pass deque hull scan. `convex_hull_ranked` takes one of two routes
+the ranks are put in ascending order, a chain sorted along the grid's
+lines, which a chord between its ends splits into two sides for one
+monotone pass each. `convex_hull_ranked` takes one of two routes
 by a fitted cost model: on dense boxes a one-byte-per-rank table gives
 each grid line's two extreme points, in O(n + m) for m box cells, and on
 sparse boxes the distinct ranks are sorted. The paper's p-bit table and
 its wordwise walk (`build_rank_table`, `fast_shuffle`) are kept in
-`bitrank` as a checked reproduction of the method; they measured slower
-than sorted ranks on every swept box, so no route runs them.
+`bitrank` as a checked reproduction of the method, and Melkman's deque
+scan (`melkman`) as its step 5; the p-bit steps measured slower than
+sorted ranks on every swept box, so no route runs them.
 """
 
 from .analysis import (

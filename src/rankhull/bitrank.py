@@ -11,7 +11,8 @@ come in as the 0-based cells that :class:`RankFunction` makes of step 1's
 coordinate lists, so this module neither reads the caller's points nor
 knows the f1/f2 layout beyond the length of a line.
 Rank is a bijection, so neither table needs a record of which point set a
-mark: :meth:`RankFunction.offsets` turns each rank back into its offset.
+mark: :meth:`RankFunction.offsets` turns each rank back into its offset,
+and the pipeline's scan reads each cell by one `divmod`.
 Compacting the bit table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: `itertools.compress` skips the zero
 words in C, and a table of each byte's set bits lists a nonzero word's, in
@@ -199,17 +200,17 @@ def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:
 
 
 def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
-    """The 1-based ranks of each occupied line's lowest and highest mark, and the line count.
+    """The 0-based cells of each occupied line's lowest and highest mark, and the line count.
 
-    The table's ranks run line by line, `width` to a line (a column of m2
+    The table's cells run line by line, `width` to a line (a column of m2
     cells under f1, a row of m1 under f2). Each occupied line gives its
-    lowest rank and then, if it holds more than one mark, its highest, so
-    the ranks come out ascending. `bytearray.find` skips the empty lines in
-    C, so the Python loop runs once per occupied line, and that count is
-    returned with the ranks.
+    lowest cell and then, if it holds more than one mark, its highest, so
+    the cells come out ascending, as step 5 reads them. `bytearray.find`
+    skips the empty lines in C, so the Python loop runs once per occupied
+    line, and that count is returned with the cells.
     """
-    ranks: list[int] = []
-    append = ranks.append
+    cells: list[int] = []
+    append = cells.append
     find, rfind = occ.find, occ.rfind
     lines = 0
     first = find(1)
@@ -217,8 +218,8 @@ def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
         lines += 1
         end = first - first % width + width
         last = rfind(1, first, end)
-        append(first + 1)
+        append(first)
         if last != first:
-            append(last + 1)
+            append(last)
         first = find(1, end)
-    return ranks, lines
+    return cells, lines

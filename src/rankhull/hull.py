@@ -1,5 +1,11 @@
 """Single-pass deque hull over a simple chain, plus an independent oracle.
 
+`melkman` is the scan the paper names for step 5, kept as the library's
+reproduction of it; the tests feed it the chain of `bitrank`'s p-bit
+steps. The pipeline's own step 5 (`pipeline._scan`) reads a chain that is
+also sorted along its lines, and scans it by a chord split and one
+monotone pass a side instead, with fewer tests a point.
+
 The hull is strict: no collinear vertices are retained, so every point
 set has exactly one canonical hull cycle (counter-clockwise, starting at
 the lexicographically smallest vertex). Inputs with fewer than three

@@ -3,37 +3,39 @@
 Step 1 alone reads the caller's points, into lists of xs and ys, and
 takes their box. It is also the pipeline's only input check: the grid is
 the box of those same lists, so the later steps rank them with an
-unchecked body of `RankFunction.cells` and turn ranks back into offsets
-with the unchecked `offsets`. A small cost model then picks the route
-that finishes the hull (`Route`), and the route and the box pick the
-rank layout: byte extremes on a box wider than tall rank row by row
-(f2), every other call column by column (f1). Every route scans a chain
-of box offsets in ascending rank order with the same deque scan (step 5):
+unchecked body of `RankFunction.cells`. A small cost model then picks the
+route that finishes the hull (`Route`), and the route and the box pick
+the rank layout: byte extremes on a box wider than tall rank row by row
+(f2), every other call column by column (f1). Every route hands step 5
+0-based cells in ascending rank order, and step 5 (`_scan`) is the same
+for both:
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
   per rank (the paper's base O(n + m) table), with two C calls a point:
   a lookup in a table of each line's base cell plus an add gives the
   cell (`RankFunction._line_cells`), and `operator.setitem` marks it.
-  Step 4 reads each occupied line's lowest and highest rank from the
+  Step 4 reads each occupied line's lowest and highest cell from the
   table, and step 5 scans those, at most two per line. Only a line's two
-  extremes can be hull vertices, and the ranked chain cut down to them is
-  still simple. Each occupied line costs a Python loop pass, so the lines
-  run along the longer side.
+  extremes can be hull vertices. Each occupied line costs a Python loop
+  pass, so the lines run along the longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
   points by `_cells`' arithmetic, which needs no table that grows with the
   box, and drops duplicates with a `set`, step 4 sorts the n distinct
-  ranks (ints, in C) and step 5 scans them. That is the chain the paper's
+  cells (ints, in C) and step 5 scans them. That is the chain the paper's
   p-bit steps 3–4 (`bitrank.build_rank_table` and `fast_shuffle`) yield,
   got by a comparison sort of ints rather than by a table; those steps
   measured slower than the sort in every cell of the route sweep, so no
-  route runs them. The sort keeps f1, whose inverse is one `divmod`.
+  route runs them. The sort keeps f1.
 
-The paper's translation onto the normalized grid (step 2) is folded into
-step 3's rank arithmetic, and step 5 streams each rank back as an offset
-pair from the box corner as the scan reads it; orientation tests are
-translation-invariant, so the scan decides as it would on the caller's
-points. Only the hull's vertices are translated back, by
-`RankFunction.to_points`.
+Step 5 (`_scan`) reads each cell as (line, along) = divmod(cell, line
+length), the box offset (dx, dy) under f1 or (dy, dx) under f2, so
+ascending cells are sorted pairs: a chord split and Andrew's monotone
+chain scan them with fewer tests a point than the paper's Melkman deque
+scan, which `hull.melkman` keeps as its step-5 reproduction. Step 2's
+translation is folded into step 3's rank arithmetic; orientation tests
+are translation-invariant, so the scan decides on box offsets as it
+would on the caller's points, and only the hull's vertices are
+translated back, by `RankFunction.to_points`.
 
 The model (`route_estimates`) prices each route's work past step 1
 (`route_terms`) with nanoseconds fitted to the sweep in
@@ -49,13 +51,13 @@ import time
 from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import add, mul
+from itertools import chain, compress, repeat
+from operator import floordiv, gt, mul, sub
 
 from .bitrank import MAX_BYTES, _line_extremes, _mark_bytes
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates
-from .hull import HullPolygon, MelkmanStats, melkman
+from .hull import HullPolygon, _canonical
 from .ranking import RankFunction, RankVariant
 
 _log = logging.getLogger(__name__)
@@ -100,13 +102,24 @@ class PipelineReport:
     byte extremes when m1 > m2, else `COLUMN_MAJOR`.
     `step_ns` holds the elapsed monotonic nanoseconds of the paper's five
     steps (box, translate, rank, shuffle, scan). The translation happens
-    inside the rank arithmetic, so its slot is always 0; the scan's slot includes
-    turning ranks into box offsets and the hull's vertices back into the
-    caller's points. On the byte-extremes route step 3 is the marking,
-    step 4 the pass over the lines, and `shuffle_iterations` counts the
-    occupied lines that pass read. On the sorted-ranks route step 3 is
-    the ranking and the `set` that drops duplicates, step 4 the sort, and
-    `shuffle_iterations` is n, the ranks sorted.
+    inside the rank arithmetic, so its slot is always 0; the scan's slot
+    includes turning the hull's vertices back into the caller's points.
+    On the byte-extremes route step 3 is the marking, step 4 the pass over
+    the lines, and `shuffle_iterations` counts the occupied lines that
+    pass read. On the sorted-ranks route step 3 is the ranking and the
+    `set` that drops duplicates, step 4 the sort, and `shuffle_iterations`
+    is n, the ranks sorted.
+
+    The scan's counters are exact functions of its k cells (n on sorted
+    ranks, at most two an occupied line on byte extremes), the h hull
+    vertices (2 for a collinear chain) and the g pop loops that a pass's
+    guard stopped. `isleft_evals` counts the orientation tests: k against
+    the chord, and per pass one for each point past its first two and one
+    for each removal, less its guarded loops. That is 3k - 2 - h - g, at
+    most 3k - 4. `deque_ops` counts the passes' pushes and pops: every
+    cell is pushed once and the two ends once more, k + 2 pushes, and
+    each pop undoes one of them, 2k + 2 - h in all, at most 2k. One cell
+    takes neither test nor operation.
     """
 
     hull: HullPolygon
@@ -125,20 +138,6 @@ class PipelineReport:
     def used_fallback(self) -> bool:
         """True when no table was built: the hull came from sorted ranks."""
         return self.route is Route.SORT
-
-
-@dataclass
-class _Chain:
-    """Step 5's one-pass offsets, sized for tracers of `melkman` such as `hull.chain_len`."""
-
-    offsets: Iterator[tuple[int, int]]
-    n: int
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self.offsets
-
-    def __len__(self) -> int:
-        return self.n
 
 
 # The routes that `route_terms` and `route_estimates` price, in the order that breaks a tie.
@@ -202,8 +201,9 @@ def convex_hull_ranked(points: Collection[Point]) -> PipelineReport:
     and the box pick the layout. Step 3 ranks the points (step 2's
     translation included): byte extremes mark each rank in a table, and
     sorted ranks gather the distinct ranks in a `set`. Step 4 puts the
-    ranks to scan in ascending order: read from the table, or sorted. Step
-    5 streams them, a simple chain of box offsets, into the deque scan.
+    cells to scan in ascending order: read from the table, or sorted. Step
+    5 splits them at the chord between the first and the last and scans
+    each side once (`_scan`).
     `points` must be a sized collection, such as a list, tuple or set: step
     1 iterates over it twice, and no other step reads it.
     """
@@ -252,23 +252,19 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
             del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)
-            ranks, iterations = _line_extremes(occ, rf.line_length)
+            cells, iterations = _line_extremes(occ, rf.line_length)
             del occ
         else:
-            distinct = set(map(add, rf._cells(xs, ys), repeat(1)))
+            distinct = set(rf._cells(xs, ys))
             del xs, ys
             t3 = clock()
-            ranks = sorted(distinct)
+            cells = sorted(distinct)
             del distinct
-            n = iterations = len(ranks)
+            n = iterations = len(cells)
         t4 = clock()
-        stats = MelkmanStats()
-        # step 4's ranks are ints in [1, m] by construction
-        scanned = melkman(_Chain(rf._offsets(ranks), len(ranks)), stats)
-        # translation keeps the lexicographic order, so the cycle stays canonical
-        hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
+        hull, evals, ops = _scan(cells, rf)
         t5 = clock()
-        counters = OperationCounters(stats.isleft_evals, iterations, stats.deque_ops)
+        counters = OperationCounters(evals, iterations, ops)
         step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
 
     m = m1 * m2
@@ -279,3 +275,87 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
         counters=counters, step_ns=step_ns,
         rank_variant=variant, route=route,
     )
+
+
+# a `bytes.translate` table that swaps 0 and 1: the cells not strictly left of the chord
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _scan(cells: list[int], rf: RankFunction) -> tuple[HullPolygon, int, int]:
+    """Step 5: the hull of ascending distinct 0-based `cells` of `rf`'s grid, and its two counts.
+
+    Each cell is a point (line, along) = divmod(cell, rf.line_length), so
+    ascending cells are the points in lexicographic order, and the first
+    and last cells are the hull's two extremes in it. One orientation test
+    a cell against that chord, in C, splits the cells: those strictly left
+    of it go to the upper side, the rest, both ends included, to the lower.
+    One monotone pass a side (`_convex_chain`) then keeps its hull chain,
+    the lower from the first cell to the last and the upper back. Under f2
+    (line, along) is the offset (dy, dx): the cycle is transposed back,
+    which turns it clockwise, so it is also reversed and rotated to its
+    lexicographic minimum. One cell, or collinear cells, give the
+    degenerate hull of their extremes. Returns the hull in the caller's
+    points, the orientation tests and the stack operations.
+    """
+    width = rf.line_length
+    first, last = cells[0], cells[-1]
+    if first == last:
+        return HullPolygon(tuple(rf.unrank_all((first + 1,))), degenerate=True), 0, 0
+    per = repeat(width)
+    (l0, a0), (l1, a1) = divmod(first, width), divmod(last, width)
+    dl, da = l1 - l0, a1 - a0
+    # (l, a) strictly left of the chord: dl*(a - a0) > da*(l - l0). With
+    # a = c - l*width that is dl*c - (dl*width + da)*l > dl*a0 - da*l0.
+    left = bytes(map(gt, map(sub, map(mul, cells, repeat(dl)),
+                              map(mul, map(floordiv, cells, per), repeat(dl * width + da))),
+                     repeat(dl * a0 - da * l0)))
+    lower = list(compress(cells, left.translate(_NOT)))
+    upper = list(compress(cells, left))
+    del left  # a byte a cell, freed before the passes
+    lo, lo_guarded = _convex_chain(map(divmod, lower, per))
+    del lower
+    up, up_guarded = _convex_chain(map(divmod, chain((last,), reversed(upper), (first,)), per))
+    del upper
+    # Each pass places its every point, k + 2 in all with both ends twice,
+    # and keeps len(lo) + len(up); its tests are one per point past its
+    # first two and one per removal, less the pop loops the guard stopped.
+    k = len(cells)
+    removed = k + 2 - len(lo) - len(up)
+    evals = k + (k - 2) + removed - lo_guarded - up_guarded
+    ops = k + 2 + removed
+    cycle = lo[:-1] + up[:-1]
+    if rf.variant is RankVariant.ROW_MAJOR:
+        cycle = [(a, l) for l, a in reversed(cycle)]
+    points = rf.to_points(cycle)
+    if len(points) == 2:
+        return HullPolygon(tuple(sorted(points)), degenerate=True), evals, ops
+    # f1's cycle starts at its lexicographic minimum already, f2's reversed one need not
+    return HullPolygon(_canonical(points)), evals, ops
+
+
+def _convex_chain(points: Iterator[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:
+    """Andrew's monotone pass over two or more points: their convex chain, turning left.
+
+    Each point pops the stack's top while it is not strictly left of the
+    top two, and is then pushed, so collinear points never stay. A pop
+    loop is stopped by the guard when one point is left. Returns the
+    chain and the number of pop loops the guard stopped.
+    """
+    stack = [next(points), next(points)]
+    pop, push = stack.pop, stack.append
+    (px, py), (qx, qy) = stack  # the top two, as coordinate locals
+    guarded = 0
+    for v in points:
+        vx, vy = v
+        # "v strictly left of p -> q" is (q - p) x (v - p) > 0, as a comparison of its two products
+        while (qx - px) * (vy - py) <= (qy - py) * (vx - px):
+            pop()
+            qx, qy = px, py
+            if len(stack) == 1:
+                guarded += 1
+                break
+            px, py = stack[-2]
+        push(v)
+        px, py = qx, qy
+        qx, qy = vx, vy
+    return stack, guarded

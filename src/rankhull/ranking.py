@@ -10,10 +10,12 @@ single-pass hull scan needs, obtained without a comparison sort.
 
 `RankFunction` is the only code that knows the f1/f2 layout: `cells` is
 its checked forward rank path, used by `rank`, and `offsets` its one
-inverse, each a chain of C-level maps that is read once. Each checks its
-input and then returns the chain of its private body (`_cells`,
-`_offsets`), which the pipeline calls directly on input it has already
-checked: step 1's lists, and step 4's ranks.
+inverse, each a chain of C-level maps that is read once. `cells` checks
+its input and then returns the chain of its private body `_cells`, which
+the pipeline calls directly on step 1's lists, already checked. The
+pipeline needs no inverse: its scan reads each cell as a (line, along)
+pair, one `divmod` by `line_length`, and only the hull's vertices go back
+through `to_points`.
 
 Step 3 ranks by one of two unchecked bodies, and both give `cells`' cells.
 Sorted ranks use `_cells`' arithmetic, a multiply, an add and a subtract a
@@ -150,13 +152,6 @@ class RankFunction:
         ):
             bad = next(r for r in ranks if type(r) is not int or not 1 <= r <= m)
             raise RankOutOfRangeError(f"rank {bad!r} is not an int in [1, {m}]")
-        return self._offsets(ranks)
-
-    def _offsets(self, ranks: Sequence[int]) -> Iterator[tuple[int, int]]:
-        """`offsets` without its checks, for ints already known to lie in [1, m].
-
-        The pipeline calls it on step 4's ranks, which are in range by construction.
-        """
         if self.variant is RankVariant.COLUMN_MAJOR:
             return map(divmod, map(sub, ranks, repeat(1)), repeat(self.m2))
         # zip reuses its pair when the reader lets it go; an endless repeat can be shared

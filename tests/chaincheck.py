@@ -6,7 +6,9 @@ any point (endpoints included) and adjacent segments meet only at their
 common endpoint.
 
 `melkman_reference` is the plain deque scan that `rankhull.hull.melkman`
-must match test for test: same hull, same counters.
+must match test for test: same hull, same counters. `sides_reference` is
+the plain chord split and two monotone passes that the pipeline's step 5
+(`rankhull.pipeline._scan`) must match the same way.
 
 `is_convex_reference` is the convexity test that `rankhull.hull.is_convex`
 must agree with on every polygon.
@@ -27,7 +29,7 @@ from collections import Counter, deque
 from typing import NamedTuple
 
 from rankhull.bitrank import RankTable, ShuffleResult, build_rank_table, fast_shuffle
-from rankhull.geometry import bounding_box, coordinates, orientation
+from rankhull.geometry import Point, bounding_box, coordinates, orientation
 from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment, melkman
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -167,6 +169,52 @@ def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
     cycle = list(dq)
     cycle.pop()
     return HullPolygon(_canonical(cycle))
+
+
+def sides_reference(chain, transposed=False, stats=None) -> HullPolygon:
+    """The hull of a chain sorted along its lines: a chord split, then a monotone pass a side.
+
+    `chain` holds distinct points in ascending order of (x, y), or of
+    (y, x) if `transposed`, as ascending ranks under f1 and f2 give them.
+    The scan reads each point as (line, along), tests every point against
+    the chord from the first to the last, and keeps the points strictly
+    left of it for the upper pass and the rest for the lower. Each test
+    and each push or pop is counted in `stats` as it runs.
+    """
+    pts = [(v[1], v[0]) if transposed else (v[0], v[1]) for v in chain]
+    if stats is None:
+        stats = MelkmanStats()
+    if len(pts) < 2:
+        return _degenerate(map(Point._make, chain))
+    first, last = pts[0], pts[-1]
+    lower, upper = [], []
+    for v in pts:
+        stats.isleft_evals += 1
+        (upper if _orient(*first, *last, *v) > 0 else lower).append(v)
+    cycle = (
+        _monotone_reference(lower, stats)[:-1]
+        + _monotone_reference([last, *reversed(upper), first], stats)[:-1]
+    )
+    if transposed:
+        cycle = [(a, line) for line, a in reversed(cycle)]
+    if len(cycle) == 2:
+        return _degenerate(map(Point._make, cycle))
+    return HullPolygon(_canonical(list(map(Point._make, cycle))))
+
+
+def _monotone_reference(points, stats):
+    """Pop the top while the next point is not strictly left of the top two, then push it."""
+    stack = []
+    for v in points:
+        while len(stack) >= 2:
+            stats.isleft_evals += 1
+            if _orient(*stack[-2], *stack[-1], *v) > 0:
+                break
+            stack.pop()
+            stats.deque_ops += 1
+        stack.append(v)
+        stats.deque_ops += 1
+    return stack
 
 
 def _half_turn_reference(v) -> int:

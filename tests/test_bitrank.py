@@ -270,9 +270,9 @@ def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order()
     occ = _mark_bytes(iter([3, 1, 8, 8]), 12)
     assert occ == bytearray([0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
     assert occ.count(1) == 3
-    assert _line_extremes(occ, 4) == ([2, 4, 9], 2)
+    assert _line_extremes(occ, 4) == ([1, 3, 8], 2)
     with pytest.raises(IndexError):
         _mark_bytes(iter([3, 12]), 12)
     # a full line gives its two ends; an empty table nothing
-    assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([1, 2, 3, 4], 2)
+    assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([0, 1, 2, 3], 2)
     assert _line_extremes(bytearray(6), 3) == ([], 0)

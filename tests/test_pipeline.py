@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from chaincheck import chain_is_simple, melkman_reference, paper_steps, sorted_ranks_hull
+from chaincheck import chain_is_simple, paper_steps, sides_reference, sorted_ranks_hull
 from rankhull.bitrank import (
     MAX_BYTES, build_rank_table, density_threshold_refined, density_threshold_simple,
     fast_shuffle, shuffle_naive, table_over_cap,
@@ -190,12 +190,17 @@ def test_dense_counters_are_pinned(variant, expected):
 def _check_pinned_counters(pts, variant, expected):
     hull, _, shuffled, stats, _ = paper_steps(pts, 64, variant)
     assert (stats.isleft_evals, shuffled.iterations, stats.deque_ops, len(hull)) == expected
-    # sorted ranks scan f1's chain, so they make f1's decisions and no other layout's
+    # the pipeline scans the same ranks, sorted: it makes the reference
+    # scan's every decision on them
     report = _hull(pts, Route.SORT)
     assert report.hull == hull
-    if report.rank_variant is variant:
-        c = report.counters
-        assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
+    box = bounding_box(pts)
+    rf = RankFunction(report.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
+    ranks = sorted({cell + 1 for cell in rf.cells(*coordinates(pts))})
+    ref = MelkmanStats()
+    assert report.hull == sides_reference(rf.unrank_all(ranks), rf.variant is F2, ref)
+    c = report.counters
+    assert (c.isleft_evals, c.deque_ops) == (ref.isleft_evals, ref.deque_ops)
 
 
 @pytest.mark.parametrize("variant, expected", [
@@ -233,7 +238,7 @@ def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, p)
     table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
     shuffled = fast_shuffle(table)
     stats = MelkmanStats()
-    hull = melkman_reference(rf.unrank_all(shuffled.order), stats)
+    hull = sides_reference(rf.unrank_all(shuffled.order), rf.variant is F2, stats)
     assert report.hull == hull
     assert (report.n, report.duplicates_skipped) == (table.n, table.duplicates_skipped)
     assert report.counters == OperationCounters(stats.isleft_evals, table.n, stats.deque_ops)
@@ -372,18 +377,22 @@ def test_only_step_1_reads_the_points(pts):
 
 
 def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
-    # a tracer of melkman may count its chain with len(), as the bench does
-    lengths = []
+    # step 5 reads each distinct point once, on one side of the chord from
+    # the first to the last, and both sides' passes read those two ends
+    sides = []
+    real = pipeline_module._convex_chain
 
-    def counted(chain, stats):
-        lengths.append(len(chain))
-        return melkman(chain, stats)
+    def counted(points):
+        sides.append(list(points))
+        return real(iter(sides[-1]))
 
-    monkeypatch.setattr(pipeline_module, "melkman", counted)
+    monkeypatch.setattr(pipeline_module, "_convex_chain", counted)
     pts = [(0, 0), (4, 4), (0, 4), (0, 4), (2, 1), (3, 1)]
     report = _hull(pts, Route.SORT)
     assert report.hull == hull_oracle(pts)
-    assert lengths == [report.n] == [5]
+    # the lower side from (0, 0) to (4, 4), then the upper side back
+    assert sides == [[(0, 0), (2, 1), (3, 1), (4, 4)], [(4, 4), (0, 4), (0, 0)]]
+    assert sum(map(len, sides)) == report.n + 2 == 7
 
 
 _PTS = [Point(0, 0), Point(3, 0), Point(0, 3)]
@@ -494,17 +503,26 @@ def one_point_lines(draw):
 
 
 def _scan_of(pts, route):
-    """One call's report on `route` (None: the router's) and the chain of offsets its scan read."""
-    chains = []
+    """One call's report on `route` (None: the router's) and the chain of offsets its scan read.
 
-    def recording(chain, stats):
-        chains.append(list(chain))
-        assert len(chain) == len(chains[-1])  # the chain is sized for tracers
-        return melkman(chains[-1], stats)
+    The scan must be `sides_reference`'s on that chain, test for test: the
+    same hull and the same counters.
+    """
+    scans = []
+    real = pipeline_module._scan
 
-    with patch.object(pipeline_module, "melkman", recording):
+    def recording(cells, rf):
+        scans.append((list(rf.offsets([cell + 1 for cell in cells])), rf))
+        return real(cells, rf)
+
+    with patch.object(pipeline_module, "_scan", recording):
         report = _hull(pts, route)
-    return report, chains[0]
+    ((chain, rf),) = scans
+    stats = MelkmanStats()
+    assert report.hull == sides_reference(rf.to_points(chain), rf.variant is F2, stats)
+    c = report.counters
+    assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
+    return report, chain
 
 
 _STRIP = generate_dense_set(4000, 40, count=16000, seed=5)
@@ -535,7 +553,8 @@ def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
     assert report.counters.shuffle_iterations == len(lines) <= min(report.m1, report.m2)
     assert chain_is_simple(chain)
     assert len(chain) <= 2 * len(lines)
-    assert report.counters.deque_ops <= 3 * len(chain) + 4
+    assert report.counters.deque_ops <= 2 * len(chain)
+    assert report.counters.isleft_evals <= 3 * len(chain)
 
 
 def test_the_byte_route_scans_each_lines_two_extremes():
@@ -644,6 +663,58 @@ def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
     assert f"estimates extremes {extremes:.0f}, sort {sort:.0f} ns" in message
 
 
+# --- step 5 on its own --------------------------------------------------------
+
+@st.composite
+def grid_cells(draw):
+    """A grid's rank function under either layout, and ascending distinct cells of it.
+
+    The cells are any one, two or up to 60, or lie on one line, in a grid
+    one cell wide, or on one straight line across the grid.
+    """
+    shape = draw(st.sampled_from(("any", "one line", "one cell wide", "collinear")))
+    m1, m2 = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if shape == "one cell wide":
+        m1, m2 = draw(st.sampled_from(((1, m2), (m1, 1))))
+    corner = st.one_of(st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))))
+    rf = RankFunction(draw(st.sampled_from(tuple(RankVariant))), m1, m2, draw(corner), draw(corner))
+    if shape == "one line":
+        base = draw(st.integers(0, rf.m // rf.line_length - 1)) * rf.line_length
+        alongs = st.integers(0, rf.line_length - 1)
+        cells = {base + a for a in draw(st.sets(alongs, min_size=1, max_size=30))}
+    elif shape == "collinear":
+        x, y = draw(st.integers(0, m1 - 1)), draw(st.integers(0, m2 - 1))
+        ux, uy = draw(st.sampled_from([(u, v) for u in range(-3, 4) for v in range(-3, 4) if u or v]))
+        line = []
+        while 0 <= x < m1 and 0 <= y < m2:
+            line.append((rf.x_min + x, rf.y_min + y))
+            x, y = x + ux, y + uy
+        picked = draw(st.lists(st.sampled_from(line), min_size=1, unique=True))
+        cells = set(rf.cells([v[0] for v in picked], [v[1] for v in picked]))
+    else:
+        size = draw(st.sampled_from((1, 2, 60)))
+        cells = draw(st.sets(st.integers(0, rf.m - 1), min_size=1, max_size=size))
+    return rf, sorted(cells)
+
+
+@settings(max_examples=400)
+@given(grid_cells())
+def test_the_scan_alone_gives_the_oracles_hull_in_linear_work(case):
+    rf, cells = case
+    points = rf.unrank_all([cell + 1 for cell in cells])
+    hull, evals, ops = pipeline_module._scan(cells, rf)
+    assert hull == hull_oracle(points)
+    assert all(type(v) is Point for v in hull.vertices)
+    stats = MelkmanStats()
+    assert sides_reference(points, rf.variant is F2, stats) == hull
+    assert (evals, ops) == (stats.isleft_evals, stats.deque_ops)
+    # k cells: k + 2 placements and 2k + 2 - h operations in all for h
+    # vertices (2 for a collinear chain), and k chord tests besides the passes'
+    k, h = len(cells), len(hull)
+    assert ops == (2 * k + 2 - h if k > 1 else 0) <= 2 * k
+    assert evals <= (3 * k - 2 - h if k > 1 else 0) <= 3 * k
+
+
 # --- the sorted-ranks route --------------------------------------------------
 
 def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
@@ -653,19 +724,22 @@ def _check_sorted_ranks_scan_the_rank_routes_chain(pts, variant):
     flip = variant is F2
     scanned = _transposed(pts) if flip else pts
     sort, sort_chain = _scan_of(scanned, Route.SORT)
-    hull, table, shuffled, stats, _ = paper_steps(pts, 64, variant)
+    hull, table, shuffled, _, _ = paper_steps(pts, 64, variant)
     box = bounding_box(pts)
-    chain = list(RankFunction(variant, box.m1, box.m2).offsets(shuffled.order))
+    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
+    chain = list(rf.offsets(shuffled.order))
     assert sort_chain == (_transposed(chain) if flip else chain)
     assert sort.route is Route.SORT and sort.rank_variant is F1
     assert sort.counters.shuffle_iterations == sort.n
     # the same chain, so the same scan; only step 4's count differs (n
-    # sorted ranks, against r words + n). A transposed chain turns the other
-    # way, so its scan may test in another order
+    # sorted ranks, against r words + n). The scan reads each point as
+    # (line, along), which a transposed chain under the other layout keeps,
+    # so it makes the same decisions there too
     assert (sort.n, sort.duplicates_skipped) == (table.n, table.duplicates_skipped)
-    if not flip:
-        c = sort.counters
-        assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
+    stats = MelkmanStats()
+    assert sides_reference(rf.to_points(chain), flip, stats) == hull
+    c = sort.counters
+    assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
     assert hull == hull_oracle(pts)
     assert sort.hull == hull_oracle(scanned)
 
