@@ -8,17 +8,19 @@ since they measured slower than sorting the ranks in every cell of the
 route sweep (README's "Routes"). The byte table is the paper's base
 table, one byte per rank, and the pipeline's dense route. The ranks
 come in as the 0-based cells that :class:`RankFunction` makes of step 1's
-coordinate lists, so this module neither reads the caller's points nor
-knows the f1/f2 layout beyond the length of a line.
+coordinate lists, or, for a table anchored at the origin, as (line,
+along) index pairs that the pipeline zips from those lists, so this
+module neither reads the caller's points nor knows the f1/f2 layout
+beyond the length of a line.
 Rank is a bijection, so neither table needs a record of which point set a
 mark: :meth:`RankFunction.offsets` turns each rank back into its offset,
 and the pipeline's scan reads each cell by one `divmod`.
 Compacting the bit table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: `itertools.compress` skips the zero
 words in C, and a table of each byte's set bits lists a nonzero word's, in
-C too. The byte table is marked in C, one `operator.setitem` a cell, and
-read one line at a time instead, for each occupied line's lowest and
-highest rank only.
+C too. The byte table is marked in C, one `operator.setitem` a cell or
+a pair, and read one line at a time instead, for each occupied line's
+lowest and highest rank only.
 """
 
 from __future__ import annotations
@@ -196,6 +198,22 @@ def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:
     """
     occ = bytearray(m)
     deque(map(setitem, repeat(occ), cells, repeat(1)), maxlen=0)
+    return occ
+
+
+def _mark_grid(pairs: Iterable[tuple[int, int]], lines: int, width: int) -> bytearray:
+    """The byte table of `lines` lines of `width` cells with a 1 at each (line, along) pair.
+
+    The pair marks cell line * width + along through a 2-D `memoryview` of
+    the table, which takes the pair itself as its index, so the marking
+    makes no cell int: one `operator.setitem` a pair in C, as in
+    `_mark_bytes`. An index of a side or more raises `IndexError`, but a
+    negative one counts back from the side's end and marks a wrong cell,
+    so every pair must lie in [0, lines) × [0, width).
+    """
+    occ = bytearray(lines * width)
+    with memoryview(occ) as flat, flat.cast("B", (lines, width)) as grid:
+        deque(map(setitem, repeat(grid), pairs, repeat(1)), maxlen=0)
     return occ
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import countOf
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
@@ -84,7 +85,6 @@ def orientation(v0: Point, v1: Point, v2: Point) -> int:
 
 
 _INT_ONLY = frozenset((int,))
-_PAIR = frozenset((2,))
 
 
 def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
@@ -95,13 +95,13 @@ def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
     twice and each point by iterating it, with no object made per point.
     """
     try:
-        pairs = _PAIR.issuperset(map(len, points))
+        pairs = countOf(map(len, points), 2) == len(points)
     except TypeError:  # a point with no len(), such as None or an int
         pairs = False
     if not pairs:
         raise NonIntegerCoordinateError("every point must be an (x, y) pair")
     flat = list(chain.from_iterable(points))
-    if not _INT_ONLY.issuperset(map(type, flat)):
+    if countOf(map(type, flat), int) != len(flat):
         bad = next(v for v in points if not _INT_ONLY.issuperset(map(type, v)))
         raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")
     return flat[0::2], flat[1::2]

@@ -3,7 +3,8 @@
 Step 1 alone reads the caller's points, into lists of xs and ys, and
 takes their box. It is also the pipeline's only input check: the grid is
 the box of those same lists, so the later steps rank them with an
-unchecked body of `RankFunction.cells`. A small cost model then picks the
+unchecked body of `RankFunction.cells`, or index a byte table by them
+unchecked. A small cost model then picks the
 route that finishes the hull (`Route`), and the route and the box pick
 the rank layout: byte extremes on a box wider than tall rank row by row
 (f2), every other call column by column (f1). Every route hands step 5
@@ -11,11 +12,17 @@ the rank layout: byte extremes on a box wider than tall rank row by row
 for both:
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
-  per rank (the paper's base O(n + m) table), with two C calls a point:
-  a lookup in a table of each line's base cell plus an add gives the
-  cell (`RankFunction._line_cells`), and `operator.setitem` marks it.
-  Step 4 reads each occupied line's lowest and highest cell from the
-  table, and step 5 scans those, at most two per line. Only a line's two
+  per rank (the paper's base O(n + m) table). When the box's corner is
+  at least 0 and the table anchored at the origin, (x_max + 1)·(y_max +
+  1) bytes, is at most 2·m and within `MAX_BYTES`, a 2-D view of that
+  table takes the caller's own (x, y), or (y, x) under f2, as its index:
+  one C call a point, and no cell int made (`bitrank._mark_grid`). Any
+  other box, with a negative corner that would index back from a line's
+  end or far from the origin, ranks through a table of each line's base
+  cell (`RankFunction._line_cells`), a lookup and an add a point, and
+  `operator.setitem` marks the cell. Step 4 reads each occupied line's
+  lowest and highest cell from the table, skipping the empty lines in C,
+  and step 5 scans those, at most two per line. Only a line's two
   extremes can be hull vertices. Each occupied line costs a Python loop
   pass, so the lines run along the longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
@@ -28,14 +35,15 @@ for both:
   route runs them. The sort keeps f1.
 
 Step 5 (`_scan`) reads each cell as (line, along) = divmod(cell, line
-length), the box offset (dx, dy) under f1 or (dy, dx) under f2, so
-ascending cells are sorted pairs: a chord split and Andrew's monotone
-chain scan them with fewer tests a point than the paper's Melkman deque
-scan, which `hull.melkman` keeps as its step-5 reproduction. Step 2's
-translation is folded into step 3's rank arithmetic; orientation tests
-are translation-invariant, so the scan decides on box offsets as it
-would on the caller's points, and only the hull's vertices are
-translated back, by `RankFunction.to_points`.
+length), the offset (dx, dy) from the grid's corner under f1 or (dy, dx)
+under f2, so ascending cells are sorted pairs: a chord split and
+Andrew's monotone chain scan them with fewer tests a point than the
+paper's Melkman deque scan, which `hull.melkman` keeps as its step-5
+reproduction. The grid's corner is the box's, or the origin for a table
+indexed in place. Step 2's translation is folded into step 3's rank
+arithmetic; orientation tests are translation-invariant, so the scan
+decides on offsets as it would on the caller's points, and only the
+hull's vertices are translated back, by `RankFunction.to_points`.
 
 The model (`route_estimates`) prices each route's work past step 1
 (`route_terms`) with nanoseconds fitted to the sweep in
@@ -54,7 +62,7 @@ from enum import Enum
 from itertools import chain, compress, repeat
 from operator import floordiv, gt, mul, sub
 
-from .bitrank import MAX_BYTES, _line_extremes, _mark_bytes
+from .bitrank import MAX_BYTES, _line_extremes, _mark_bytes, _mark_grid
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates
 from .hull import HullPolygon, _canonical
@@ -104,11 +112,13 @@ class PipelineReport:
     steps (box, translate, rank, shuffle, scan). The translation happens
     inside the rank arithmetic, so its slot is always 0; the scan's slot
     includes turning the hull's vertices back into the caller's points.
-    On the byte-extremes route step 3 is the marking, step 4 the pass over
-    the lines, and `shuffle_iterations` counts the occupied lines that
-    pass read. On the sorted-ranks route step 3 is the ranking and the
-    `set` that drops duplicates, step 4 the sort, and `shuffle_iterations`
-    is n, the ranks sorted.
+    On the byte-extremes route step 3 is the marking, in place by the
+    points' own coordinates or through the line bases (both give every
+    field but `step_ns` alike), step 4 the pass over the lines, and
+    `shuffle_iterations` counts the occupied lines that pass read. On the
+    sorted-ranks route step 3 is the ranking and the `set` that drops
+    duplicates, step 4 the sort, and `shuffle_iterations` is n, the ranks
+    sorted.
 
     The scan's counters are exact functions of its k cells (n on sorted
     ranks, at most two an occupied line on byte extremes), the h hull
@@ -248,7 +258,17 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
         rf = RankFunction(variant, m1, m2, box.x_min, box.y_min)
         # step 1 checked the lists and this grid is their box: rank them unchecked
         if route is Route.EXTREMES:
-            occ = _mark_bytes(rf._line_cells(xs, ys), box.m)
+            width, height = box.x_max + 1, box.y_max + 1
+            # a negative coordinate would index back from a line's end, so
+            # only a corner >= 0 may index the table anchored at the origin
+            if min(box.x_min, box.y_min) >= 0 and width * height <= min(2 * box.m, MAX_BYTES):
+                rf = RankFunction(variant, width, height, 0, 0)
+                if variant is RankVariant.ROW_MAJOR:
+                    occ = _mark_grid(zip(ys, xs), height, width)
+                else:
+                    occ = _mark_grid(zip(xs, ys), width, height)
+            else:
+                occ = _mark_bytes(rf._line_cells(xs, ys), box.m)
             del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)

@@ -175,7 +175,8 @@ def _inked_rows(mask: ImageMask, threshold: int) -> Iterator[Iterator[tuple[int,
     Each chunk of about 4 KiB of whole rows is thresholded to 0/1 bytes in
     C: byte samples take one translate through a table built once per call,
     any other sequence a comparison per sample. `find` jumps to the next
-    inked row, and one `compress` reads that row up to its last ink.
+    inked row, and one `compress` reads that row from its first ink to its
+    last.
     """
     width, samples = mask.width, mask.samples
     table = None
@@ -193,7 +194,8 @@ def _inked_rows(mask: ImageMask, threshold: int) -> Iterator[Iterator[tuple[int,
             y = i // width
             row = y * width
             end = row + width
-            yield zip(compress(columns, ink[row:ink.rfind(1, row, end) + 1]), repeat(first_y + y))
+            last = ink.rfind(1, row, end) + 1
+            yield zip(compress(columns[i - row:last - row], ink[i:last]), repeat(first_y + y))
             i = ink.find(1, end)
 
 

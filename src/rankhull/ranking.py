@@ -19,13 +19,15 @@ through `to_points`.
 
 Step 3 ranks by one of two unchecked bodies, and both give `cells`' cells.
 Sorted ranks use `_cells`' arithmetic, a multiply, an add and a subtract a
-point. The byte route uses `_line_cells`, which first builds a table of
-each line's base cell and then costs one dict lookup and one add a point.
-That table has one entry per line across the box. The byte route holds a
-table of m bytes and runs its lines along the longer side, so there it
-has at most √m entries. A sparse box can have more lines than points, or
-billions, so sorted ranks keep the arithmetic, whose memory does not grow
-with the box.
+point. The byte route, on a box away from the origin, uses `_line_cells`,
+which first builds a table of each line's base cell and then costs one
+dict lookup and one add a point; on a box near the origin it ranks
+nothing, since a grid anchored at (0, 0) takes each point's own
+coordinates as its index. The line table has one entry per line across
+the box. The byte route holds a table of m bytes and runs its lines along
+the longer side, so there it has at most √m entries. A sparse box can
+have more lines than points, or billions, so sorted ranks keep the
+arithmetic, whose memory does not grow with the box.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class RankFunction:
         the line's first cell less the corner along the line, so a point's
         cell is its coordinate along the line plus its line's base. It
         holds an int for each of the grid's lines, so the byte route,
-        whose m-byte table bounds that count, is its one caller.
+        whose m-byte table bounds that count, is its one caller, on a box
+        whose corner is negative or far from the origin.
         """
         x0, y0, m1, m2, m = self.x_min, self.y_min, self.m1, self.m2, self.m
         if self.variant is RankVariant.COLUMN_MAJOR:

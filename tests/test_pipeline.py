@@ -213,13 +213,24 @@ def test_sparse_counters_are_pinned(variant, expected):
     _check_pinned_counters(pts, variant, expected)
 
 
+def _corners(side):
+    """A corner coordinate within 10^6, at ±2^70, or in [0, 2·side].
+
+    Near the origin the byte route can index a table anchored there by the
+    points' own coordinates; elsewhere it ranks through its line bases.
+    """
+    return st.one_of(
+        st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))), st.integers(0, 2 * side)
+    )
+
+
 @st.composite
 def offset_point_lists(draw):
-    """1 to 60 points in a box of sides up to 40, with repeats, at a corner within 10^6 or 2^70."""
-    corner = st.one_of(st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))))
-    x0, y0 = draw(corner), draw(corner)
-    xs, ys = st.integers(0, draw(st.integers(0, 40))), st.integers(0, draw(st.integers(0, 40)))
-    pts = draw(st.lists(st.builds(Point, xs, ys), min_size=1, max_size=50))
+    """1 to 60 points in a box of sides up to 40, with repeats, at one of `_corners`."""
+    w, h = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    x0, y0 = draw(_corners(w)), draw(_corners(h))
+    pts = draw(st.lists(st.builds(Point, st.integers(0, w), st.integers(0, h)),
+                        min_size=1, max_size=50))
     pts += draw(st.lists(st.sampled_from(pts), max_size=10))
     return [Point(x + x0, y + y0) for x, y in draw(st.permutations(pts))]
 
@@ -486,14 +497,13 @@ def test_thresholds_reject_nonpositive_width():
 
 @st.composite
 def one_point_lines(draw):
-    """1 to 30 points at a corner within 10^6, no two on one column (or, swapped, one row).
+    """1 to 30 points at one of `_corners`, no two on one column (or, swapped, one row).
 
     Most lines then hold a single point, the case where going up one side
     of the box and back down the other would not be a simple chain.
     """
-    x0 = draw(st.integers(-10**6, 10**6))
-    y0 = draw(st.integers(-10**6, 10**6))
     side = draw(st.integers(0, 40))
+    x0, y0 = draw(_corners(side)), draw(_corners(side))
     xs = draw(st.lists(st.integers(0, side), min_size=1, max_size=30, unique=True))
     pts = [(x, draw(st.integers(0, side))) for x in xs]
     if draw(st.booleans()):
@@ -538,11 +548,13 @@ def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
     report, chain = _scan_of(pts, Route.EXTREMES)
     assert report.route is Route.EXTREMES
     assert report.hull == hull_oracle(pts)
-    # the line table ranks as the arithmetic that sorted ranks keep does:
-    # every field but the step times is the same
-    with patch.object(RankFunction, "_line_cells", RankFunction._cells):
-        arithmetic = _hull(pts, Route.EXTREMES)
-    assert replace(report, step_ns=()) == replace(arithmetic, step_ns=())
+    # a copy moved to a far x and a negative y corner ranks through the
+    # line bases, not in place: every field but the moved hull and the
+    # step times is the same
+    moved = _hull([Point(x + 2**40, y - 2**40) for x, y in pts], Route.EXTREMES)
+    back = tuple(Point(x - 2**40, y + 2**40) for x, y in moved.hull.vertices)
+    assert replace(moved.hull, vertices=back) == report.hull
+    assert replace(report, step_ns=()) == replace(moved, hull=report.hull, step_ns=())
     distinct = set(map(tuple, pts))
     assert (report.n, report.duplicates_skipped) == (len(distinct), len(pts) - len(distinct))
     # shuffle_iterations counts the occupied lines, which run along the
@@ -564,6 +576,34 @@ def test_the_byte_route_scans_each_lines_two_extremes():
     assert chain == [(0, 0), (0, 4), (2, 1), (3, 1), (3, 3), (4, 0), (4, 4)]
     assert report.hull == hull_oracle(pts)
     assert (report.n, report.duplicates_skipped, report.counters.shuffle_iterations) == (9, 1, 4)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("corner, width, cap, in_place", [
+    ((0, 0), 3, MAX_BYTES, True),      # the anchored table is the box's own
+    ((3, 0), 3, MAX_BYTES, True),      # 6x5 anchored bytes for 3x5 cells: 2·m
+    ((4, 0), 3, MAX_BYTES, False),     # 7x5 for 3x5: over 2·m
+    ((0, -1), 3, MAX_BYTES, False),    # a negative index would count back from a line's end
+    ((2**40, 0), 3, MAX_BYTES, False),  # far from the origin
+    ((1, 0), 4, 25, True),             # 5x5 for 4x5 cells, within the cap
+    ((1, 0), 4, 24, False),            # the same, over a cap of 24 bytes
+])
+def test_the_byte_route_indexes_in_place_only_at_a_corner_near_the_origin(
+    corner, width, cap, in_place, transpose
+):
+    # a width x 5 box (5 x width transposed, read by rows) at `corner`
+    x0, y0 = corner
+    offsets = [(0, 0), (width - 1, 4), (1, 2), (0, 4), (width - 1, 1), (1, 2)]
+    pts = [Point(x0 + dx, y0 + dy) for dx, dy in offsets]
+    if transpose:
+        pts = [Point(y, x) for x, y in pts]
+    grid = patch.object(pipeline_module, "_mark_grid", wraps=pipeline_module._mark_grid)
+    with patch.object(pipeline_module, "MAX_BYTES", cap), grid as marked:
+        report = _hull(pts, Route.EXTREMES)
+    assert marked.called is in_place
+    assert report.rank_variant is (F2 if transpose else F1)
+    assert (report.m, report.n, report.duplicates_skipped) == (5 * width, 5, 1)
+    assert report.hull == hull_oracle(pts)
 
 
 def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():
