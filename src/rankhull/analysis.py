@@ -111,7 +111,8 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     """Execute the sweep and return one row per (n, variant) cell.
 
     The whole plan is checked before the first cell runs: the repetitions
-    and variants here, and each density and count by `sample_size`, which
+    and variants here, each variant a known name given once in a sequence
+    that is not a str, and each density and count by `sample_size`, which
     turns it into the cell's n. Cells sharing an n value share the
     generated point set so variant comparisons see identical inputs, and
     take turns within each repetition (`_time_cell`). The `byte_extremes`
@@ -121,9 +122,13 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
         raise ValueError(f"plan repetitions {plan.repetitions!r} is not an int of at least 3")
-    for v in plan.variants:
+    if isinstance(plan.variants, str):
+        raise ValueError(f"variants must be a sequence of names, not the str {plan.variants!r}")
+    for i, v in enumerate(plan.variants):
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
+        if v in plan.variants[:i]:
+            raise ValueError(f"variant {v!r} is repeated")
     m = plan.m1 * plan.m2
     n_values = [sample_size(m, d, None) for d in plan.densities]
     n_values += [sample_size(m, None, c) for c in plan.counts]

@@ -1,35 +1,29 @@
-"""Occupancy tables over the m ranks of a box, and the passes that read them.
+"""The paper's blocked bit table over the m ranks of a box, and the walks that read it.
 
-The blocked bit table marks each occupied rank with one bit, stored as
-r = ceil(m/p) words of p bits: m/8 bytes for a box of m cells, whatever n
-is. It and its walk are the paper's p-bit steps 3–4, kept as the
-library's checked reproduction of them; the pipeline does not run them,
-since they measured slower than sorting the ranks in every cell of the
-route sweep (README's "Routes"). The byte table is the paper's base
-table, one byte per rank, and the pipeline's dense route. The ranks
-come in as the 0-based cells that :class:`RankFunction` makes of step 1's
-coordinate lists, or, for a table anchored at the origin, as (line,
-along) index pairs that the pipeline zips from those lists, so this
-module neither reads the caller's points nor knows the f1/f2 layout
-beyond the length of a line.
-Rank is a bijection, so neither table needs a record of which point set a
-mark: :meth:`RankFunction.offsets` turns each rank back into its offset,
-and the pipeline's scan reads each cell by one `divmod`.
-Compacting the bit table into ascending-rank order ("shuffling") can either
+The table marks each occupied rank with one bit, stored as r = ceil(m/p)
+words of p bits: m/8 bytes for a box of m cells, whatever n is. It and
+its walks are the paper's p-bit steps 3–4, kept as the library's checked
+reproduction of them; the pipeline does not run them, since they
+measured slower than sorting the ranks in every cell of the route sweep
+(README's "Routes"). The pipeline's dense route marks the paper's base
+table instead, one byte per rank, in `pipeline`. The ranks come in as
+the 0-based cells that :meth:`RankFunction.cells` makes of coordinate
+lists, so this module neither reads the caller's points nor knows the
+f1/f2 layout. Rank is a bijection, so the table needs no record of
+which point set a bit: :meth:`RankFunction.offsets` turns each rank
+back into its offset.
+Compacting the table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: `itertools.compress` skips the zero
-words in C, and a table of each byte's set bits lists a nonzero word's, in
-C too. The byte table is marked in C, one `operator.setitem` a cell or
-a pair, and read one line at a time instead, for each occupied line's
-lowest and highest rank only.
+words in C, and a table of each byte's set bits lists a nonzero word's,
+in C too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, repeat
-from operator import getitem, setitem
+from itertools import chain, compress, count
+from operator import getitem
 from typing import Iterable
 
 from .errors import BoxTooLargeError, RankOutOfRangeError
@@ -37,8 +31,6 @@ from .errors import BoxTooLargeError, RankOutOfRangeError
 # Cap on the bit table's length in words: 128 MiB of 8-byte list slots at
 # any p, and 2^30 cells at p = 64.
 MAX_WORDS = 1 << 24
-# Cap on the byte table's length: 128 MiB, 2^27 cells.
-MAX_BYTES = 1 << 27
 
 
 def table_over_cap(m: int, p: int) -> str:
@@ -186,58 +178,3 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
             word, base = word >> 64, base + 64
     r = len(bloom)
     return ShuffleResult(order, r + len(order), bloom.count(0))
-
-
-def _mark_bytes(cells: Iterable[int], m: int) -> bytearray:
-    """The byte table of `m` ranks with a 1 at each 0-based cell, which must lie in [0, m).
-
-    The marking runs in C, one `operator.setitem` per cell inside a `map`
-    that a zero-length `deque` drains; a duplicate marks its byte again,
-    and a cell of m or more raises `IndexError`. The table's count of ones
-    is the number of distinct cells.
-    """
-    occ = bytearray(m)
-    deque(map(setitem, repeat(occ), cells, repeat(1)), maxlen=0)
-    return occ
-
-
-def _mark_grid(pairs: Iterable[tuple[int, int]], lines: int, width: int) -> bytearray:
-    """The byte table of `lines` lines of `width` cells with a 1 at each (line, along) pair.
-
-    The pair marks cell line * width + along through a 2-D `memoryview` of
-    the table, which takes the pair itself as its index, so the marking
-    makes no cell int: one `operator.setitem` a pair in C, as in
-    `_mark_bytes`. An index of a side or more raises `IndexError`, but a
-    negative one counts back from the side's end and marks a wrong cell,
-    so every pair must lie in [0, lines) × [0, width).
-    """
-    occ = bytearray(lines * width)
-    with memoryview(occ) as flat, flat.cast("B", (lines, width)) as grid:
-        deque(map(setitem, repeat(grid), pairs, repeat(1)), maxlen=0)
-    return occ
-
-
-def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
-    """The 0-based cells of each occupied line's lowest and highest mark, and the line count.
-
-    The table's cells run line by line, `width` to a line (a column of m2
-    cells under f1, a row of m1 under f2). Each occupied line gives its
-    lowest cell and then, if it holds more than one mark, its highest, so
-    the cells come out ascending, as step 5 reads them. `bytearray.find`
-    skips the empty lines in C, so the Python loop runs once per occupied
-    line, and that count is returned with the cells.
-    """
-    cells: list[int] = []
-    append = cells.append
-    find, rfind = occ.find, occ.rfind
-    lines = 0
-    first = find(1)
-    while first >= 0:
-        lines += 1
-        end = first - first % width + width
-        last = rfind(1, first, end)
-        append(first)
-        if last != first:
-            append(last)
-        first = find(1, end)
-    return cells, lines

@@ -12,19 +12,20 @@ the rank layout: byte extremes on a box wider than tall rank row by row
 for both:
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
-  per rank (the paper's base O(n + m) table). When the box's corner is
-  at least 0 and the table anchored at the origin, (x_max + 1)·(y_max +
-  1) bytes, is at most 2·m and within `MAX_BYTES`, a 2-D view of that
-  table takes the caller's own (x, y), or (y, x) under f2, as its index:
-  one C call a point, and no cell int made (`bitrank._mark_grid`). Any
-  other box, with a negative corner that would index back from a line's
-  end or far from the origin, ranks through a table of each line's base
-  cell (`RankFunction._line_cells`), a lookup and an add a point, and
-  `operator.setitem` marks the cell. Step 4 reads each occupied line's
-  lowest and highest cell from the table, skipping the empty lines in C,
-  and step 5 scans those, at most two per line. Only a line's two
-  extremes can be hull vertices. Each occupied line costs a Python loop
-  pass, so the lines run along the longer side.
+  per rank (the paper's base O(n + m) table), through a 2-D view of it
+  that takes a point's (line, along) pair as its index: one C call a
+  point, and no cell int made (`_mark_grid`). When the box's corner is at
+  least 0 and the table anchored at the origin, (x_max + 1)·(y_max + 1)
+  bytes, is at most 2·m and within `MAX_BYTES`, the pairs are the
+  caller's own (x, y), or (y, x) under f2. Any other box, with a negative
+  corner that would index back from a side's end or far from the origin,
+  has the box itself as its grid, and the pairs are the points' offsets
+  from its corner, subtracted in C as they are marked. Step 4 reads each
+  occupied line's lowest and highest cell from the table, skipping the
+  empty lines in C (`_line_extremes`), and step 5 scans those, at most
+  two per line. Only a line's two extremes can be hull vertices. Each
+  occupied line costs a Python loop pass, so the lines run along the
+  longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
   points by `_cells`' arithmetic, which needs no table that grows with the
   box, and drops duplicates with a `set`, step 4 sorts the n distinct
@@ -48,7 +49,7 @@ hull's vertices are translated back, by `RankFunction.to_points`.
 The model (`route_estimates`) prices each route's work past step 1
 (`route_terms`) with nanoseconds fitted to the sweep in
 `docs/route_sweep.csv` (README's "Routes"). The byte table is never built
-over its cap of `bitrank.MAX_BYTES` bytes; sorted ranks have no cap.
+over its cap of `MAX_BYTES` bytes; sorted ranks have no cap.
 """
 
 from __future__ import annotations
@@ -56,19 +57,22 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Collection, Iterator
+from collections import deque
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, repeat
-from operator import floordiv, gt, mul, sub
+from operator import floordiv, gt, mul, setitem, sub
 
-from .bitrank import MAX_BYTES, _line_extremes, _mark_bytes, _mark_grid
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import BoundingBox, Point, coordinates
 from .hull import HullPolygon, _canonical
 from .ranking import RankFunction, RankVariant
 
 _log = logging.getLogger(__name__)
+
+# Cap on the byte table's length: 128 MiB, 2^27 cells.
+MAX_BYTES = 1 << 27
 
 
 class Route(Enum):
@@ -112,13 +116,13 @@ class PipelineReport:
     steps (box, translate, rank, shuffle, scan). The translation happens
     inside the rank arithmetic, so its slot is always 0; the scan's slot
     includes turning the hull's vertices back into the caller's points.
-    On the byte-extremes route step 3 is the marking, in place by the
-    points' own coordinates or through the line bases (both give every
-    field but `step_ns` alike), step 4 the pass over the lines, and
-    `shuffle_iterations` counts the occupied lines that pass read. On the
-    sorted-ranks route step 3 is the ranking and the `set` that drops
-    duplicates, step 4 the sort, and `shuffle_iterations` is n, the ranks
-    sorted.
+    On the byte-extremes route step 3 is the marking, indexed by the
+    points' own coordinates or by their offsets from the box's corner
+    (both give every field but `step_ns` alike), step 4 the pass over the
+    lines, and `shuffle_iterations` counts the occupied lines that pass
+    read. On the sorted-ranks route step 3 is the ranking and the `set`
+    that drops duplicates, step 4 the sort, and `shuffle_iterations` is n,
+    the ranks sorted.
 
     The scan's counters are exact functions of its k cells (n on sorted
     ranks, at most two an occupied line on byte extremes), the h hull
@@ -255,21 +259,20 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
             raise BoxTooLargeError(f"{box.m} ranks need more than {MAX_BYTES} bytes")
         if route is Route.EXTREMES and m1 > m2:
             variant = RankVariant.ROW_MAJOR
-        rf = RankFunction(variant, m1, m2, box.x_min, box.y_min)
-        # step 1 checked the lists and this grid is their box: rank them unchecked
+        x0, y0 = box.x_min, box.y_min
         if route is Route.EXTREMES:
-            width, height = box.x_max + 1, box.y_max + 1
-            # a negative coordinate would index back from a line's end, so
+            # a negative coordinate would index back from a side's end, so
             # only a corner >= 0 may index the table anchored at the origin
-            if min(box.x_min, box.y_min) >= 0 and width * height <= min(2 * box.m, MAX_BYTES):
-                rf = RankFunction(variant, width, height, 0, 0)
-                if variant is RankVariant.ROW_MAJOR:
-                    occ = _mark_grid(zip(ys, xs), height, width)
-                else:
-                    occ = _mark_grid(zip(xs, ys), width, height)
+            if min(x0, y0) >= 0 and (box.x_max + 1) * (box.y_max + 1) <= min(2 * box.m, MAX_BYTES):
+                x0 = y0 = 0
             else:
-                occ = _mark_bytes(rf._line_cells(xs, ys), box.m)
-            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
+                xs, ys = map(sub, xs, repeat(x0)), map(sub, ys, repeat(y0))
+        rf = RankFunction(variant, box.x_max + 1 - x0, box.y_max + 1 - y0, x0, y0)
+        # step 1 checked the lists and this grid holds their box: use them unchecked
+        if route is Route.EXTREMES:
+            pairs = zip(ys, xs) if variant is RankVariant.ROW_MAJOR else zip(xs, ys)
+            occ = _mark_grid(pairs, rf.m // rf.line_length, rf.line_length)
+            del xs, ys, pairs  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)
             cells, iterations = _line_extremes(occ, rf.line_length)
@@ -295,6 +298,50 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
         counters=counters, step_ns=step_ns,
         rank_variant=variant, route=route,
     )
+
+
+def _mark_grid(pairs: Iterable[tuple[int, int]], lines: int, width: int) -> bytearray:
+    """Step 3's byte table of `lines` lines of `width` cells, with a 1 at each (line, along) pair.
+
+    The pair marks cell line * width + along through a 2-D `memoryview` of
+    the table, which takes the pair itself as its index, so the marking
+    makes no cell int: one `operator.setitem` a pair inside a `map` that
+    a zero-length `deque` drains, all in C. A duplicate marks its byte
+    again, so the table's count of ones is the number of distinct pairs.
+    An index of a side or more raises `IndexError`, but a negative one
+    counts back from the side's end and marks a wrong cell, so every pair
+    must lie in [0, lines) × [0, width).
+    """
+    occ = bytearray(lines * width)
+    with memoryview(occ) as flat, flat.cast("B", (lines, width)) as grid:
+        deque(map(setitem, repeat(grid), pairs, repeat(1)), maxlen=0)
+    return occ
+
+
+def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
+    """Step 4: the 0-based cells of each occupied line's two extreme marks, and the line count.
+
+    The table's cells run line by line, `width` to a line (a column of m2
+    cells under f1, a row of m1 under f2). Each occupied line gives its
+    lowest cell and then, if it holds more than one mark, its highest, so
+    the cells come out ascending, as step 5 reads them. `bytearray.find`
+    skips the empty lines in C, so the Python loop runs once per occupied
+    line, and that count is returned with the cells.
+    """
+    cells: list[int] = []
+    append = cells.append
+    find, rfind = occ.find, occ.rfind
+    lines = 0
+    first = find(1)
+    while first >= 0:
+        lines += 1
+        end = first - first % width + width
+        last = rfind(1, first, end)
+        append(first)
+        if last != first:
+            append(last)
+        first = find(1, end)
+    return cells, lines
 
 
 # a `bytes.translate` table that swaps 0 and 1: the cells not strictly left of the chord

@@ -8,7 +8,7 @@ rank traces a zig-zag over the grid columns (or rows), which is a simple
 polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
 
-`RankFunction` is the only code that knows the f1/f2 layout: `cells` is
+`RankFunction` is the only code that ranks by the f1/f2 layout: `cells` is
 its checked forward rank path, used by `rank`, and `offsets` its one
 inverse, each a chain of C-level maps that is read once. `cells` checks
 its input and then returns the chain of its private body `_cells`, which
@@ -17,17 +17,12 @@ pipeline needs no inverse: its scan reads each cell as a (line, along)
 pair, one `divmod` by `line_length`, and only the hull's vertices go back
 through `to_points`.
 
-Step 3 ranks by one of two unchecked bodies, and both give `cells`' cells.
-Sorted ranks use `_cells`' arithmetic, a multiply, an add and a subtract a
-point. The byte route, on a box away from the origin, uses `_line_cells`,
-which first builds a table of each line's base cell and then costs one
-dict lookup and one add a point; on a box near the origin it ranks
-nothing, since a grid anchored at (0, 0) takes each point's own
-coordinates as its index. The line table has one entry per line across
-the box. The byte route holds a table of m bytes and runs its lines along
-the longer side, so there it has at most √m entries. A sparse box can
-have more lines than points, or billions, so sorted ranks keep the
-arithmetic, whose memory does not grow with the box.
+The pipeline ranks by arithmetic on one route only: sorted ranks use
+`_cells`, a multiply, an add and a subtract a point, whose memory does
+not grow with the box. The byte route ranks nothing: it marks its table
+through a 2-D view indexed by each point's (line, along) pair, its own
+coordinates on a grid anchored at (0, 0) or its offsets from the box's
+corner, and `_cells` gives the same cells.
 """
 
 from __future__ import annotations
@@ -109,23 +104,6 @@ class RankFunction:
         else:
             scaled, corner = map(add, xs, map(mul, ys, repeat(m1))), x0 + y0 * m1
         return map(sub, scaled, repeat(corner))
-
-    def _line_cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
-        """`_cells` through a table of each line's base cell: one lookup and one add a point.
-
-        The table maps each line's coordinate (x under f1, y under f2) to
-        the line's first cell less the corner along the line, so a point's
-        cell is its coordinate along the line plus its line's base. It
-        holds an int for each of the grid's lines, so the byte route,
-        whose m-byte table bounds that count, is its one caller, on a box
-        whose corner is negative or far from the origin.
-        """
-        x0, y0, m1, m2, m = self.x_min, self.y_min, self.m1, self.m2, self.m
-        if self.variant is RankVariant.COLUMN_MAJOR:
-            base = dict(zip(range(x0, x0 + m1), range(-y0, m - y0, m2)))
-            return map(add, ys, map(base.__getitem__, xs))
-        base = dict(zip(range(y0, y0 + m2), range(-x0, m - x0, m1)))
-        return map(add, xs, map(base.__getitem__, ys))
 
     def rank(self, v: Point) -> int:
         """The rank of one point, an (x, y) pair of ints as `coordinates` requires."""

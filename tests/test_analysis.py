@@ -47,6 +47,13 @@ def test_plan_validation(monkeypatch):
             run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), repetitions=repetitions))
     with pytest.raises(ValueError):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, variants=("quickhull",)))
+    # a repeat would time one route twice and write its rows twice; a str
+    # would be read a letter at a time
+    repeated = (EXTREMES_VARIANT, SORT_VARIANT, EXTREMES_VARIANT)
+    with pytest.raises(ValueError, match="'byte_extremes' is repeated"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=repeated))
+    with pytest.raises(ValueError, match="not the str 'sorted_ranks'"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=SORT_VARIANT))
 
 
 @pytest.mark.parametrize("counts", [(5, 200), (5, 2.7), (5, -1), (5, True)])

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from rankhull.bitrank import (
     MAX_WORDS,
     RankTable,
-    _line_extremes,
-    _mark_bytes,
-    _mark_grid,
     build_rank_table,
     check_block_width,
     extract_set_bits,
@@ -264,21 +261,3 @@ def test_fast_shuffle_holds_nothing_per_word():
     assert result.order == ranks
     assert result.zero_buckets_skipped == r - 4
     assert peak < 64 * 1024
-
-
-def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order():
-    # 3 lines of 4 cells: line 0 holds cells 1 and 3, line 1 none, line 2 cell 8 twice
-    occ = _mark_bytes(iter([3, 1, 8, 8]), 12)
-    assert occ == bytearray([0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
-    assert occ.count(1) == 3
-    assert _line_extremes(occ, 4) == ([1, 3, 8], 2)
-    with pytest.raises(IndexError):
-        _mark_bytes(iter([3, 12]), 12)
-    # the same marks as (line, along) pairs on a 3x4 grid view
-    assert _mark_grid(iter([(0, 3), (0, 1), (2, 0), (2, 0)]), 3, 4) == occ
-    for past in ((3, 0), (0, 4)):
-        with pytest.raises(IndexError):
-            _mark_grid(iter([past]), 3, 4)
-    # a full line gives its two ends; an empty table nothing
-    assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([0, 1, 2, 3], 2)
-    assert _line_extremes(bytearray(6), 3) == ([], 0)

@@ -90,6 +90,7 @@ _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out
     ("bench", "--width", "40000", "--height", "40000", "--densities", "0.001",
      "--out", "{out}"),
     (*_BENCH, "--variants", "byte_extremes,quickhull"),
+    (*_BENCH, "--variants", "byte_extremes,byte_extremes"),
 ])
 def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     mask = tmp_path / "mask.pbm"

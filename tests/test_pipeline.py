@@ -1,3 +1,4 @@
+import ast
 import gc
 import inspect
 import logging
@@ -16,16 +17,19 @@ from hypothesis import strategies as st
 from rankhull import pipeline as pipeline_module
 from chaincheck import chain_is_simple, paper_steps, sides_reference, sorted_ranks_hull
 from rankhull.bitrank import (
-    MAX_BYTES, build_rank_table, density_threshold_refined, density_threshold_simple,
+    build_rank_table, density_threshold_refined, density_threshold_simple,
     fast_shuffle, shuffle_naive, table_over_cap,
 )
 from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
 from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
+    MAX_BYTES,
     OperationCounters,
     Route,
     _hull,
+    _line_extremes,
+    _mark_grid,
     choose_route,
     convex_hull_ranked,
     route_estimates,
@@ -217,7 +221,8 @@ def _corners(side):
     """A corner coordinate within 10^6, at ±2^70, or in [0, 2·side].
 
     Near the origin the byte route can index a table anchored there by the
-    points' own coordinates; elsewhere it ranks through its line bases.
+    points' own coordinates; elsewhere it indexes the box's own grid by
+    the points' offsets from its corner.
     """
     return st.one_of(
         st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))), st.integers(0, 2 * side)
@@ -548,9 +553,9 @@ def test_the_byte_route_scans_a_simple_chain_of_line_extremes(pts):
     report, chain = _scan_of(pts, Route.EXTREMES)
     assert report.route is Route.EXTREMES
     assert report.hull == hull_oracle(pts)
-    # a copy moved to a far x and a negative y corner ranks through the
-    # line bases, not in place: every field but the moved hull and the
-    # step times is the same
+    # a copy moved to a far x and a negative y corner marks the box's own
+    # grid by offsets, not a table anchored at the origin: every field but
+    # the moved hull and the step times is the same
     moved = _hull([Point(x + 2**40, y - 2**40) for x, y in pts], Route.EXTREMES)
     back = tuple(Point(x - 2**40, y + 2**40) for x, y in moved.hull.vertices)
     assert replace(moved.hull, vertices=back) == report.hull
@@ -579,7 +584,7 @@ def test_the_byte_route_scans_each_lines_two_extremes():
 
 
 @pytest.mark.parametrize("transpose", [False, True])
-@pytest.mark.parametrize("corner, width, cap, in_place", [
+@pytest.mark.parametrize("corner, width, cap, anchored", [
     ((0, 0), 3, MAX_BYTES, True),      # the anchored table is the box's own
     ((3, 0), 3, MAX_BYTES, True),      # 6x5 anchored bytes for 3x5 cells: 2·m
     ((4, 0), 3, MAX_BYTES, False),     # 7x5 for 3x5: over 2·m
@@ -589,7 +594,7 @@ def test_the_byte_route_scans_each_lines_two_extremes():
     ((1, 0), 4, 24, False),            # the same, over a cap of 24 bytes
 ])
 def test_the_byte_route_indexes_in_place_only_at_a_corner_near_the_origin(
-    corner, width, cap, in_place, transpose
+    corner, width, cap, anchored, transpose
 ):
     # a width x 5 box (5 x width transposed, read by rows) at `corner`
     x0, y0 = corner
@@ -598,12 +603,42 @@ def test_the_byte_route_indexes_in_place_only_at_a_corner_near_the_origin(
     if transpose:
         pts = [Point(y, x) for x, y in pts]
     grid = patch.object(pipeline_module, "_mark_grid", wraps=pipeline_module._mark_grid)
-    with patch.object(pipeline_module, "MAX_BYTES", cap), grid as marked:
+    ranks = patch.object(pipeline_module, "RankFunction", wraps=RankFunction)
+    with patch.object(pipeline_module, "MAX_BYTES", cap), grid as marked, ranks as made:
         report = _hull(pts, Route.EXTREMES)
-    assert marked.called is in_place
+    # one grid of (lines, width): the origin's up to (x_max, y_max), or the
+    # box's own; the transpose reads the same grid by rows
+    marked.assert_called_once()
+    assert marked.call_args.args[1:] == ((x0 + width, y0 + 5) if anchored else (width, 5))
+    made.assert_called_once()
     assert report.rank_variant is (F2 if transpose else F1)
     assert (report.m, report.n, report.duplicates_skipped) == (5 * width, 5, 1)
     assert report.hull == hull_oracle(pts)
+
+
+def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order():
+    # 3 lines of 4 cells: line 0 holds cells 1 and 3, line 1 none, line 2 cell 8 twice
+    occ = _mark_grid(iter([(0, 3), (0, 1), (2, 0), (2, 0)]), 3, 4)
+    assert occ == bytearray([0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0])
+    assert occ.count(1) == 3
+    assert _line_extremes(occ, 4) == ([1, 3, 8], 2)
+    for past in ((3, 0), (0, 4)):
+        with pytest.raises(IndexError):
+            _mark_grid(iter([(0, 1), past]), 3, 4)
+    # a full line gives its two ends; an empty table nothing
+    assert _line_extremes(bytearray([1, 1, 1, 1, 0, 0]), 2) == ([0, 1, 2, 3], 2)
+    assert _line_extremes(bytearray(6), 3) == ([], 0)
+
+
+def test_the_pipeline_imports_nothing_from_the_bit_table():
+    # bitrank is the paper's p-bit reproduction; the routes use none of it,
+    # neither its functions nor its constants
+    assert "bitrank" not in vars(pipeline_module)
+    assert not [name for name, value in vars(pipeline_module).items()
+                if getattr(value, "__module__", None) == "rankhull.bitrank"]
+    tree = ast.parse(inspect.getsource(pipeline_module))
+    assert not [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and "bitrank" in (node.module or "")]
 
 
 def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():

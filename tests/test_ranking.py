@@ -168,7 +168,6 @@ def test_roundtrip_on_every_grid_up_to_64x64():
                 cells = list(rf.offsets(range(1, m + 1)))
                 assert len(set(cells)) == m
                 assert list(rf.cells(*zip(*cells))) == list(range(m))
-                assert list(rf._line_cells(*zip(*cells))) == list(range(m))
 
 
 @pytest.mark.parametrize("variant", (F1, F2))
@@ -178,15 +177,15 @@ def test_roundtrip_on_every_grid_up_to_64x64():
     (1, 30, -3, 5), (30, 1, 5, -3),         # one cell wide, and one line
     (4000, 40, -17, 2**63), (40, 4000, 2**63, -17),  # the strips
 ])
-def test_the_line_table_gives_the_cells_of_the_arithmetic(variant, m1, m2, x0, y0):
-    # the byte route ranks through the line table, and sorted ranks through
-    # _cells: both must give the cells that the checked path gives, repeats included
+def test_the_unchecked_body_gives_the_cells_of_the_checked_path(variant, m1, m2, x0, y0):
+    # sorted ranks rank through _cells, unchecked: it must give the cells
+    # that the checked path gives, repeats included
     rng = random.Random(m1 * m2)
     offsets = [(rng.randrange(m1), rng.randrange(m2)) for _ in range(300)]
     offsets += [(0, 0), (m1 - 1, m2 - 1), (0, m2 - 1), (m1 - 1, 0)] + offsets[:40]
     xs, ys = [x0 + dx for dx, _ in offsets], [y0 + dy for _, dy in offsets]
     rf = RankFunction(variant, m1, m2, x0, y0)
-    assert list(rf._line_cells(xs, ys)) == list(rf.cells(xs, ys)) == list(rf._cells(xs, ys))
+    assert list(rf.cells(xs, ys)) == list(rf._cells(xs, ys))
 
 
 @given(st.data())
