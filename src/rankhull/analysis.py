@@ -110,20 +110,24 @@ def _time_cell(calls: Sequence[Callable[[], object]], repetitions: int) -> list[
 def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
     """Execute the sweep and return one row per (n, variant) cell.
 
-    The whole plan is checked before the first cell runs: the repetitions
-    and variants here, each variant a known name given once in a sequence
-    that is not a str, and each density and count by `sample_size`, which
-    turns it into the cell's n. Cells sharing an n value share the
-    generated point set so variant comparisons see identical inputs, and
-    take turns within each repetition (`_time_cell`). The `byte_extremes`
-    and `sorted_ranks` variants time the pipeline on `Route.EXTREMES` and
-    `Route.SORT`, named past the cost model, and `oracle_sort_hull` times
-    `hull_oracle` alone.
+    The whole plan is checked before the first cell runs: here the
+    repetitions, that neither densities, counts nor variants is a str, and
+    that there is at least one variant, each a known name given once; each
+    density and count by `sample_size`, which turns it into the cell's n.
+    Cells sharing an n value share the generated point set so variant
+    comparisons see identical inputs, and take turns within each
+    repetition (`_time_cell`). The `byte_extremes` and `sorted_ranks`
+    variants time the pipeline on `Route.EXTREMES` and `Route.SORT`, named
+    past the cost model, and `oracle_sort_hull` times `hull_oracle` alone.
     """
     if type(plan.repetitions) is not int or plan.repetitions < 3:
         raise ValueError(f"plan repetitions {plan.repetitions!r} is not an int of at least 3")
-    if isinstance(plan.variants, str):
-        raise ValueError(f"variants must be a sequence of names, not the str {plan.variants!r}")
+    for field in ("densities", "counts", "variants"):
+        value = getattr(plan, field)
+        if isinstance(value, str):
+            raise ValueError(f"{field} must be a sequence, not the str {value!r}")
+    if not plan.variants:
+        raise ValueError("a plan needs at least one variant")
     for i, v in enumerate(plan.variants):
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}")

@@ -8,8 +8,8 @@ unchanged by translating all points alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import countOf
+from itertools import repeat
+from operator import countOf, itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyInputError, NonIntegerCoordinateError
@@ -92,19 +92,22 @@ def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
 
     Every coordinate must be a plain ``int``: floats cannot be ranked, and
     ``bool`` would be ranked silently as 0 or 1. The collection is read
-    twice and each point by iterating it, with no object made per point.
+    three times, for each point's len(), its [0] and its [1], straight into
+    the two lists, with no object made per point.
     """
     try:
         pairs = countOf(map(len, points), 2) == len(points)
-    except TypeError:  # a point with no len(), such as None or an int
+        if pairs:
+            xs = list(map(itemgetter(0), points))
+            ys = list(map(itemgetter(1), points))
+    except (TypeError, LookupError):  # no len(), such as None, or no [0] and [1], such as a set
         pairs = False
     if not pairs:
         raise NonIntegerCoordinateError("every point must be an (x, y) pair")
-    flat = list(chain.from_iterable(points))
-    if countOf(map(type, flat), int) != len(flat):
-        bad = next(v for v in points if not _INT_ONLY.issuperset(map(type, v)))
-        raise NonIntegerCoordinateError(f"point {tuple(bad)!r} has a non-int coordinate")
-    return flat[0::2], flat[1::2]
+    if countOf(map(type, xs), int) != len(xs) or countOf(map(type, ys), int) != len(ys):
+        bad = next(v for v in zip(xs, ys) if not _INT_ONLY.issuperset(map(type, v)))
+        raise NonIntegerCoordinateError(f"point {bad!r} has a non-int coordinate")
+    return xs, ys
 
 
 def bounding_box(points: Sequence[Point]) -> BoundingBox:

@@ -219,7 +219,8 @@ def convex_hull_ranked(points: Collection[Point]) -> PipelineReport:
     5 splits them at the chord between the first and the last and scans
     each side once (`_scan`).
     `points` must be a sized collection, such as a list, tuple or set: step
-    1 iterates over it twice, and no other step reads it.
+    1 iterates over it three times, for each point's len(), x and y, and no
+    other step reads it.
     """
     return _hull(points, None)
 

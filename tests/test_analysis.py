@@ -54,6 +54,13 @@ def test_plan_validation(monkeypatch):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=repeated))
     with pytest.raises(ValueError, match="not the str 'sorted_ranks'"):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=SORT_VARIANT))
+    # as would a str of densities or counts; an empty plan would time nothing
+    with pytest.raises(ValueError, match="densities must be a sequence, not the str '0.5'"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, densities="0.5"))
+    with pytest.raises(ValueError, match="counts must be a sequence, not the str '12'"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, counts="12"))
+    with pytest.raises(ValueError, match="at least one variant"):
+        run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=()))
 
 
 @pytest.mark.parametrize("counts", [(5, 200), (5, 2.7), (5, -1), (5, True)])

@@ -91,6 +91,7 @@ _BENCH = ("bench", "--width", "8", "--height", "8", "--densities", "0.5", "--out
      "--out", "{out}"),
     (*_BENCH, "--variants", "byte_extremes,quickhull"),
     (*_BENCH, "--variants", "byte_extremes,byte_extremes"),
+    (*_BENCH, "--variants", ""),
 ])
 def test_bad_values_exit_one_with_one_error_line(tmp_path, capsys, argv):
     mask = tmp_path / "mask.pbm"

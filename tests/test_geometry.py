@@ -51,6 +51,13 @@ def test_coordinates_rejects_points_that_are_not_pairs():
     for bad in ((2, 2, 2), (2,), None):
         with pytest.raises(NonIntegerCoordinateError, match="pair"):
             coordinates([Point(1, 1), bad])
+    # a pair is read by its [0] and [1]: a set has neither, and a dict's
+    # are its values
+    for bad in ({1, 2}, {1: 2, 3: 4}):
+        with pytest.raises(NonIntegerCoordinateError, match="pair"):
+            coordinates([Point(1, 1), bad])
+    with pytest.raises(NonIntegerCoordinateError, match=r"point \(1\.5, 2\) has a non-int"):
+        coordinates([Point(1, 1), {0: 1.5, 1: 2}])
 
 
 def test_bounding_box_triangle():

@@ -329,6 +329,15 @@ def _peak(call):
         gc.enable()
 
 
+def test_step_1_holds_only_its_two_coordinate_lists():
+    # two lists of n pointers, with their growth slack: about 18 bytes a
+    # point; a flat list of all 2n coordinates beside them would be 32
+    pts = generate_dense_set(480, 360, count=17280, seed=7)
+    (xs, ys), peak = _peak(lambda: coordinates(pts))
+    assert (xs, ys) == ([x for x, _ in pts], [y for _, y in pts])
+    assert peak < 20 * len(pts)
+
+
 def test_over_cap_memory_is_the_oracles_on_the_distinct_points():
     # sorted ranks hold step 1's coordinate lists (16 bytes a point, about
     # 0.26 MiB here) until the ranks' set is built, then the set and its
@@ -347,7 +356,8 @@ def test_non_integer_coordinates_raise_a_library_error():
             convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
         with pytest.raises(NonIntegerCoordinateError, match=re.escape(f"point {tuple(bad)!r}")):
             bounding_box([Point(0, 0), bad, Point(3, 3)])
-    # pairs that cannot be indexed are read by iteration, as step 3 reads them
+    # step 1 reads each pair by its [0] and [1]: a set has neither, and a
+    # dict without the keys 0 and 1 raises KeyError, both refused as pairs
     for bad in ({1, 2.5}, {1: 2, 3.5: 4}):
         with pytest.raises(NonIntegerCoordinateError):
             convex_hull_ranked([Point(0, 0), bad, Point(3, 3)])
@@ -386,10 +396,10 @@ def test_only_step_1_reads_the_points(pts):
         try:
             report = _hull(hulled, route)
         except BoxTooLargeError:  # the table route named past the router, over its cap
-            assert route is Route.EXTREMES and hulled.iterations == 2
+            assert route is Route.EXTREMES and hulled.iterations == 3
             continue
         assert report.hull == hull_oracle(pts)
-        assert hulled.iterations == boxed.iterations == 2
+        assert hulled.iterations == boxed.iterations == 3
 
 
 def test_the_scanned_chain_has_the_length_of_its_distinct_points(monkeypatch):
