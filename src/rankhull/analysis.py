@@ -112,8 +112,9 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
 
     The whole plan is checked before the first cell runs: here the
     repetitions, that neither densities, counts nor variants is a str, and
-    that there is at least one variant, each a known name given once; each
-    density and count by `sample_size`, which turns it into the cell's n.
+    that the variants are a sequence of at least one known name, each
+    given once; each density and count by `sample_size`, which turns it
+    into the cell's n.
     Cells sharing an n value share the generated point set so variant
     comparisons see identical inputs, and take turns within each
     repetition (`_time_cell`). The `byte_extremes` and `sorted_ranks`
@@ -126,6 +127,8 @@ def run_benchmark(plan: BenchmarkPlan) -> list[BenchmarkRow]:
         value = getattr(plan, field)
         if isinstance(value, str):
             raise ValueError(f"{field} must be a sequence, not the str {value!r}")
+    if not isinstance(plan.variants, Sequence):
+        raise ValueError(f"variants must be a sequence, not {type(plan.variants).__name__}")
     if not plan.variants:
         raise ValueError("a plan needs at least one variant")
     for i, v in enumerate(plan.variants):

@@ -47,11 +47,6 @@ class BoundingBox:
         if self.x_min > self.x_max or self.y_min > self.y_max:
             raise ValueError("bounding box extents are inverted")
 
-    @classmethod
-    def of(cls, xs: Sequence[int], ys: Sequence[int]) -> BoundingBox:
-        """The box of the points (xs[i], ys[i]), from non-empty `coordinates` lists."""
-        return cls(min(xs), max(xs), min(ys), max(ys))
-
     @property
     def m1(self) -> int:
         return self.x_max - self.x_min + 1
@@ -114,4 +109,5 @@ def bounding_box(points: Sequence[Point]) -> BoundingBox:
     """Tightest axis-aligned bounding box of a non-empty point sequence, by `coordinates`."""
     if not points:
         raise EmptyInputError("cannot bound an empty point set")
-    return BoundingBox.of(*coordinates(points))
+    xs, ys = coordinates(points)
+    return BoundingBox(min(xs), max(xs), min(ys), max(ys))

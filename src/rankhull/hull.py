@@ -8,7 +8,8 @@ monotone pass a side instead, with fewer tests a point.
 
 The hull is strict: no collinear vertices are retained, so every point
 set has exactly one canonical hull cycle (counter-clockwise, starting at
-the lexicographically smallest vertex). Inputs with fewer than three
+the lexicographically smallest vertex), which `HullPolygon.of_cycle` makes
+for `melkman` and the pipeline alike. Inputs with fewer than three
 distinct non-collinear points yield degenerate polygons rather than
 errors.
 """
@@ -38,6 +39,18 @@ class HullPolygon:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @classmethod
+    def of_cycle(cls, cycle: list[Point]) -> HullPolygon:
+        """The canonical hull of a counter-clockwise cycle of distinct vertices.
+
+        Fewer than three vertices give the degenerate hull of them, sorted;
+        any other cycle is rotated to start at its lexicographic minimum.
+        """
+        if len(cycle) < 3:
+            return cls(tuple(sorted(cycle)), degenerate=True)
+        k = cycle.index(min(cycle))
+        return cls(tuple(cycle[k:] + cycle[:k]))
+
 
 @dataclass
 class MelkmanStats:
@@ -59,11 +72,6 @@ class MelkmanStats:
 
     isleft_evals: int = 0
     deque_ops: int = 0
-
-
-def _canonical(cycle: list[Point]) -> tuple[Point, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
 
 
 def _degenerate(points: Iterable[Point]) -> HullPolygon:
@@ -181,7 +189,7 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
     stats.deque_ops += 3 + placed + removed
     cycle = list(dq)
     cycle.pop()  # both ends hold the seam vertex
-    return HullPolygon(_canonical(cycle))
+    return HullPolygon.of_cycle(cycle)
 
 
 def hull_oracle(points: Iterable[Point]) -> HullPolygon:

@@ -1,15 +1,16 @@
 """End-to-end rank-ordered hull: box, then one of two routes.
 
 Step 1 alone reads the caller's points, into lists of xs and ys, and
-takes their box. It is also the pipeline's only input check: the grid is
-the box of those same lists, so the later steps rank them with an
-unchecked body of `RankFunction.cells`, or index a byte table by them
-unchecked. A small cost model then picks the
-route that finishes the hull (`Route`), and the route and the box pick
-the rank layout: byte extremes on a box wider than tall rank row by row
-(f2), every other call column by column (f1). Every route hands step 5
-0-based cells in ascending rank order, and step 5 (`_scan`) is the same
-for both:
+takes their box, four ints. It is also the pipeline's only input check:
+the grid is the box of those same lists, so the later steps rank them,
+or index a byte table by them, unchecked. A small cost model then picks
+the route that finishes the hull (`Route`), and the route and the box
+pick the rank layout: byte extremes on a box wider than tall rank row by
+row (f2), every other call column by column (f1). f2 is f1 on the
+transposed points, so under f2 the two columns swap once, and steps 3–5
+see one column-major grid of plain ints: a line per value of the first
+column, `width` cells a line. Every route hands step 5 0-based cells in
+ascending rank order, and step 5 (`_scan`) is the same for both:
 
 - byte extremes: step 3 marks each point's rank in a table of one byte
   per rank (the paper's base O(n + m) table), through a 2-D view of it
@@ -17,34 +18,35 @@ for both:
   point, and no cell int made (`_mark_grid`). When the box's corner is at
   least 0 and the table anchored at the origin, (x_max + 1)·(y_max + 1)
   bytes, is at most 2·m and within `MAX_BYTES`, the pairs are the
-  caller's own (x, y), or (y, x) under f2. Any other box, with a negative
-  corner that would index back from a side's end or far from the origin,
-  has the box itself as its grid, and the pairs are the points' offsets
-  from its corner, subtracted in C as they are marked. Step 4 reads each
-  occupied line's lowest and highest cell from the table, skipping the
-  empty lines in C (`_line_extremes`), and step 5 scans those, at most
-  two per line. Only a line's two extremes can be hull vertices. Each
-  occupied line costs a Python loop pass, so the lines run along the
-  longer side.
+  points' own two columns. Any other box, with a negative corner that
+  would index back from a side's end or far from the origin, has the box
+  itself as its grid, and the pairs are the points' offsets from its
+  corner, subtracted in C as they are marked. Step 4 reads each occupied
+  line's lowest and highest cell from the table, skipping the empty lines
+  in C (`_line_extremes`), and step 5 scans those, at most two per line.
+  Only a line's two extremes can be hull vertices. Each occupied line
+  costs a Python loop pass, so the lines run along the longer side.
 - sorted ranks, for boxes too sparse for the table: step 3 ranks the
-  points by `_cells`' arithmetic, which needs no table that grows with the
-  box, and drops duplicates with a `set`, step 4 sorts the n distinct
-  cells (ints, in C) and step 5 scans them. That is the chain the paper's
-  p-bit steps 3–4 (`bitrank.build_rank_table` and `fast_shuffle`) yield,
-  got by a comparison sort of ints rather than by a table; those steps
-  measured slower than the sort in every cell of the route sweep, so no
-  route runs them. The sort keeps f1.
+  points by arithmetic, x·width + y less the corner's, which needs no
+  table that grows with the box, and drops duplicates with a `set`, step
+  4 sorts the n distinct cells (ints, in C) and step 5 scans them. That
+  is the chain the paper's p-bit steps 3–4 (`bitrank.build_rank_table`
+  and `fast_shuffle`) yield, got by a comparison sort of ints rather than
+  by a table; those steps measured slower than the sort in every cell of
+  the route sweep, so no route runs them. The sort keeps f1.
 
-Step 5 (`_scan`) reads each cell as (line, along) = divmod(cell, line
-length), the offset (dx, dy) from the grid's corner under f1 or (dy, dx)
-under f2, so ascending cells are sorted pairs: a chord split and
-Andrew's monotone chain scan them with fewer tests a point than the
-paper's Melkman deque scan, which `hull.melkman` keeps as its step-5
-reproduction. The grid's corner is the box's, or the origin for a table
-indexed in place. Step 2's translation is folded into step 3's rank
-arithmetic; orientation tests are translation-invariant, so the scan
-decides on offsets as it would on the caller's points, and only the
-hull's vertices are translated back, by `RankFunction.to_points`.
+Step 5 (`_scan`) reads each cell as (line, along) = divmod(cell, width),
+the inverse of step 3's rank, so ascending cells are sorted pairs: a
+chord split and Andrew's monotone chain scan them with fewer tests a
+point than the paper's Melkman deque scan, which `hull.melkman` keeps as
+its step-5 reproduction. Step 2's translation is folded into step 3's
+rank arithmetic; orientation tests are translation-invariant, so the
+scan decides on offsets from the grid's corner (the box's, or the origin
+for a table indexed in place) as it would on the caller's points. Only
+the hull's vertices are turned back into the caller's points, once:
+under f2 each pair swaps back and the cycle, which the swap turned
+clockwise, is reversed; then the corner is added and
+`HullPolygon.of_cycle` gives the canonical cycle.
 
 The model (`route_estimates`) prices each route's work past step 1
 (`route_terms`) with nanoseconds fitted to the sweep in
@@ -62,12 +64,12 @@ from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, compress, repeat
-from operator import floordiv, gt, mul, setitem, sub
+from operator import add, floordiv, gt, mul, setitem, sub
 
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
-from .geometry import BoundingBox, Point, coordinates
-from .hull import HullPolygon, _canonical
-from .ranking import RankFunction, RankVariant
+from .geometry import Point, coordinates, new_points
+from .hull import HullPolygon
+from .ranking import RankVariant
 
 _log = logging.getLogger(__name__)
 
@@ -111,7 +113,8 @@ class PipelineReport:
     with m = 0 and density 0.0 for empty input. `route` is the route that
     ran; empty input runs none and reports the route chosen for it.
     `rank_variant` is the layout that ranked the box: `ROW_MAJOR` for
-    byte extremes when m1 > m2, else `COLUMN_MAJOR`.
+    byte extremes when m1 > m2, which swap the box's two columns so that
+    the grid's lines are its rows, else `COLUMN_MAJOR`.
     `step_ns` holds the elapsed monotonic nanoseconds of the paper's five
     steps (box, translate, rank, shuffle, scan). The translation happens
     inside the rank arithmetic, so its slot is always 0; the scan's slot
@@ -174,21 +177,16 @@ def route_terms(count: int, m: int, lines: int) -> tuple[tuple[float, ...], ...]
     return (count, m, occupied), (count, count * math.log2(count) if count else 0.0)
 
 
-def _over_cap(route: Route, m: int) -> bool:
-    """Whether `route` needs a table of `m` ranks over its cap: only byte extremes have one."""
-    return route is Route.EXTREMES and m > MAX_BYTES
-
-
 def route_estimates(count: int, m: int, lines: int) -> tuple[float, ...]:
     """Estimated nanoseconds of each of `ROUTES` past step 1, by `ROUTE_COSTS`.
 
-    The arguments are `route_terms`'. A route whose table would be over
-    its cap reads `math.inf`.
+    The arguments are `route_terms`'. Byte extremes read `math.inf` when
+    their table would be over its cap of `MAX_BYTES`; sorted ranks have no cap.
     """
-    c = ROUTE_COSTS
-    return tuple(
-        math.inf if _over_cap(route, m) else sum(map(mul, costs, terms))
-        for route, costs, terms in zip(ROUTES, (c.extremes, c.sort), route_terms(count, m, lines))
+    extremes, sort = route_terms(count, m, lines)
+    return (
+        math.inf if m > MAX_BYTES else sum(map(mul, ROUTE_COSTS.extremes, extremes)),
+        sum(map(mul, ROUTE_COSTS.sort, sort)),
     )
 
 
@@ -240,7 +238,7 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
             f"points must be a sized collection, not {type(points).__name__}"
         )
     hull = HullPolygon((), degenerate=True)
-    n = m1 = m2 = 0
+    n = m = m1 = m2 = 0
     variant = RankVariant.COLUMN_MAJOR
     counters = OperationCounters(0, 0, 0)
     step_ns = (0, 0, 0, 0, 0)
@@ -251,47 +249,52 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
         clock = time.perf_counter_ns
         t0 = clock()
         xs, ys = coordinates(points)
-        box = BoundingBox.of(xs, ys)
+        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
         t1 = clock()
-        m1, m2 = box.m1, box.m2
+        m1, m2 = x1 - x0 + 1, y1 - y0 + 1
+        m = m1 * m2
         if route is None:
-            route = choose_route(len(xs), box.m, min(m1, m2))
-        elif _over_cap(route, box.m):
-            raise BoxTooLargeError(f"{box.m} ranks need more than {MAX_BYTES} bytes")
-        if route is Route.EXTREMES and m1 > m2:
-            variant = RankVariant.ROW_MAJOR
-        x0, y0 = box.x_min, box.y_min
+            route = choose_route(len(xs), m, min(m1, m2))
+        elif route is Route.EXTREMES and m > MAX_BYTES:
+            raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
+        # step 1 checked the lists and the grid holds their box: use them unchecked
         if route is Route.EXTREMES:
+            if m1 > m2:  # f2: the first column is y, so the lines are the rows
+                variant = RankVariant.ROW_MAJOR
+                xs, ys, x0, x1, y0, y1 = ys, xs, y0, y1, x0, x1
             # a negative coordinate would index back from a side's end, so
             # only a corner >= 0 may index the table anchored at the origin
-            if min(x0, y0) >= 0 and (box.x_max + 1) * (box.y_max + 1) <= min(2 * box.m, MAX_BYTES):
+            if min(x0, y0) >= 0 and (x1 + 1) * (y1 + 1) <= min(2 * m, MAX_BYTES):
                 x0 = y0 = 0
             else:
                 xs, ys = map(sub, xs, repeat(x0)), map(sub, ys, repeat(y0))
-        rf = RankFunction(variant, box.x_max + 1 - x0, box.y_max + 1 - y0, x0, y0)
-        # step 1 checked the lists and this grid holds their box: use them unchecked
-        if route is Route.EXTREMES:
-            pairs = zip(ys, xs) if variant is RankVariant.ROW_MAJOR else zip(xs, ys)
-            occ = _mark_grid(pairs, rf.m // rf.line_length, rf.line_length)
-            del xs, ys, pairs  # 16 bytes a point that steps 4 and 5 do not need
+            width = y1 + 1 - y0
+            occ = _mark_grid(zip(xs, ys), x1 + 1 - x0, width)
+            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
             t3 = clock()
             n = occ.count(1)
-            cells, iterations = _line_extremes(occ, rf.line_length)
+            cells, iterations = _line_extremes(occ, width)
             del occ
         else:
-            distinct = set(rf._cells(xs, ys))
+            width = m2
+            distinct = set(map(sub, map(add, map(mul, xs, repeat(width)), ys),
+                               repeat(x0 * width + y0)))
             del xs, ys
             t3 = clock()
             cells = sorted(distinct)
             del distinct
             n = iterations = len(cells)
         t4 = clock()
-        hull, evals, ops = _scan(cells, rf)
+        cycle, evals, ops = _scan(cells, width)
+        if variant is RankVariant.ROW_MAJOR:  # swap back, which turns the cycle clockwise
+            pairs = ((y0 + a, x0 + line) for line, a in reversed(cycle))
+        else:
+            pairs = ((x0 + line, y0 + a) for line, a in cycle)
+        hull = HullPolygon.of_cycle(list(new_points(pairs)))
         t5 = clock()
         counters = OperationCounters(evals, iterations, ops)
         step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
 
-    m = m1 * m2
     return PipelineReport(
         hull=hull, n=n, m=m, m1=m1, m2=m2,
         density=n / m if m else 0.0,
@@ -349,26 +352,23 @@ def _line_extremes(occ: bytearray, width: int) -> tuple[list[int], int]:
 _NOT = bytes.maketrans(b"\0\1", b"\1\0")
 
 
-def _scan(cells: list[int], rf: RankFunction) -> tuple[HullPolygon, int, int]:
-    """Step 5: the hull of ascending distinct 0-based `cells` of `rf`'s grid, and its two counts.
+def _scan(cells: list[int], width: int) -> tuple[list[tuple[int, int]], int, int]:
+    """Step 5: the hull of ascending distinct 0-based `cells`, `width` to a line, and its two counts.
 
-    Each cell is a point (line, along) = divmod(cell, rf.line_length), so
-    ascending cells are the points in lexicographic order, and the first
-    and last cells are the hull's two extremes in it. One orientation test
-    a cell against that chord, in C, splits the cells: those strictly left
-    of it go to the upper side, the rest, both ends included, to the lower.
-    One monotone pass a side (`_convex_chain`) then keeps its hull chain,
-    the lower from the first cell to the last and the upper back. Under f2
-    (line, along) is the offset (dy, dx): the cycle is transposed back,
-    which turns it clockwise, so it is also reversed and rotated to its
-    lexicographic minimum. One cell, or collinear cells, give the
-    degenerate hull of their extremes. Returns the hull in the caller's
-    points, the orientation tests and the stack operations.
+    Each cell is a point (line, along) = divmod(cell, width), so ascending
+    cells are the points in lexicographic order, and the first and last
+    cells are the hull's two extremes in it. One orientation test a cell
+    against that chord, in C, splits the cells: those strictly left of it
+    go to the upper side, the rest, both ends included, to the lower. One
+    monotone pass a side (`_convex_chain`) then keeps its hull chain, the
+    lower from the first cell to the last and the upper back. Returns the
+    hull's counter-clockwise cycle of (line, along) pairs from its
+    lexicographic minimum (one pair for one cell, the two extremes for
+    collinear cells), the orientation tests and the stack operations.
     """
-    width = rf.line_length
     first, last = cells[0], cells[-1]
     if first == last:
-        return HullPolygon(tuple(rf.unrank_all((first + 1,))), degenerate=True), 0, 0
+        return [divmod(first, width)], 0, 0
     per = repeat(width)
     (l0, a0), (l1, a1) = divmod(first, width), divmod(last, width)
     dl, da = l1 - l0, a1 - a0
@@ -391,14 +391,7 @@ def _scan(cells: list[int], rf: RankFunction) -> tuple[HullPolygon, int, int]:
     removed = k + 2 - len(lo) - len(up)
     evals = k + (k - 2) + removed - lo_guarded - up_guarded
     ops = k + 2 + removed
-    cycle = lo[:-1] + up[:-1]
-    if rf.variant is RankVariant.ROW_MAJOR:
-        cycle = [(a, l) for l, a in reversed(cycle)]
-    points = rf.to_points(cycle)
-    if len(points) == 2:
-        return HullPolygon(tuple(sorted(points)), degenerate=True), evals, ops
-    # f1's cycle starts at its lexicographic minimum already, f2's reversed one need not
-    return HullPolygon(_canonical(points)), evals, ops
+    return lo[:-1] + up[:-1], evals, ops
 
 
 def _convex_chain(points: Iterator[tuple[int, int]]) -> tuple[list[tuple[int, int]], int]:

@@ -8,21 +8,13 @@ rank traces a zig-zag over the grid columns (or rows), which is a simple
 polygonal chain on any subset of grid points: exactly the ordering a
 single-pass hull scan needs, obtained without a comparison sort.
 
-`RankFunction` is the only code that ranks by the f1/f2 layout: `cells` is
-its checked forward rank path, used by `rank`, and `offsets` its one
-inverse, each a chain of C-level maps that is read once. `cells` checks
-its input and then returns the chain of its private body `_cells`, which
-the pipeline calls directly on step 1's lists, already checked. The
-pipeline needs no inverse: its scan reads each cell as a (line, along)
-pair, one `divmod` by `line_length`, and only the hull's vertices go back
-through `to_points`.
-
-The pipeline ranks by arithmetic on one route only: sorted ranks use
-`_cells`, a multiply, an add and a subtract a point, whose memory does
-not grow with the box. The byte route ranks nothing: it marks its table
-through a 2-D view indexed by each point's (line, along) pair, its own
-coordinates on a grid anchored at (0, 0) or its offsets from the box's
-corner, and `_cells` gives the same cells.
+`RankFunction` is the paper's rank function under either layout: `cells`
+is its checked forward rank path, used by `rank`, and `offsets` its one
+inverse, each a chain of C-level maps that is read once. The paper's
+p-bit steps (`bitrank`), `generate_dense_set` and the tests rank through
+it. The pipeline does not: f2 is f1 on the transposed points, so it swaps
+a wide box's two columns once and ranks every call on one column-major
+grid of plain ints, by the same arithmetic as `cells` under f1.
 """
 
 from __future__ import annotations
@@ -73,11 +65,6 @@ class RankFunction:
     def m(self) -> int:
         return self.m1 * self.m2
 
-    @property
-    def line_length(self) -> int:
-        """Cells in a line of consecutive ranks: a column (m2) under f1, a row (m1) under f2."""
-        return self.m2 if self.variant is RankVariant.COLUMN_MAJOR else self.m1
-
     def cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
         """The 0-based cell of each point (xs[i], ys[i]): the checked forward rank path.
 
@@ -91,14 +78,6 @@ class RankFunction:
         if xs and not (x0 <= min(xs) and max(xs) < x1 and y0 <= min(ys) and max(ys) < y1):
             x, y = next(v for v in zip(xs, ys) if not (x0 <= v[0] < x1 and y0 <= v[1] < y1))
             raise OutOfGridError(f"{(x, y)} outside the {m1}x{m2} grid at ({x0}, {y0})")
-        return self._cells(xs, ys)
-
-    def _cells(self, xs: Sequence[int], ys: Sequence[int]) -> Iterator[int]:
-        """`cells` without its checks, for lists of ints already known to lie in the grid.
-
-        The sorted-ranks route calls it on step 1's lists, whose box is this grid.
-        """
-        x0, y0, m1, m2 = self.x_min, self.y_min, self.m1, self.m2
         if self.variant is RankVariant.COLUMN_MAJOR:
             scaled, corner = map(add, map(mul, xs, repeat(m2)), ys), x0 * m2 + y0
         else:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from rankhull.bitrank import RankTable, ShuffleResult, build_rank_table, fast_shuffle
 from rankhull.geometry import Point, bounding_box, coordinates, orientation
-from rankhull.hull import HullPolygon, MelkmanStats, _canonical, _degenerate, _on_segment, melkman
+from rankhull.hull import HullPolygon, MelkmanStats, _degenerate, _on_segment, melkman
 from rankhull.ranking import RankFunction, RankVariant
 
 
@@ -168,7 +168,7 @@ def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
     stats.deque_ops += placed + removed
     cycle = list(dq)
     cycle.pop()
-    return HullPolygon(_canonical(cycle))
+    return HullPolygon.of_cycle(cycle)
 
 
 def sides_reference(chain, transposed=False, stats=None) -> HullPolygon:
@@ -199,7 +199,7 @@ def sides_reference(chain, transposed=False, stats=None) -> HullPolygon:
         cycle = [(a, line) for line, a in reversed(cycle)]
     if len(cycle) == 2:
         return _degenerate(map(Point._make, cycle))
-    return HullPolygon(_canonical(list(map(Point._make, cycle))))
+    return HullPolygon.of_cycle(list(map(Point._make, cycle)))
 
 
 def _monotone_reference(points, stats):

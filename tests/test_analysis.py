@@ -61,6 +61,11 @@ def test_plan_validation(monkeypatch):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, counts="12"))
     with pytest.raises(ValueError, match="at least one variant"):
         run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=()))
+    # a set has no order to run in and no slice to find a repeat in; an
+    # iterator would be spent by the first check
+    for variants in ({SORT_VARIANT}, iter([SORT_VARIANT])):
+        with pytest.raises(ValueError, match="variants must be a sequence, not"):
+            run_benchmark(BenchmarkPlan(m1=10, m2=10, densities=(0.5,), variants=variants))
 
 
 @pytest.mark.parametrize("counts", [(5, 200), (5, 2.7), (5, -1), (5, True)])

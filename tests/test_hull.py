@@ -213,7 +213,7 @@ def test_oracle_shares_no_helper_with_melkman(monkeypatch):
         raise AssertionError("hull_oracle called a melkman helper")
 
     monkeypatch.setattr(hull_module, "_degenerate", boom)
-    monkeypatch.setattr(hull_module, "_canonical", boom)
+    monkeypatch.setattr(HullPolygon, "of_cycle", boom)
     cases = [
         ([], ()),
         ([Point(2, 2), Point(2, 2)], (Point(2, 2),)),

@@ -22,7 +22,7 @@ from rankhull.bitrank import (
 )
 from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
-from rankhull.hull import MelkmanStats, contains_all, hull_oracle, is_convex, melkman
+from rankhull.hull import HullPolygon, MelkmanStats, contains_all, hull_oracle, is_convex, melkman
 from rankhull.pipeline import (
     MAX_BYTES,
     OperationCounters,
@@ -528,23 +528,34 @@ def one_point_lines(draw):
 
 
 def _scan_of(pts, route):
-    """One call's report on `route` (None: the router's) and the chain of offsets its scan read.
+    """One call's report on `route` (None: the router's) and the chain of box offsets its scan read.
 
-    The scan must be `sides_reference`'s on that chain, test for test: the
-    same hull and the same counters.
+    The scan reads (line, along) = divmod(cell, width) on its grid, which
+    is (dy, dx) under f2, from the grid's corner: the box's, or the origin.
+    The chain holds the points of the box's lowest x and lowest y, so
+    taking its least coordinates off gives the offsets from the box's
+    corner. The scan must be `sides_reference`'s on that chain, test for
+    test: the same hull and the same counters.
     """
     scans = []
     real = pipeline_module._scan
 
-    def recording(cells, rf):
-        scans.append((list(rf.offsets([cell + 1 for cell in cells])), rf))
-        return real(cells, rf)
+    def recording(cells, width):
+        scans.append([divmod(cell, width) for cell in cells])
+        return real(cells, width)
 
     with patch.object(pipeline_module, "_scan", recording):
         report = _hull(pts, route)
-    ((chain, rf),) = scans
+    (pairs,) = scans
+    flip = report.rank_variant is F2
+    if flip:
+        pairs = [(a, line) for line, a in pairs]
+    dx0, dy0 = min(v[0] for v in pairs), min(v[1] for v in pairs)
+    chain = [(dx - dx0, dy - dy0) for dx, dy in pairs]
+    box = bounding_box(pts)
     stats = MelkmanStats()
-    assert report.hull == sides_reference(rf.to_points(chain), rf.variant is F2, stats)
+    points = [Point(box.x_min + dx, box.y_min + dy) for dx, dy in chain]
+    assert report.hull == sides_reference(points, flip, stats)
     c = report.counters
     assert (c.isleft_evals, c.deque_ops) == (stats.isleft_evals, stats.deque_ops)
     return report, chain
@@ -613,14 +624,15 @@ def test_the_byte_route_indexes_in_place_only_at_a_corner_near_the_origin(
     if transpose:
         pts = [Point(y, x) for x, y in pts]
     grid = patch.object(pipeline_module, "_mark_grid", wraps=pipeline_module._mark_grid)
-    ranks = patch.object(pipeline_module, "RankFunction", wraps=RankFunction)
-    with patch.object(pipeline_module, "MAX_BYTES", cap), grid as marked, ranks as made:
+    scan = patch.object(pipeline_module, "_scan", wraps=pipeline_module._scan)
+    with patch.object(pipeline_module, "MAX_BYTES", cap), grid as marked, scan as scanned:
         report = _hull(pts, Route.EXTREMES)
     # one grid of (lines, width): the origin's up to (x_max, y_max), or the
-    # box's own; the transpose reads the same grid by rows
+    # box's own; the transpose swaps its columns and reads the same grid by
+    # rows, and the scan reads that grid's lines
     marked.assert_called_once()
     assert marked.call_args.args[1:] == ((x0 + width, y0 + 5) if anchored else (width, 5))
-    made.assert_called_once()
+    assert scanned.call_args.args[1] == marked.call_args.args[2]
     assert report.rank_variant is (F2 if transpose else F1)
     assert (report.m, report.n, report.duplicates_skipped) == (5 * width, 5, 1)
     assert report.hull == hull_oracle(pts)
@@ -647,8 +659,13 @@ def test_the_pipeline_imports_nothing_from_the_bit_table():
     assert not [name for name, value in vars(pipeline_module).items()
                 if getattr(value, "__module__", None) == "rankhull.bitrank"]
     tree = ast.parse(inspect.getsource(pipeline_module))
-    assert not [node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and "bitrank" in (node.module or "")]
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [node.module for node in imports if "bitrank" in (node.module or "")]
+    # steps 3-5 run on plain ints: no rank function or box object, and no
+    # other module's private helper
+    assert not {"RankFunction", "BoundingBox"} & set(vars(pipeline_module))
+    ours = [node for node in imports if node.level or (node.module or "").startswith("rankhull")]
+    assert not [alias.name for node in ours for alias in node.names if alias.name.startswith("_")]
 
 
 def test_a_strip_and_its_transpose_read_their_lines_along_the_longer_side():
@@ -752,46 +769,46 @@ def test_the_routing_decision_is_logged_with_its_two_estimates(caplog):
 
 @st.composite
 def grid_cells(draw):
-    """A grid's rank function under either layout, and ascending distinct cells of it.
+    """A grid's line width and ascending distinct cells of it.
 
-    The cells are any one, two or up to 60, or lie on one line, in a grid
-    one cell wide, or on one straight line across the grid.
+    The grid has up to 30 lines of up to 30 cells. The cells are any one,
+    two or up to 60, or lie on one line, in a grid one cell wide (one
+    line, or lines of one cell), or on one straight line across the grid.
     """
     shape = draw(st.sampled_from(("any", "one line", "one cell wide", "collinear")))
-    m1, m2 = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    lines, width = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     if shape == "one cell wide":
-        m1, m2 = draw(st.sampled_from(((1, m2), (m1, 1))))
-    corner = st.one_of(st.integers(-10**6, 10**6), st.sampled_from((2**70, -(2**70))))
-    rf = RankFunction(draw(st.sampled_from(tuple(RankVariant))), m1, m2, draw(corner), draw(corner))
+        lines, width = draw(st.sampled_from(((1, width), (lines, 1))))
+    m = lines * width
     if shape == "one line":
-        base = draw(st.integers(0, rf.m // rf.line_length - 1)) * rf.line_length
-        alongs = st.integers(0, rf.line_length - 1)
-        cells = {base + a for a in draw(st.sets(alongs, min_size=1, max_size=30))}
+        base = draw(st.integers(0, lines - 1)) * width
+        cells = {base + a for a in draw(st.sets(st.integers(0, width - 1), min_size=1, max_size=30))}
     elif shape == "collinear":
-        x, y = draw(st.integers(0, m1 - 1)), draw(st.integers(0, m2 - 1))
-        ux, uy = draw(st.sampled_from([(u, v) for u in range(-3, 4) for v in range(-3, 4) if u or v]))
-        line = []
-        while 0 <= x < m1 and 0 <= y < m2:
-            line.append((rf.x_min + x, rf.y_min + y))
-            x, y = x + ux, y + uy
-        picked = draw(st.lists(st.sampled_from(line), min_size=1, unique=True))
-        cells = set(rf.cells([v[0] for v in picked], [v[1] for v in picked]))
+        line, a = draw(st.integers(0, lines - 1)), draw(st.integers(0, width - 1))
+        ul, ua = draw(st.sampled_from([(u, v) for u in range(-3, 4) for v in range(-3, 4) if u or v]))
+        on_it = []
+        while 0 <= line < lines and 0 <= a < width:
+            on_it.append(line * width + a)
+            line, a = line + ul, a + ua
+        cells = set(draw(st.lists(st.sampled_from(on_it), min_size=1, unique=True)))
     else:
         size = draw(st.sampled_from((1, 2, 60)))
-        cells = draw(st.sets(st.integers(0, rf.m - 1), min_size=1, max_size=size))
-    return rf, sorted(cells)
+        cells = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=size))
+    return width, sorted(cells)
 
 
 @settings(max_examples=400)
 @given(grid_cells())
 def test_the_scan_alone_gives_the_oracles_hull_in_linear_work(case):
-    rf, cells = case
-    points = rf.unrank_all([cell + 1 for cell in cells])
-    hull, evals, ops = pipeline_module._scan(cells, rf)
+    width, cells = case
+    points = [Point(*divmod(cell, width)) for cell in cells]
+    cycle, evals, ops = pipeline_module._scan(cells, width)
+    # the (line, along) cycle is already canonical: counter-clockwise from its minimum
+    hull = HullPolygon.of_cycle(cycle)
+    assert tuple(cycle) == hull.vertices
     assert hull == hull_oracle(points)
-    assert all(type(v) is Point for v in hull.vertices)
     stats = MelkmanStats()
-    assert sides_reference(points, rf.variant is F2, stats) == hull
+    assert sides_reference(points, False, stats) == hull
     assert (evals, ops) == (stats.isleft_evals, stats.deque_ops)
     # k cells: k + 2 placements and 2k + 2 - h operations in all for h
     # vertices (2 for a collinear chain), and k chord tests besides the passes'

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from rankhull.errors import (
     RankHullError,
     RankOutOfRangeError,
 )
+from rankhull import pipeline
 from rankhull.geometry import Point
 from rankhull.ranking import RankFunction, RankVariant
 
@@ -178,14 +180,25 @@ def test_roundtrip_on_every_grid_up_to_64x64():
     (4000, 40, -17, 2**63), (40, 4000, 2**63, -17),  # the strips
 ])
 def test_the_unchecked_body_gives_the_cells_of_the_checked_path(variant, m1, m2, x0, y0):
-    # sorted ranks rank through _cells, unchecked: it must give the cells
-    # that the checked path gives, repeats included
+    # sorted ranks rank by the pipeline's own arithmetic, unchecked, under
+    # f1: on the points, or on their transpose for f2, the cells it scans
+    # must be the distinct cells that the checked path gives, sorted
     rng = random.Random(m1 * m2)
     offsets = [(rng.randrange(m1), rng.randrange(m2)) for _ in range(300)]
     offsets += [(0, 0), (m1 - 1, m2 - 1), (0, m2 - 1), (m1 - 1, 0)] + offsets[:40]
     xs, ys = [x0 + dx for dx, _ in offsets], [y0 + dy for _, dy in offsets]
     rf = RankFunction(variant, m1, m2, x0, y0)
-    assert list(rf.cells(xs, ys)) == list(rf._cells(xs, ys))
+    scanned = []
+    real = pipeline._scan
+
+    def recording(cells, width):
+        scanned.append(cells)
+        return real(cells, width)
+
+    pts = list(zip(xs, ys) if variant is F1 else zip(ys, xs))
+    with patch.object(pipeline, "_scan", recording):
+        pipeline._hull(pts, pipeline.Route.SORT)
+    assert scanned == [sorted(set(rf.cells(xs, ys)))]
 
 
 @given(st.data())
