@@ -25,6 +25,7 @@ per cell and per occupied line, so they stand for either layout.
 from __future__ import annotations
 
 import csv
+import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -93,17 +94,24 @@ def _time_cell(calls: Sequence[Callable[[], object]], repetitions: int) -> list[
     """Each call's median ns over `repetitions` rounds, with its results.
 
     Every call first runs once, discarded. Each round then runs every call
-    once, starting one further along `calls` than the round before.
+    once, starting one further along `calls` than the round before. The
+    cyclic collector is off throughout, and left as it was on exit.
     """
-    for call in calls:
-        call()
-    runs: list[list[tuple[int, object]]] = [[] for _ in calls]
-    for rep in range(repetitions):
-        for j in range(len(calls)):
-            i = (rep + j) % len(calls)
-            t0 = time.perf_counter_ns()
-            result = calls[i]()
-            runs[i].append((time.perf_counter_ns() - t0, result))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+        runs: list[list[tuple[int, object]]] = [[] for _ in calls]
+        for rep in range(repetitions):
+            for j in range(len(calls)):
+                i = (rep + j) % len(calls)
+                t0 = time.perf_counter_ns()
+                result = calls[i]()
+                runs[i].append((time.perf_counter_ns() - t0, result))
+    finally:
+        if enabled:
+            gc.enable()
     return [(int(statistics.median(ns for ns, _ in run)), [r for _, r in run]) for run in runs]
 
 

@@ -1,17 +1,17 @@
 """The paper's blocked bit table over the m ranks of a box, and the walks that read it.
 
 The table marks each occupied rank with one bit, stored as r = ceil(m/p)
-words of p bits: m/8 bytes for a box of m cells, whatever n is. It and
-its walks are the paper's p-bit steps 3–4, kept as the library's checked
-reproduction of them; the pipeline does not run them, since they
-measured slower than sorting the ranks in every cell of the route sweep
-(README's "Routes"). The pipeline's dense route marks the paper's base
-table instead, one byte per rank, in `pipeline`. The ranks come in as
-the 0-based cells that :meth:`RankFunction.cells` makes of coordinate
-lists, so this module neither reads the caller's points nor knows the
-f1/f2 layout. Rank is a bijection, so the table needs no record of
-which point set a bit: :meth:`RankFunction.offsets` turns each rank
-back into its offset.
+words of p bits (`RankTable.r`, the length of its word list): m/8 bytes
+for a box of m cells, whatever n is. It and its walks are the paper's
+p-bit steps 3–4, kept as the library's checked reproduction of them; the
+pipeline does not run them, since they measured slower than sorting the
+ranks in every cell of the route sweep (README's "Routes"). The
+pipeline's dense route marks the paper's base table instead, one byte
+per rank, in `pipeline`. The ranks come in as the 0-based cells that
+:meth:`RankFunction.cells` makes of coordinate lists, so this module
+neither reads the caller's points nor knows the f1/f2 layout. Rank is a
+bijection, so the table needs no record of which point set a bit:
+:meth:`RankFunction.offsets` turns each rank back into its offset.
 Compacting the table into ascending-rank order ("shuffling") can either
 scan all m ranks, or walk the words: `itertools.compress` skips the zero
 words in C, and a table of each byte's set bits lists a nonzero word's,
@@ -50,8 +50,12 @@ class RankTable:
     n: int
     m: int
     p: int
-    r: int
     duplicates_skipped: int = 0
+
+    @property
+    def r(self) -> int:
+        """The table's length in words, ceil(m/p)."""
+        return len(self.bloom)
 
 
 @dataclass
@@ -101,31 +105,28 @@ def extract_set_bits(word: int) -> list[int]:
     return positions
 
 
-def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTable:
-    """Set the bit of each of `count` 0-based cells in a fresh table of `m` ranks.
+def build_rank_table(cells: Iterable[int], m: int, p: int) -> RankTable:
+    """Set the bit of each 0-based cell in a fresh table of `m` ranks.
 
     `cells` is read once, as :meth:`RankFunction.cells` yields them:
-    ``build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)``. Duplicates
-    hit a set bit and are counted. `m` and `count` must be ints of at least
-    0 (`ValueError`), more than `MAX_WORDS` words raise
-    :class:`BoxTooLargeError`, and `cells` must yield exactly `count` ints
-    in [0, m): a cell that is not raises :class:`RankOutOfRangeError`, and
-    another number of cells `ValueError`.
+    ``build_rank_table(rf.cells(xs, ys), rf.m, p)``. Duplicates hit a set
+    bit and are counted, and `n` is the number of cells read less them.
+    `m` must be an int of at least 0 (`ValueError`), more than `MAX_WORDS`
+    words raise :class:`BoxTooLargeError`, and a cell that is not an int
+    in [0, m) raises :class:`RankOutOfRangeError`.
     """
     check_block_width(p)
-    if type(m) is not int or type(count) is not int or min(m, count) < 0:
-        raise ValueError(f"m and count must be ints of at least 0, not {m!r} and {count!r}")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be an int of at least 0, not {m!r}")
     why = table_over_cap(m, p)
     if why:
         raise BoxTooLargeError(why)
-    r = -(-m // p)
-    bloom = [0] * r
+    bloom = [0] * -(-m // p)
     seen = duplicates = 0
     # each cell is checked as it is marked, so no list of the cells is held
-    for c in cells:
+    for seen, c in enumerate(cells, 1):
         if type(c) is not int or not 0 <= c < m:
             raise RankOutOfRangeError(f"cell {c!r} is not an int in [0, {m})")
-        seen += 1
         w, bit = divmod(c, p)
         mask = 1 << bit
         word = bloom[w]
@@ -133,9 +134,7 @@ def build_rank_table(cells: Iterable[int], count: int, m: int, p: int) -> RankTa
             duplicates += 1
         else:
             bloom[w] = word | mask
-    if seen != count:
-        raise ValueError(f"count is {count}, but cells yields {seen}")
-    return RankTable(bloom, count - duplicates, m, p, r, duplicates)
+    return RankTable(bloom, seen - duplicates, m, p, duplicates)
 
 
 def shuffle_naive(table: RankTable) -> ShuffleResult:
@@ -176,5 +175,4 @@ def fast_shuffle(table: RankTable) -> ShuffleResult:
             chunk = (word & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
             order.extend(map(base.__add__, chain.from_iterable(map(getitem, _CHUNK_BITS, chunk))))
             word, base = word >> 64, base + 64
-    r = len(bloom)
-    return ShuffleResult(order, r + len(order), bloom.count(0))
+    return ShuffleResult(order, len(bloom) + len(order), bloom.count(0))

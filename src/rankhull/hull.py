@@ -10,8 +10,8 @@ The hull is strict: no collinear vertices are retained, so every point
 set has exactly one canonical hull cycle (counter-clockwise, starting at
 the lexicographically smallest vertex), which `HullPolygon.of_cycle` makes
 for `melkman` and the pipeline alike. Inputs with fewer than three
-distinct non-collinear points yield degenerate polygons rather than
-errors.
+distinct non-collinear points yield degenerate polygons, those of fewer
+than three vertices, rather than errors.
 """
 
 from __future__ import annotations
@@ -27,27 +27,27 @@ from .geometry import Point, orientation
 
 @dataclass(frozen=True)
 class HullPolygon:
-    """Hull vertex cycle in CCW order from the lexicographic minimum.
-
-    `degenerate` marks 0-, 1- and 2-vertex results (empty, single point,
-    or the two extremes of a collinear set).
-    """
+    """Hull vertex cycle in CCW order from the lexicographic minimum."""
 
     vertices: tuple[Point, ...]
-    degenerate: bool = False
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def degenerate(self) -> bool:
+        """True for fewer than three vertices: none, one, or a collinear set's two extremes."""
+        return len(self.vertices) < 3
 
     @classmethod
     def of_cycle(cls, cycle: list[Point]) -> HullPolygon:
         """The canonical hull of a counter-clockwise cycle of distinct vertices.
 
-        Fewer than three vertices give the degenerate hull of them, sorted;
-        any other cycle is rotated to start at its lexicographic minimum.
+        Fewer than three vertices give the degenerate hull of the distinct
+        ones, sorted; any other cycle is rotated to its lexicographic minimum.
         """
         if len(cycle) < 3:
-            return cls(tuple(sorted(cycle)), degenerate=True)
+            return cls(tuple(sorted(set(cycle))))
         k = cycle.index(min(cycle))
         return cls(tuple(cycle[k:] + cycle[:k]))
 
@@ -74,16 +74,6 @@ class MelkmanStats:
     deque_ops: int = 0
 
 
-def _degenerate(points: Iterable[Point]) -> HullPolygon:
-    uniq = sorted(set(points))
-    if not uniq:
-        return HullPolygon((), degenerate=True)
-    if len(uniq) == 1:
-        return HullPolygon((uniq[0],), degenerate=True)
-    # collinear by construction: lexicographic extremes are the endpoints
-    return HullPolygon((uniq[0], uniq[-1]), degenerate=True)
-
-
 def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPolygon:
     """Convex hull of a simple polygonal chain in one pass.
 
@@ -107,7 +97,7 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
     it = iter(chain)
     head = list(islice(it, 2))
     if len(head) < 2:
-        return _degenerate(head)
+        return HullPolygon.of_cycle(head)
 
     a, b = head
     evals = 0
@@ -120,7 +110,7 @@ def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPo
         b = c  # collinear prefix is monotone on a simple chain; keep extremes
     if turn == 0:
         stats.isleft_evals += evals
-        return _degenerate([a, b])
+        return HullPolygon.of_cycle([a, b])
 
     dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
     pop, push, popleft, pushleft = dq.pop, dq.append, dq.popleft, dq.appendleft
@@ -201,7 +191,7 @@ def hull_oracle(points: Iterable[Point]) -> HullPolygon:
     """
     pts = sorted(set(points))
     if len(pts) < 3:
-        return HullPolygon(tuple(pts), degenerate=True)
+        return HullPolygon(tuple(pts))
     lower: list[Point] = []
     for px, py in pts:
         while len(lower) >= 2:
@@ -221,8 +211,6 @@ def hull_oracle(points: Iterable[Point]) -> HullPolygon:
             upper.pop()
         upper.append(Point(px, py))
     cycle = lower[:-1] + upper[:-1]
-    if len(cycle) == 2:
-        return HullPolygon(tuple(cycle), degenerate=True)
     # the cycle starts at lower[0] = pts[0], the lexicographic minimum
     return HullPolygon(tuple(cycle))
 

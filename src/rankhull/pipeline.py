@@ -237,69 +237,63 @@ def _hull(points: Collection[Point], route: Route | None) -> PipelineReport:
         raise NonIntegerCoordinateError(
             f"points must be a sized collection, not {type(points).__name__}"
         )
-    hull = HullPolygon((), degenerate=True)
-    n = m = m1 = m2 = 0
-    variant = RankVariant.COLUMN_MAJOR
-    counters = OperationCounters(0, 0, 0)
-    step_ns = (0, 0, 0, 0, 0)
     if not points:
-        if route is None:
-            route = choose_route(0, 0, 0)
+        return PipelineReport(
+            hull=HullPolygon(()), n=0, m=0, m1=0, m2=0, density=0.0, duplicates_skipped=0,
+            counters=OperationCounters(0, 0, 0), step_ns=(0, 0, 0, 0, 0),
+            rank_variant=RankVariant.COLUMN_MAJOR, route=route or choose_route(0, 0, 0),
+        )
+    clock = time.perf_counter_ns
+    t0 = clock()
+    xs, ys = coordinates(points)
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    t1 = clock()
+    m1, m2 = x1 - x0 + 1, y1 - y0 + 1
+    m = m1 * m2
+    if route is None:
+        route = choose_route(len(xs), m, min(m1, m2))
+    elif route is Route.EXTREMES and m > MAX_BYTES:
+        raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
+    variant = RankVariant.COLUMN_MAJOR
+    # step 1 checked the lists and the grid holds their box: use them unchecked
+    if route is Route.EXTREMES:
+        if m1 > m2:  # f2: the first column is y, so the lines are the rows
+            variant = RankVariant.ROW_MAJOR
+            xs, ys, x0, x1, y0, y1 = ys, xs, y0, y1, x0, x1
+        # a negative coordinate would index back from a side's end, so
+        # only a corner >= 0 may index the table anchored at the origin
+        if min(x0, y0) >= 0 and (x1 + 1) * (y1 + 1) <= min(2 * m, MAX_BYTES):
+            x0 = y0 = 0
+        else:
+            xs, ys = map(sub, xs, repeat(x0)), map(sub, ys, repeat(y0))
+        width = y1 + 1 - y0
+        occ = _mark_grid(zip(xs, ys), x1 + 1 - x0, width)
+        del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
+        t3 = clock()
+        n = occ.count(1)
+        cells, iterations = _line_extremes(occ, width)
+        del occ
     else:
-        clock = time.perf_counter_ns
-        t0 = clock()
-        xs, ys = coordinates(points)
-        x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
-        t1 = clock()
-        m1, m2 = x1 - x0 + 1, y1 - y0 + 1
-        m = m1 * m2
-        if route is None:
-            route = choose_route(len(xs), m, min(m1, m2))
-        elif route is Route.EXTREMES and m > MAX_BYTES:
-            raise BoxTooLargeError(f"{m} ranks need more than {MAX_BYTES} bytes")
-        # step 1 checked the lists and the grid holds their box: use them unchecked
-        if route is Route.EXTREMES:
-            if m1 > m2:  # f2: the first column is y, so the lines are the rows
-                variant = RankVariant.ROW_MAJOR
-                xs, ys, x0, x1, y0, y1 = ys, xs, y0, y1, x0, x1
-            # a negative coordinate would index back from a side's end, so
-            # only a corner >= 0 may index the table anchored at the origin
-            if min(x0, y0) >= 0 and (x1 + 1) * (y1 + 1) <= min(2 * m, MAX_BYTES):
-                x0 = y0 = 0
-            else:
-                xs, ys = map(sub, xs, repeat(x0)), map(sub, ys, repeat(y0))
-            width = y1 + 1 - y0
-            occ = _mark_grid(zip(xs, ys), x1 + 1 - x0, width)
-            del xs, ys  # 16 bytes a point that steps 4 and 5 do not need
-            t3 = clock()
-            n = occ.count(1)
-            cells, iterations = _line_extremes(occ, width)
-            del occ
-        else:
-            width = m2
-            distinct = set(map(sub, map(add, map(mul, xs, repeat(width)), ys),
-                               repeat(x0 * width + y0)))
-            del xs, ys
-            t3 = clock()
-            cells = sorted(distinct)
-            del distinct
-            n = iterations = len(cells)
-        t4 = clock()
-        cycle, evals, ops = _scan(cells, width)
-        if variant is RankVariant.ROW_MAJOR:  # swap back, which turns the cycle clockwise
-            pairs = ((y0 + a, x0 + line) for line, a in reversed(cycle))
-        else:
-            pairs = ((x0 + line, y0 + a) for line, a in cycle)
-        hull = HullPolygon.of_cycle(list(new_points(pairs)))
-        t5 = clock()
-        counters = OperationCounters(evals, iterations, ops)
-        step_ns = (t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4)
-
+        width = m2
+        distinct = set(map(sub, map(add, map(mul, xs, repeat(width)), ys),
+                           repeat(x0 * width + y0)))
+        del xs, ys
+        t3 = clock()
+        cells = sorted(distinct)
+        del distinct
+        n = iterations = len(cells)
+    t4 = clock()
+    cycle, evals, ops = _scan(cells, width)
+    if variant is RankVariant.ROW_MAJOR:  # swap back, which turns the cycle clockwise
+        pairs = ((y0 + a, x0 + line) for line, a in reversed(cycle))
+    else:
+        pairs = ((x0 + line, y0 + a) for line, a in cycle)
+    hull = HullPolygon.of_cycle(list(new_points(pairs)))
+    t5 = clock()
     return PipelineReport(
-        hull=hull, n=n, m=m, m1=m1, m2=m2,
-        density=n / m if m else 0.0,
-        duplicates_skipped=len(points) - n,
-        counters=counters, step_ns=step_ns,
+        hull=hull, n=n, m=m, m1=m1, m2=m2, density=n / m, duplicates_skipped=len(points) - n,
+        counters=OperationCounters(evals, iterations, ops),
+        step_ns=(t1 - t0, 0, t3 - t1, t4 - t3, t5 - t4),
         rank_variant=variant, route=route,
     )
 

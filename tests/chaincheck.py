@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from rankhull.bitrank import RankTable, ShuffleResult, build_rank_table, fast_shuffle
 from rankhull.geometry import Point, bounding_box, coordinates, orientation
-from rankhull.hull import HullPolygon, MelkmanStats, _degenerate, _on_segment, melkman
+from rankhull.hull import HullPolygon, MelkmanStats, _on_segment, melkman
 from rankhull.ranking import RankFunction, RankVariant
 
 
@@ -110,7 +110,7 @@ def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
     if events is None:
         events = Counter()
     if len(pts) < 3:
-        return _degenerate(pts)
+        return HullPolygon.of_cycle(pts)
 
     it = iter(pts)
     a = next(it)
@@ -126,7 +126,7 @@ def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
         b = c
     if turn == 0:
         stats.isleft_evals += evals
-        return _degenerate([a, b])
+        return HullPolygon.of_cycle([a, b])
 
     dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
     placed = 3
@@ -185,7 +185,7 @@ def sides_reference(chain, transposed=False, stats=None) -> HullPolygon:
     if stats is None:
         stats = MelkmanStats()
     if len(pts) < 2:
-        return _degenerate(map(Point._make, chain))
+        return HullPolygon.of_cycle(list(map(Point._make, chain)))
     first, last = pts[0], pts[-1]
     lower, upper = [], []
     for v in pts:
@@ -197,8 +197,6 @@ def sides_reference(chain, transposed=False, stats=None) -> HullPolygon:
     )
     if transposed:
         cycle = [(a, line) for line, a in reversed(cycle)]
-    if len(cycle) == 2:
-        return _degenerate(map(Point._make, cycle))
     return HullPolygon.of_cycle(list(map(Point._make, cycle)))
 
 
@@ -295,7 +293,7 @@ def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR) -> PaperSteps:
     box = bounding_box(points)
     rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(points)
-    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    table = build_rank_table(rf.cells(xs, ys), rf.m, p)
     del xs, ys
     t0 = time.perf_counter_ns()
     shuffled = fast_shuffle(table)
@@ -303,7 +301,7 @@ def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR) -> PaperSteps:
     stats = MelkmanStats()
     scanned = melkman(rf.offsets(shuffled.order), stats)
     # translation keeps the lexicographic order, so the cycle stays canonical
-    hull = HullPolygon(tuple(rf.to_points(scanned.vertices)), scanned.degenerate)
+    hull = HullPolygon(tuple(rf.to_points(scanned.vertices)))
     return PaperSteps(hull, table, shuffled, stats, walk_ns)
 
 

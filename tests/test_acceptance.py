@@ -126,7 +126,7 @@ def test_02_four_bit_buckets_load_and_shuffle_in_rank_order():
     rf = RankFunction(RankVariant.COLUMN_MAJOR, 4, 4)
     pts = rf.unrank_all([5, 8, 2])
     xs, ys = coordinates(pts)
-    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 4)
+    table = build_rank_table(rf.cells(xs, ys), rf.m, 4)
     recovered = fast_shuffle(table).order
     ok = table.bloom[1] == 9 and table.bloom[0] == 2 and recovered == [2, 5, 8]
     _verdict(
@@ -180,7 +180,7 @@ def test_05_shuffles_agree_across_block_widths():
         xs, ys = coordinates(rf.unrank_all(ranks))
         expected = sorted(ranks)
         for p in (8, 16, 32, 64):
-            table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+            table = build_rank_table(rf.cells(xs, ys), rf.m, p)
             if not (
                 fast_shuffle(table).order == shuffle_naive(table).order == expected
             ):
@@ -201,7 +201,7 @@ def test_06_rank_chains_are_simple():
         n = rng.randint(1, min(200, m1 * m2))
         pts = rf.unrank_all(rng.sample(range(1, m1 * m2 + 1), n))
         xs, ys = coordinates(pts)
-        table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 64)
+        table = build_rank_table(rf.cells(xs, ys), rf.m, 64)
         chain = rf.unrank_all(fast_shuffle(table).order)
         if not chain_is_simple(chain):
             violations += 1

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import math
 from dataclasses import astuple
@@ -109,6 +110,28 @@ def test_a_cells_variants_take_turns_after_one_warm_up_each():
     assert "".join(order) == "abc" + "abc" + "bca" + "cab"
     assert [results for _, results in timed] == [["a"] * 3, ["b"] * 3, ["c"] * 3]
     assert all(type(ns) is int and ns >= 0 for ns, _ in timed)
+
+
+def test_a_cell_is_timed_with_the_collector_off_and_left_as_it_was():
+    seen = []
+    calls = [lambda: seen.append(gc.isenabled())] * 2
+
+    def fails():
+        seen.append(gc.isenabled())
+        raise RuntimeError("cell")
+
+    gc.enable()
+    try:
+        analysis._time_cell(calls, 3)
+        assert seen == [False] * 8 and gc.isenabled()
+        with pytest.raises(RuntimeError, match="cell"):
+            analysis._time_cell([fails], 3)
+        assert seen[-1] is False and gc.isenabled()
+        gc.disable()
+        analysis._time_cell(calls, 3)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_benchmark_counters_are_deterministic():

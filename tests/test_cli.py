@@ -60,7 +60,7 @@ def test_unreadable_file_exits_one_with_message(tmp_path, capsys):
 def test_hull_verify_mismatch_exits_two(tmp_path, capsys, monkeypatch):
     path = tmp_path / "tri.txt"
     path.write_text("0 0\n4 0\n2 3\n")
-    wrong = HullPolygon((Point(0, 0), Point(4, 0)), degenerate=True)
+    wrong = HullPolygon((Point(0, 0), Point(4, 0)))
     monkeypatch.setattr(cli, "hull_oracle", lambda pts: wrong)
     assert run_cli("hull", str(path), "--verify") == 2
     assert "differs" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from chaincheck import (
     chain_is_simple, contains_all_reference, is_convex_reference, melkman_reference,
 )
-from rankhull import hull as hull_module
 from rankhull.geometry import Point, bounding_box
 from rankhull.hull import (
     HullPolygon,
@@ -47,17 +46,16 @@ def test_melkman_triangle_is_its_own_hull():
 
 
 def test_melkman_degenerate_inputs():
-    assert melkman([]) == HullPolygon((), degenerate=True)
-    assert melkman([Point(4, 4)]) == HullPolygon((Point(4, 4),), degenerate=True)
-    assert melkman([Point(2, 2), Point(0, 0)]) == HullPolygon(
-        (Point(0, 0), Point(2, 2)), degenerate=True
-    )
+    assert melkman([]) == HullPolygon(())
+    assert melkman([Point(4, 4)]) == HullPolygon((Point(4, 4),))
+    assert melkman([Point(4, 4), Point(4, 4)]) == HullPolygon((Point(4, 4),))
+    assert melkman([Point(2, 2), Point(0, 0)]) == HullPolygon((Point(0, 0), Point(2, 2)))
 
 
 def test_melkman_collinear_chain_keeps_extremes():
     chain = [Point(0, 0), Point(1, 1), Point(2, 2), Point(3, 3)]
     hull = melkman(chain)
-    assert hull == HullPolygon((Point(0, 0), Point(3, 3)), degenerate=True)
+    assert hull == HullPolygon((Point(0, 0), Point(3, 3)))
 
 
 def test_melkman_matches_oracle_on_random_grids():
@@ -205,14 +203,13 @@ def test_oracle_square_with_center():
 
 def test_oracle_collinear_set():
     hull = hull_oracle([Point(0, 0), Point(2, 2), Point(5, 5), Point(1, 1)])
-    assert hull == HullPolygon((Point(0, 0), Point(5, 5)), degenerate=True)
+    assert hull == HullPolygon((Point(0, 0), Point(5, 5)))
 
 
 def test_oracle_shares_no_helper_with_melkman(monkeypatch):
     def boom(*args):
         raise AssertionError("hull_oracle called a melkman helper")
 
-    monkeypatch.setattr(hull_module, "_degenerate", boom)
     monkeypatch.setattr(HullPolygon, "of_cycle", boom)
     cases = [
         ([], ()),
@@ -221,7 +218,7 @@ def test_oracle_shares_no_helper_with_melkman(monkeypatch):
         ([Point(2, 2), Point(0, 0), Point(3, 3), Point(1, 1)], (Point(0, 0), Point(3, 3))),
     ]
     for points, vertices in cases:
-        assert hull_oracle(points) == HullPolygon(vertices, degenerate=True)
+        assert hull_oracle(points) == HullPolygon(vertices)
     triangle = [Point(4, 4), Point(0, 4), Point(2, 0)]
     assert hull_oracle(triangle) == HullPolygon((Point(0, 4), Point(2, 0), Point(4, 4)))
 
@@ -262,8 +259,8 @@ def test_is_convex_rejects_double_winding():
 
 
 def test_is_convex_rejects_degenerate():
-    assert not is_convex(HullPolygon((), degenerate=True))
-    assert not is_convex(HullPolygon((Point(1, 1), Point(2, 2)), degenerate=True))
+    assert not is_convex(HullPolygon(()))
+    assert not is_convex(HullPolygon((Point(1, 1), Point(2, 2))))
 
 
 def test_contains_all_boundary_counts():
@@ -279,13 +276,13 @@ def test_contains_all_boundary_counts():
 
 
 def test_contains_all_degenerate_polygons():
-    segment = HullPolygon((Point(0, 0), Point(4, 4)), degenerate=True)
+    segment = HullPolygon((Point(0, 0), Point(4, 4)))
     assert contains_all(segment, [Point(2, 2), Point(0, 0)])
     assert not contains_all(segment, [Point(2, 3)])
-    single = HullPolygon((Point(1, 1),), degenerate=True)
+    single = HullPolygon((Point(1, 1),))
     assert contains_all(single, [Point(1, 1)])
     assert not contains_all(single, [Point(1, 2)])
-    assert contains_all(HullPolygon((), degenerate=True), [])
+    assert contains_all(HullPolygon(()), [])
 
 
 @st.composite

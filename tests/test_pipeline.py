@@ -80,7 +80,7 @@ def test_empty_input_yields_empty_degenerate_report():
     assert _hull([], Route.SORT).route is Route.SORT
 
 
-def test_fallback_routes_to_oracle_when_box_exceeds_cap():
+def test_box_past_the_bit_table_cap_takes_sorted_ranks():
     # 40001^2 cells is over 2^30: more than 2^24 words even at p = 64
     pts = [Point(0, 0), Point(40000, 1), Point(20000, 40000), Point(17, 33)] * 2
     report = convex_hull_ranked(pts)
@@ -111,13 +111,13 @@ def test_cap_counts_words_not_cells():
     assert peak < 2**20
 
 
-def test_cap_box_stays_on_the_rank_path_at_p64():
+def test_cap_box_fits_the_bit_table_at_p64():
     hull, table, shuffled, _, _ = paper_steps(_CAP_BOX, 64)
     assert hull == hull_oracle(_CAP_BOX)
     assert shuffled.iterations == -(-11587**2 // 64) + 5 == table.r + table.n
 
 
-def test_config_validation():
+def test_only_the_private_entry_takes_a_route():
     # the cost model picks the route and the route and the box the rank
     # layout, so the library's entry takes the points alone; only the
     # private entry, for the tests and the sweep, takes a route
@@ -144,7 +144,7 @@ def test_naive_and_fast_variants_agree():
     box = bounding_box(pts)
     rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
-    naive = shuffle_naive(build_rank_table(rf.cells(xs, ys), len(xs), rf.m, 64))
+    naive = shuffle_naive(build_rank_table(rf.cells(xs, ys), rf.m, 64))
     assert melkman(rf.unrank_all(naive.order)) == convex_hull_ranked(pts).hull
     assert naive.iterations <= box.m
 
@@ -251,7 +251,7 @@ def test_the_pipeline_matches_its_steps_through_the_checked_entry_points(pts, p)
     box = bounding_box(pts)
     rf = RankFunction(report.rank_variant, box.m1, box.m2, box.x_min, box.y_min)
     xs, ys = coordinates(pts)
-    table = build_rank_table(rf.cells(xs, ys), len(xs), rf.m, p)
+    table = build_rank_table(rf.cells(xs, ys), rf.m, p)
     shuffled = fast_shuffle(table)
     stats = MelkmanStats()
     hull = sides_reference(rf.unrank_all(shuffled.order), rf.variant is F2, stats)
