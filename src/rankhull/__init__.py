@@ -1,16 +1,21 @@
 """Rank-ordered 2-D convex hulls for dense integer point sets.
 
-Points are ranked by a grid rank function over their bounding box, and
-the ranks are put in ascending order, a chain sorted along the grid's
-lines, which a chord between its ends splits into two sides for one
-monotone pass each. `convex_hull_ranked` takes one of two routes
-by a fitted cost model: on dense boxes a one-byte-per-rank table gives
-each grid line's two extreme points, in O(n + m) for m box cells, and on
-sparse boxes the distinct ranks are sorted. The paper's p-bit table and
-its wordwise walk (`build_rank_table`, `fast_shuffle`) are kept in
-`bitrank` as a checked reproduction of the method, and Melkman's deque
-scan (`melkman`) as its step 5; the p-bit steps measured slower than
-sorted ranks on every swept box, so no route runs them.
+The package has two halves. The library is `convex_hull_ranked`: points
+are ranked by a grid rank function over their bounding box, and the ranks
+are put in ascending order, a chain sorted along the grid's lines, which a
+chord between its ends splits into two sides for one monotone pass each.
+It takes one of two routes by a fitted cost model: on dense boxes a
+one-byte-per-rank table gives each grid line's two extreme points, in
+O(n + m) for m box cells, and on sparse boxes the distinct ranks are
+sorted. Beside it are the independent oracle `hull_oracle`, point and
+image I/O, and the route sweep (`run_benchmark`).
+
+The reproduction is `rankhull.paper`: the paper's rank function
+(`RankFunction`), its p-bit table and wordwise walk (`build_rank_table`,
+`fast_shuffle`), Melkman's deque scan (`melkman`) and the steps run end
+to end (`paper_steps`). The p-bit steps measured slower than sorted ranks
+on every swept box, so no route runs them, and the library imports none
+of it.
 """
 
 from .analysis import (
@@ -18,16 +23,6 @@ from .analysis import (
     BenchmarkRow,
     run_benchmark,
     write_csv,
-)
-from .bitrank import (
-    RankTable,
-    ShuffleResult,
-    build_rank_table,
-    density_threshold_refined,
-    density_threshold_simple,
-    extract_set_bits,
-    fast_shuffle,
-    shuffle_naive,
 )
 from .errors import RankHullError
 from .geometry import (
@@ -37,23 +32,31 @@ from .geometry import (
     coordinates,
     orientation,
 )
-from .hull import (
-    HullPolygon,
+from .hull import HullPolygon, contains_all, hull_oracle, is_convex
+from .paper import (
     MelkmanStats,
-    contains_all,
-    hull_oracle,
-    is_convex,
+    PaperSteps,
+    RankFunction,
+    RankTable,
+    ShuffleResult,
+    build_rank_table,
+    density_threshold_refined,
+    density_threshold_simple,
+    extract_set_bits,
+    fast_shuffle,
     melkman,
+    paper_steps,
+    shuffle_naive,
 )
 from .pipeline import (
     OperationCounters,
     PipelineReport,
+    RankVariant,
     Route,
     convex_hull_ranked,
 )
 from .pnm import ImageMask, image_to_points, load_image_mask, parse_pnm
 from .pointio import generate_dense_set, load_points, save_points
-from .ranking import RankFunction, RankVariant
 
 __version__ = "0.1.0"
 
@@ -65,6 +68,7 @@ __all__ = [
     "ImageMask",
     "MelkmanStats",
     "OperationCounters",
+    "PaperSteps",
     "PipelineReport",
     "Point",
     "RankFunction",
@@ -90,6 +94,7 @@ __all__ = [
     "load_points",
     "melkman",
     "orientation",
+    "paper_steps",
     "parse_pnm",
     "run_benchmark",
     "save_points",

@@ -9,9 +9,9 @@ import argparse
 import sys
 
 from .analysis import VARIANTS, BenchmarkPlan, run_benchmark, write_csv
-from .bitrank import density_threshold_refined, density_threshold_simple
 from .errors import RankHullError
 from .hull import hull_oracle
+from .paper import density_threshold_refined, density_threshold_simple
 from .pipeline import convex_hull_ranked
 from .pnm import image_to_points, load_image_mask
 from .pointio import generate_dense_set, load_points, save_points

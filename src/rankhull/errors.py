@@ -26,7 +26,7 @@ class RankOutOfRangeError(RankHullError):
 
 
 class BoxTooLargeError(RankHullError):
-    """A box is over a cap: a bit table's `bitrank.MAX_WORDS` words, the byte
+    """A box is over a cap: a bit table's `paper.MAX_WORDS` words, the byte
     table's `pipeline.MAX_BYTES` (only when `pipeline._hull` is given byte
     extremes by name: the router never picks them over the cap), or the
     `pointio.MAX_GRID_CELLS` cells of a `generate_dense_set` grid."""

@@ -82,6 +82,12 @@ def orientation(v0: Point, v1: Point, v2: Point) -> int:
 _INT_ONLY = frozenset((int,))
 
 
+def check_grid(m1: int, m2: int, x_min: int = 1, y_min: int = 1) -> None:
+    """The one grid rule: the sides are ints of at least 1, and the corner ints (`ValueError`)."""
+    if not _INT_ONLY.issuperset(map(type, (m1, m2, x_min, y_min))) or min(m1, m2) < 1:
+        raise ValueError("grid sides must be ints of at least 1, and the corner ints")
+
+
 def coordinates(points: Collection[Point]) -> tuple[list[int], list[int]]:
     """The xs and the ys of a collection of (x, y) pairs, in order.
 

@@ -1,28 +1,21 @@
-"""Single-pass deque hull over a simple chain, plus an independent oracle.
-
-`melkman` is the scan the paper names for step 5, kept as the library's
-reproduction of it; the tests feed it the chain of `bitrank`'s p-bit
-steps. The pipeline's own step 5 (`pipeline._scan`) reads a chain that is
-also sorted along its lines, and scans it by a chord split and one
-monotone pass a side instead, with fewer tests a point.
+"""The hull polygon, an independent sort-based oracle, and checks of a polygon.
 
 The hull is strict: no collinear vertices are retained, so every point
 set has exactly one canonical hull cycle (counter-clockwise, starting at
 the lexicographically smallest vertex), which `HullPolygon.of_cycle` makes
-for `melkman` and the pipeline alike. Inputs with fewer than three
-distinct non-collinear points yield degenerate polygons, those of fewer
-than three vertices, rather than errors.
+for the pipeline and for `paper.melkman` alike. Inputs with fewer than
+three distinct non-collinear points yield degenerate polygons, those of
+fewer than three vertices, rather than errors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from operator import itemgetter, mul, sub
 from typing import Iterable
 
-from .geometry import Point, orientation
+from .geometry import Point
 
 
 @dataclass(frozen=True)
@@ -52,142 +45,13 @@ class HullPolygon:
         return cls(tuple(cycle[k:] + cycle[:k]))
 
 
-@dataclass
-class MelkmanStats:
-    """Operation counts from one hull scan.
-
-    `isleft_evals` is the number of orientation tests actually evaluated.
-    `deque_ops` counts point placements plus copy removals: a placement
-    puts the point at both ends of the deque at once, and each of its two
-    copies can later be removed at most once, so deque_ops <= 3n + seed.
-
-    :func:`melkman` does not count them test by test. Its loop counts the
-    points it places, the points it skips as interior, the points that
-    pass the first support test and the pop loops that the size guard
-    stops. The removals are then 4 + 2 * placed - len(deque), and the tests
-    are one per point read, one more per point passing the first test, and
-    per placed point one per removal plus one for each of its two pop loops
-    that a test (not the guard) stopped, besides the collinear prefix's.
-    """
-
-    isleft_evals: int = 0
-    deque_ops: int = 0
-
-
-def melkman(chain: Iterable[Point], stats: MelkmanStats | None = None) -> HullPolygon:
-    """Convex hull of a simple polygonal chain in one pass.
-
-    The deque holds the hull of the points scanned so far as a cycle whose
-    two ends are the most recently added vertex. Each new point is tested
-    against the two support edges at the deque ends: left of both means it
-    is interior and is dropped; otherwise vertices are popped from the top
-    and/or deleted from the bottom until convexity is restored and the
-    point becomes the new seam. Pops use non-strict tests so collinear
-    vertices never survive.
-
-    The chain may be any iterable of integer (x, y) pairs, such as a list
-    of `Point`s or the box offsets `RankFunction.offsets` yields; it is read
-    once, in order, and only the deque's points are kept. The hull holds
-    the chain's own objects. The chain must be simple and its points
-    distinct (the rank pipeline guarantees both). Fully collinear chains
-    and chains of fewer than three points produce degenerate polygons.
-    """
-    if stats is None:
-        stats = MelkmanStats()
-    it = iter(chain)
-    head = list(islice(it, 2))
-    if len(head) < 2:
-        return HullPolygon.of_cycle(head)
-
-    a, b = head
-    evals = 0
-    turn = 0
-    for c in it:
-        evals += 1
-        turn = orientation(a, b, c)
-        if turn != 0:
-            break
-        b = c  # collinear prefix is monotone on a simple chain; keep extremes
-    if turn == 0:
-        stats.isleft_evals += evals
-        return HullPolygon.of_cycle([a, b])
-
-    dq = deque((c, a, b, c)) if turn > 0 else deque((c, b, a, c))
-    pop, push, popleft, pushleft = dq.pop, dq.append, dq.popleft, dq.appendleft
-    size = 4  # len(dq), except between the two pop loops (see there)
-    # no test or removal is counted in the loop: these four give the counters
-    placed = passed = skipped = guarded = 0
-    # The support edges are seam -> dq[1] and dq[-2] -> seam, where the
-    # seam is dq[0] == dq[-1]. Their endpoints are kept as coordinate
-    # locals, so no test indexes a tuple, and each pop loop leaves the
-    # seam's new neighbour in its locals, so the deque is read only after
-    # a removal.
-    # "v strictly left of p -> q" is the cross product (q - p) x (v - p) > 0,
-    # written as a comparison of its two products.
-    sx, sy = c
-    b1x, b1y = dq[1]
-    t1x, t1y = dq[-2]
-    for v in it:
-        vx, vy = v
-        if (b1x - sx) * (vy - sy) > (b1y - sy) * (vx - sx):
-            passed += 1
-            if (sx - t1x) * (vy - t1y) > (sy - t1y) * (vx - t1x):
-                skipped += 1
-                continue
-        # top: pop q = dq[-1] while v is not strictly left of p = dq[-2] -> q.
-        # Each loop starts with at least 3 entries, so the guard, which
-        # keeps 2, is checked only after a removal.
-        px, py = t1x, t1y
-        qx, qy = sx, sy
-        while (qx - px) * (vy - py) <= (qy - py) * (vx - px):
-            pop()
-            size -= 1
-            qx, qy = px, py
-            if size == 2:
-                guarded += 1
-                break
-            px, py = dq[-2]
-        push(v)
-        t1x, t1y = qx, qy  # the kept top is v's neighbour there
-        # bottom: pop p = dq[0] while v is not strictly left of p -> q = dq[1].
-        # The top pops never reach dq[0] or dq[1], so they still hold the
-        # seam and b1; `size` leaves out v's new top copy until the end.
-        px, py = sx, sy
-        qx, qy = b1x, b1y
-        while (qx - px) * (vy - py) <= (qy - py) * (vx - px):
-            popleft()
-            size -= 1
-            px, py = qx, qy
-            if size == 1:
-                guarded += 1
-                break
-            qx, qy = dq[1]
-        pushleft(v)
-        size += 2
-        placed += 1
-        sx, sy = vx, vy
-        b1x, b1y = px, py  # the kept bottom is v's neighbour there
-
-    # Each placement adds two entries to the first triangle's 4 and each
-    # removal takes one away, so the final size gives the removals. Every
-    # point read is tested against the first support edge, and the points
-    # that pass it against the second; a placed point's two pop loops test
-    # once per removal, plus once each unless the size guard stopped it.
-    removed = 4 + 2 * placed - size
-    read = placed + skipped
-    stats.isleft_evals += evals + read + passed + removed + 2 * placed - guarded
-    stats.deque_ops += 3 + placed + removed
-    cycle = list(dq)
-    cycle.pop()  # both ends hold the seam vertex
-    return HullPolygon.of_cycle(cycle)
-
-
 def hull_oracle(points: Iterable[Point]) -> HullPolygon:
     """Reference hull by sort and monotone chain.
 
     Deliberately shares no code with the rank path: it sorts with the
     builtin comparison sort and uses its own inline cross products. Output
-    follows the same canonical form as :func:`melkman`.
+    follows the same canonical form as `HullPolygon.of_cycle` gives the
+    pipeline's hulls, without calling it.
     """
     pts = sorted(set(points))
     if len(pts) < 3:

@@ -30,7 +30,7 @@ ascending rank order, and step 5 (`_scan`) is the same for both:
   points by arithmetic, x·width + y less the corner's, which needs no
   table that grows with the box, and drops duplicates with a `set`, step
   4 sorts the n distinct cells (ints, in C) and step 5 scans them. That
-  is the chain the paper's p-bit steps 3–4 (`bitrank.build_rank_table`
+  is the chain the paper's p-bit steps 3–4 (`paper.build_rank_table`
   and `fast_shuffle`) yield, got by a comparison sort of ints rather than
   by a table; those steps measured slower than the sort in every cell of
   the route sweep, so no route runs them. The sort keeps f1.
@@ -38,7 +38,7 @@ ascending rank order, and step 5 (`_scan`) is the same for both:
 Step 5 (`_scan`) reads each cell as (line, along) = divmod(cell, width),
 the inverse of step 3's rank, so ascending cells are sorted pairs: a
 chord split and Andrew's monotone chain scan them with fewer tests a
-point than the paper's Melkman deque scan, which `hull.melkman` keeps as
+point than the paper's Melkman deque scan, which `paper.melkman` keeps as
 its step-5 reproduction. Step 2's translation is folded into step 3's
 rank arithmetic; orientation tests are translation-invariant, so the
 scan decides on offsets from the grid's corner (the box's, or the origin
@@ -69,12 +69,18 @@ from operator import add, floordiv, gt, mul, setitem, sub
 from .errors import BoxTooLargeError, NonIntegerCoordinateError
 from .geometry import Point, coordinates, new_points
 from .hull import HullPolygon
-from .ranking import RankVariant
 
 _log = logging.getLogger(__name__)
 
 # Cap on the byte table's length: 128 MiB, 2^27 cells.
 MAX_BYTES = 1 << 27
+
+
+class RankVariant(Enum):
+    """Grid traversal order. Values double as the CLI spelling."""
+
+    COLUMN_MAJOR = "f1"
+    ROW_MAJOR = "f2"
 
 
 class Route(Enum):

@@ -20,8 +20,7 @@ from .errors import (
     InvalidDensityError,
     ParseError,
 )
-from .geometry import Point, coordinates
-from .ranking import RankFunction, RankVariant
+from .geometry import Point, check_grid, coordinates, new_points
 
 
 # A point file's coordinate. Python's int() would also take underscores and
@@ -107,18 +106,19 @@ def generate_dense_set(
 ) -> list[Point]:
     """Sample distinct grid points uniformly without replacement.
 
-    The grid is an m1 x m2 `RankFunction` at corner (1, 1), which checks
-    the sides, of at most `MAX_GRID_CELLS` cells (:class:`BoxTooLargeError`),
-    and :func:`sample_size` turns exactly one of `density` and `count`
-    into n. Cells are identified by their column-major rank and drawn with
-    `random.sample`, a partial shuffle of the index range, so the result
-    is exact even at densities close to 1 and is reproducible for a given
-    seed. Points come back in sample order, not rank order.
+    The grid is m1 x m2 at corner (1, 1), its sides checked by
+    :func:`~rankhull.geometry.check_grid`, of at most `MAX_GRID_CELLS`
+    cells (:class:`BoxTooLargeError`), and :func:`sample_size` turns
+    exactly one of `density` and `count` into n. Cells are numbered column
+    by column from 0 and drawn with `random.sample`, a partial shuffle of
+    the index range, so the result is exact even at densities close to 1
+    and is reproducible for a given seed; cell c is the point
+    (1 + c // m2, 1 + c % m2). Points come back in sample order, not rank order.
     """
-    rf = RankFunction(RankVariant.COLUMN_MAJOR, m1, m2)
-    m = rf.m
+    check_grid(m1, m2)
+    m = m1 * m2
     if m > MAX_GRID_CELLS:
         raise BoxTooLargeError(f"grid of {m} cells exceeds cap {MAX_GRID_CELLS}")
     n = sample_size(m, density, count)
     rng = random.Random(seed)
-    return rf.unrank_all(rng.sample(range(1, m + 1), n))
+    return list(new_points((1 + c // m2, 1 + c % m2) for c in rng.sample(range(m), n)))

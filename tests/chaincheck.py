@@ -5,7 +5,7 @@ tests throughout: a chain is simple iff no two non-adjacent segments share
 any point (endpoints included) and adjacent segments meet only at their
 common endpoint.
 
-`melkman_reference` is the plain deque scan that `rankhull.hull.melkman`
+`melkman_reference` is the plain deque scan that `rankhull.paper.melkman`
 must match test for test: same hull, same counters. `sides_reference` is
 the plain chord split and two monotone passes that the pipeline's step 5
 (`rankhull.pipeline._scan`) must match the same way.
@@ -17,21 +17,16 @@ must agree with on every polygon.
 call per point and edge, that `rankhull.hull.contains_all` must agree
 with on every polygon and point list.
 
-`paper_steps` runs the paper's p-bit steps 1 and 3–5 (`coordinates`,
-`build_rank_table`, `fast_shuffle`, `melkman`) through their checked
-entry points, for the checks of bit-table counts, widths, memory and walk
-time that no pipeline route makes. `sorted_ranks_hull` runs the
-sorted-ranks route the same way, under either rank layout.
+`sorted_ranks_hull` runs the sorted-ranks route through the checked
+entry points of `rankhull.paper` (`RankFunction.cells`, `melkman`), under
+either rank layout.
 """
 
-import time
 from collections import Counter, deque
-from typing import NamedTuple
 
-from rankhull.bitrank import RankTable, ShuffleResult, build_rank_table, fast_shuffle
 from rankhull.geometry import Point, bounding_box, coordinates, orientation
-from rankhull.hull import HullPolygon, MelkmanStats, _on_segment, melkman
-from rankhull.ranking import RankFunction, RankVariant
+from rankhull.hull import HullPolygon, _on_segment
+from rankhull.paper import MelkmanStats, RankFunction, melkman
 
 
 def _orient(ax, ay, bx, by, px, py):
@@ -98,7 +93,7 @@ def melkman_reference(chain, stats=None, events=None) -> HullPolygon:
     """Melkman's scan with every support edge read back from the deque.
 
     Runs the same orientation tests in the same order as
-    `rankhull.hull.melkman` and counts them one by one. `events`, a
+    `rankhull.paper.melkman` and counts them one by one. `events`, a
     `Counter` if given, counts the rare branches the scan took:
     "collinear" prefix points, "skip" of an interior point, "second_fails"
     (a point left of the first support edge but not the second), and
@@ -270,39 +265,6 @@ def contains_all_reference(poly, points) -> bool:
             if orientation(vs[i], vs[(i + 1) % h], p) < 0:
                 return False
     return True
-
-
-class PaperSteps(NamedTuple):
-    """One run of the paper's p-bit steps: hull, bit table, walk, scan counters, walk time."""
-
-    hull: HullPolygon
-    table: RankTable
-    shuffled: ShuffleResult
-    stats: MelkmanStats
-    walk_ns: int
-
-
-def paper_steps(points, p, variant=RankVariant.COLUMN_MAJOR) -> PaperSteps:
-    """The paper's steps on the points' tight box, at block width `p`.
-
-    Step 1's coordinate lists are made here and dropped once the bit table
-    is built, as the pipeline drops them; the word walk is timed alone,
-    amid the allocations of a whole run. The scan reads box offsets and
-    its hull is translated back to the caller's points.
-    """
-    box = bounding_box(points)
-    rf = RankFunction(variant, box.m1, box.m2, box.x_min, box.y_min)
-    xs, ys = coordinates(points)
-    table = build_rank_table(rf.cells(xs, ys), rf.m, p)
-    del xs, ys
-    t0 = time.perf_counter_ns()
-    shuffled = fast_shuffle(table)
-    walk_ns = time.perf_counter_ns() - t0
-    stats = MelkmanStats()
-    scanned = melkman(rf.offsets(shuffled.order), stats)
-    # translation keeps the lexicographic order, so the cycle stays canonical
-    hull = HullPolygon(tuple(rf.to_points(scanned.vertices)))
-    return PaperSteps(hull, table, shuffled, stats, walk_ns)
 
 
 def sorted_ranks_hull(points, variant) -> HullPolygon:

@@ -16,26 +16,27 @@ from dataclasses import dataclass
 
 import pytest
 
-from chaincheck import chain_is_simple, paper_steps
+from chaincheck import chain_is_simple
 from rankhull.analysis import (
     EXTREMES_VARIANT,
     BenchmarkPlan,
     _cell_seed,
     run_benchmark,
 )
-from rankhull.bitrank import (
+from rankhull.geometry import Point, coordinates
+from rankhull.hull import hull_oracle
+from rankhull.paper import (
+    RankFunction,
     build_rank_table,
     density_threshold_refined,
     density_threshold_simple,
     extract_set_bits,
     fast_shuffle,
+    paper_steps,
     shuffle_naive,
 )
-from rankhull.geometry import Point, coordinates
-from rankhull.hull import hull_oracle
-from rankhull.pipeline import ROUTES, _hull
+from rankhull.pipeline import ROUTES, RankVariant, _hull
 from rankhull.pointio import generate_dense_set
-from rankhull.ranking import RankFunction, RankVariant
 
 
 def _verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -249,9 +250,11 @@ def test_08_time_grows_linearly_with_n(linearity_rows):
     r_squared = statistics.correlation(ns, times) ** 2
     slope = statistics.linear_regression(ns, times).slope
     ok = r_squared >= 0.95
+    # every (n, median_ns) cell, so that a failure says which cell moved
+    cells = " ".join(f"({n}, {t:.0f})" for n, t in zip(ns, times))
     _verdict(
         "8 wall-clock linearity: R^2 >= 0.95 for byte_extremes time vs n at 640x480",
-        ok, f"R^2={r_squared:.4f} slope={slope:.0f} ns/point",
+        ok, f"R^2={r_squared:.4f} slope={slope:.0f} ns/point; (n, median_ns): {cells}",
     )
 
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rankhull.bitrank import (
+from rankhull.paper import (
     MAX_WORDS,
+    RankFunction,
     RankTable,
     build_rank_table,
     check_block_width,
@@ -19,7 +20,7 @@ from rankhull.bitrank import (
 )
 from rankhull.errors import BoxTooLargeError, OutOfGridError, RankOutOfRangeError
 from rankhull.geometry import Point, coordinates
-from rankhull.ranking import RankFunction, RankVariant
+from rankhull.pipeline import RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
 F2 = RankVariant.ROW_MAJOR
@@ -79,7 +80,7 @@ def test_build_skips_and_counts_duplicates():
     assert table.n == 2
     assert table.duplicates_skipped == 2
     # the repeated point's rank is recorded once
-    assert fast_shuffle(table).order == [rf.rank(Point(2, 2)), rf.rank(Point(3, 1))]
+    assert fast_shuffle(table).order == [cell + 1 for cell in rf.cells([2, 3], [2, 1])]
 
 
 def test_build_rejects_a_block_width_that_is_not_a_positive_int():

@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 from chaincheck import (
     chain_is_simple, contains_all_reference, is_convex_reference, melkman_reference,
 )
-from rankhull.geometry import Point, bounding_box
-from rankhull.hull import (
-    HullPolygon,
-    MelkmanStats,
-    contains_all,
-    hull_oracle,
-    is_convex,
-    melkman,
-)
-from rankhull.ranking import RankFunction, RankVariant
+from rankhull.geometry import Point, bounding_box, coordinates
+from rankhull.hull import HullPolygon, contains_all, hull_oracle, is_convex
+from rankhull.paper import MelkmanStats, RankFunction, melkman
+from rankhull.pipeline import RankVariant
 
 coords = st.integers(min_value=0, max_value=40)
 point_lists = st.lists(st.builds(Point, coords, coords), max_size=60)
@@ -28,7 +22,7 @@ def _chained(points):
         return []
     box = bounding_box(points)
     rf = RankFunction(RankVariant.COLUMN_MAJOR, box.m1, box.m2, box.x_min, box.y_min)
-    return rf.unrank_all(sorted({rf.rank(v) for v in points}))
+    return rf.unrank_all(sorted({cell + 1 for cell in rf.cells(*coordinates(points))}))
 
 
 def test_melkman_drops_interior_point():

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib
 import inspect
 import logging
 import math
@@ -15,17 +16,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankhull import pipeline as pipeline_module
-from chaincheck import chain_is_simple, paper_steps, sides_reference, sorted_ranks_hull
-from rankhull.bitrank import (
-    build_rank_table, density_threshold_refined, density_threshold_simple,
-    fast_shuffle, shuffle_naive, table_over_cap,
-)
+from chaincheck import chain_is_simple, sides_reference, sorted_ranks_hull
 from rankhull.errors import BoxTooLargeError, NonIntegerCoordinateError
 from rankhull.geometry import Point, bounding_box, coordinates
-from rankhull.hull import HullPolygon, MelkmanStats, contains_all, hull_oracle, is_convex, melkman
+from rankhull.hull import HullPolygon, contains_all, hull_oracle, is_convex
+from rankhull.paper import (
+    MelkmanStats, RankFunction, build_rank_table, density_threshold_refined,
+    density_threshold_simple, fast_shuffle, melkman, paper_steps, shuffle_naive, table_over_cap,
+)
 from rankhull.pipeline import (
     MAX_BYTES,
     OperationCounters,
+    RankVariant,
     Route,
     _hull,
     _line_extremes,
@@ -36,7 +38,6 @@ from rankhull.pipeline import (
     route_terms,
 )
 from rankhull.pointio import generate_dense_set
-from rankhull.ranking import RankFunction, RankVariant
 
 BLOCK_WIDTHS = (8, 16, 32, 64)
 F1, F2 = RankVariant.COLUMN_MAJOR, RankVariant.ROW_MAJOR
@@ -368,9 +369,9 @@ def test_non_integer_coordinates_raise_a_library_error():
 def test_points_that_are_not_pairs_raise_a_library_error(points, variant):
     with pytest.raises(NonIntegerCoordinateError):
         convex_hull_ranked(points)
-    # step 1's rule holds before any layout: each one's rank refuses the point
+    # step 1's rule holds before any layout: each one's checked rank path refuses the point
     with pytest.raises(NonIntegerCoordinateError):
-        RankFunction(variant, 8, 8).rank(points[-1])
+        RankFunction(variant, 8, 8).cells(*coordinates(points[-1:]))
     with pytest.raises(NonIntegerCoordinateError, match="pair"):
         bounding_box(points)
 
@@ -652,18 +653,34 @@ def test_byte_table_marks_each_cell_once_and_reads_line_extremes_in_rank_order()
     assert _line_extremes(bytearray(6), 3) == ([], 0)
 
 
+# The library's core: every module but `paper`, the reproduction, and `cli`,
+# which prints the reproduction's thresholds.
+_CORE_MODULES = ("geometry", "hull", "pipeline", "pnm", "pointio", "analysis")
+
+
 def test_the_pipeline_imports_nothing_from_the_bit_table():
-    # bitrank is the paper's p-bit reproduction; the routes use none of it,
-    # neither its functions nor its constants
-    assert "bitrank" not in vars(pipeline_module)
-    assert not [name for name, value in vars(pipeline_module).items()
-                if getattr(value, "__module__", None) == "rankhull.bitrank"]
-    tree = ast.parse(inspect.getsource(pipeline_module))
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    assert not [node.module for node in imports if "bitrank" in (node.module or "")]
+    # rankhull.paper is the paper's reproduction, its p-bit table included;
+    # the core uses none of it, neither its functions nor its constants: no
+    # import, absolute or relative, names it, and no global comes from it
+    for name in _CORE_MODULES:
+        module = importlib.import_module(f"rankhull.{name}")
+        tree = ast.parse(inspect.getsource(module))
+        # each dotted name an import reads from or binds, split at its dots
+        named = [
+            part
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for dotted in (getattr(node, "module", None) or "", *(a.name for a in node.names))
+            for part in dotted.split(".")
+        ]
+        assert "paper" not in named, name
+        assert not [key for key, value in vars(module).items()
+                    if "rankhull.paper" in (getattr(value, "__module__", None),
+                                            getattr(value, "__name__", None))], name
     # steps 3-5 run on plain ints: no rank function or box object, and no
     # other module's private helper
-    assert not {"RankFunction", "BoundingBox"} & set(vars(pipeline_module))
+    assert not {"paper", "RankFunction", "BoundingBox"} & set(vars(pipeline_module))
+    tree = ast.parse(inspect.getsource(pipeline_module))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     ours = [node for node in imports if node.level or (node.module or "").startswith("rankhull")]
     assert not [alias.name for node in ours for alias in node.names if alias.name.startswith("_")]
 

@@ -13,30 +13,33 @@ from rankhull.errors import (
     RankOutOfRangeError,
 )
 from rankhull import pipeline
-from rankhull.geometry import Point
-from rankhull.ranking import RankFunction, RankVariant
+from rankhull.geometry import Point, coordinates
+from rankhull.paper import RankFunction
+from rankhull.pipeline import RankVariant
 
 F1 = RankVariant.COLUMN_MAJOR
 F2 = RankVariant.ROW_MAJOR
 
 
+def _ranks(rf, *points):
+    """The rank of each point, read through the checked path `cells` from `coordinates`."""
+    return [cell + 1 for cell in rf.cells(*coordinates(points))]
+
+
 def test_column_major_rank_values():
     rf = RankFunction(F1, 5, 3)
-    assert rf.rank(Point(1, 1)) == 1
-    assert rf.rank(Point(3, 3)) == 9
-    assert rf.rank(Point(5, 1)) == 13
+    assert _ranks(rf, Point(1, 1), Point(3, 3), Point(5, 1)) == [1, 9, 13]
 
 
 def test_column_major_rank_on_four_row_grid():
     rf = RankFunction(F1, 4, 4)
-    assert rf.rank(Point(2, 1)) == 5
+    assert _ranks(rf, Point(2, 1)) == [5]
     assert rf.unrank_all([5]) == [Point(2, 1)]
 
 
 def test_row_major_rank_values():
     rf = RankFunction(F2, 3, 4)
-    assert rf.rank(Point(1, 1)) == 1
-    assert rf.rank(Point(1, 2)) == 4
+    assert _ranks(rf, Point(1, 1), Point(1, 2)) == [1, 4]
 
 
 def test_unrank_values():
@@ -51,7 +54,7 @@ def test_rank_rejects_out_of_grid():
             x1, y1 = x0 + rf.m1, y0 + rf.m2
             for bad in (Point(x0 - 1, y0), Point(x0, y0 - 1), Point(x1, y0), Point(x0, y1)):
                 with pytest.raises(OutOfGridError):
-                    rf.rank(bad)
+                    _ranks(rf, bad)
 
 
 def test_rank_rejects_points_that_are_not_pairs_of_ints():
@@ -59,7 +62,7 @@ def test_rank_rejects_points_that_are_not_pairs_of_ints():
         rf = RankFunction(variant, 4, 5)
         for bad in ((1.5, 1), (1, 2, 3), None, (1,), (True, 1), (1, False)):
             with pytest.raises(NonIntegerCoordinateError):
-                rf.rank(bad)
+                _ranks(rf, bad)
 
 
 def test_cells_rejects_lists_that_are_not_ints_of_one_length():
@@ -98,8 +101,8 @@ def test_offsets_are_the_points_less_the_box_corner():
         offsets = list(rf.offsets(ranks))
         assert offsets == [(x + 4, y - 10**9) for x, y in rf.unrank_all(ranks)]
         assert rf.to_points(offsets) == rf.unrank_all(ranks)
-        # checked against rank(), not only against the inverse built on offsets
-        assert [rf.rank(Point(dx - 4, dy + 10**9)) for dx, dy in offsets] == ranks
+        # checked against the forward path, not only against the inverse built on offsets
+        assert _ranks(rf, *(Point(dx - 4, dy + 10**9) for dx, dy in offsets)) == ranks
         assert list(rf.offsets([])) == []
         for bad in (0, rf.m + 1, 1.5, "a", True):
             with pytest.raises(RankOutOfRangeError):
@@ -127,9 +130,9 @@ def test_grid_origin_moves_the_ranked_cells():
         ranks = range(1, 16)
         for r, v, w in zip(ranks, base.unrank_all(ranks), rf.unrank_all(ranks)):
             assert w == Point(v.x - 3, v.y + 10**12 - 1)
-            assert rf.rank(w) == r
+            assert _ranks(rf, w) == [r]
         with pytest.raises(OutOfGridError):
-            rf.rank(Point(-3, 10**12))
+            _ranks(rf, Point(-3, 10**12))
 
 
 def test_grid_sides_must_be_positive():
@@ -152,7 +155,7 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
         seen = set()
         for x in range(1, 8):
             for y in range(1, 6):
-                r = rf.rank(Point(x, y))
+                (r,) = _ranks(rf, Point(x, y))
                 assert 1 <= r <= 35
                 assert rf.unrank_all([r]) == [Point(x, y)]
                 seen.add(r)
@@ -160,8 +163,8 @@ def test_roundtrip_is_a_bijection_on_a_7x5_grid():
 
 
 def test_roundtrip_on_every_grid_up_to_64x64():
-    # one batch pass per grid through cells, the forward path that rank()
-    # runs; at corner (0, 0) a cell's offsets are its coordinates
+    # one batch pass per grid through cells, the checked forward path; at
+    # corner (0, 0) a cell's offsets are its coordinates
     for variant in (F1, F2):
         for m1 in range(1, 65):
             for m2 in range(1, 65):
@@ -207,9 +210,10 @@ def test_chain_order_matches_lexicographic_sort(data):
     m2 = data.draw(st.integers(1, 12))
     cells = [Point(x, y) for x in range(1, m1 + 1) for y in range(1, m2 + 1)]
     pts = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=40))
-    f1_order = sorted(pts, key=RankFunction(F1, m1, m2).rank)
+    f1, f2 = RankFunction(F1, m1, m2), RankFunction(F2, m1, m2)
+    f1_order = sorted(pts, key=lambda v: _ranks(f1, v))
     assert f1_order == sorted(pts, key=lambda v: (v.x, v.y))
-    f2_order = sorted(pts, key=RankFunction(F2, m1, m2).rank)
+    f2_order = sorted(pts, key=lambda v: _ranks(f2, v))
     assert f2_order == sorted(pts, key=lambda v: (v.y, v.x))
 
 

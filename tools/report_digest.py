@@ -4,7 +4,8 @@ Run from a checkout, with its ``src`` on the path:
 
     PYTHONPATH=src python tools/report_digest.py
 
-It prints the number of records and their sha256. A change that keeps
+It prints the number of records and their sha256 (`digest`), which
+``tests/test_report_digest.py`` pins. A change that keeps
 every hull, count and route prints the same two values as its parent, so
 pointing ``PYTHONPATH`` at another tree's ``src`` compares the two.
 
@@ -113,14 +114,20 @@ def record(points, route: Route | None) -> list:
     ]
 
 
-def main() -> None:
-    digest = hashlib.sha256()
+def digest() -> tuple[int, str]:
+    """The number of records and the sha256 of their JSON lines, in input and route order."""
+    sha = hashlib.sha256()
     count = 0
     for points in inputs():
         for route in ROUTES:
-            digest.update(json.dumps(record(points, route)).encode() + b"\n")
+            sha.update(json.dumps(record(points, route)).encode() + b"\n")
             count += 1
-    print(f"{count} records, sha256 {digest.hexdigest()}")
+    return count, sha.hexdigest()
+
+
+def main() -> None:
+    count, hexdigest = digest()
+    print(f"{count} records, sha256 {hexdigest}")
 
 
 if __name__ == "__main__":
